@@ -1,0 +1,103 @@
+"""Build, cache and load the C kernels in ``_native.c``.
+
+The library is compiled at first use with the system ``cc`` and cached
+under ``$XDG_CACHE_HOME/bitbranch`` (default ``~/.cache/bitbranch``). The
+cache key covers the source, the flags, the compiler version and the CPU
+flags, because ``-march=native`` ties the binary to this CPU. Without a
+compiler, or when the build fails, ``library()`` warns once and returns
+None, and the callers run their numpy code instead.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
+import threading
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_native.c")
+# no fast-math, and no FMA contraction: the encoder must reproduce
+# quant.quantize_odd's float operations exactly
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-trapping-math", "-fPIC",
+         "-shared")
+
+_lock = threading.Lock()
+
+
+def _cpu_flags() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    return line.strip()
+    except OSError:
+        pass
+    return platform.machine() + " " + platform.processor()
+
+
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = Path(root) / "bitbranch"
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    return path
+
+
+def _build() -> ctypes.CDLL:
+    """Compile the library into the cache unless it is there; load it."""
+    source = SOURCE.read_bytes()
+    version = subprocess.run(["cc", "--version"], capture_output=True, check=True).stdout
+    key = hashlib.sha256()
+    for part in (source, " ".join(FLAGS).encode(), version, _cpu_flags().encode()):
+        key.update(part + b"\0")
+    cache = _cache_dir()
+    lib_path = cache / f"native-{key.hexdigest()[:24]}.so"
+    if not lib_path.exists():
+        # build beside the target and rename: a concurrent process never
+        # sees a half-written library
+        fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
+        os.close(fd)
+        try:
+            # compile the very bytes that were hashed
+            subprocess.run(["cc", *FLAGS, "-o", tmp, "-x", "c", "-", "-lm"], input=source,
+                           capture_output=True, check=True)
+            os.replace(tmp, lib_path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(str(lib_path))
+    words = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+    i64, cint = ctypes.c_int64, ctypes.c_int
+    lib.bb_gemm.argtypes = [words, words,
+                            np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE"),
+                            i64, i64, i64, cint, cint, i64, i64]
+    lib.bb_gemm.restype = None
+    lib.bb_encode.argtypes = [np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+                              i64, i64, cint, ctypes.c_double,
+                              np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS,WRITEABLE")]
+    lib.bb_encode.restype = i64
+    return lib
+
+
+@functools.cache
+def _load() -> ctypes.CDLL | None:
+    try:
+        return _build()
+    except (OSError, subprocess.SubprocessError) as exc:
+        detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
+        warnings.warn(f"bitbranch: native kernel unavailable ({exc}) {detail[-300:]}; "
+                      "using the numpy kernel", RuntimeWarning, stacklevel=4)
+        return None
+
+
+def library() -> ctypes.CDLL | None:
+    """The loaded kernel library, or None; built or loaded once per process."""
+    with _lock:
+        return _load()

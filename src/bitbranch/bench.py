@@ -80,15 +80,29 @@ def scalar_gemm(a: np.ndarray, b_t: np.ndarray) -> list:
     return out
 
 
-def _median_ns(fn, repeats: int, warmup: int = 3) -> int:
+def _medians_ns(fns, repeats: int, warmup: int = 3) -> list[int]:
+    """Median time of each function, timed round-robin.
+
+    Each round calls every function once, starting one further along each
+    time, so drift in machine speed during the measurement, and any cost
+    of going first in a round, reach all of them alike; that matters where
+    their times differ by a few percent.
+    """
     for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        fn()
-        times.append(time.perf_counter_ns() - t0)
-    return int(np.median(times))
+        for fn in fns:
+            fn()
+    times = [[] for _ in fns]
+    for r in range(repeats):
+        for i in range(len(fns)):
+            j = (r + i) % len(fns)
+            t0 = time.perf_counter_ns()
+            fns[j]()
+            times[j].append(time.perf_counter_ns() - t0)
+    return [int(np.median(t)) for t in times]
+
+
+def _median_ns(fn, repeats: int, warmup: int = 3) -> int:
+    return _medians_ns([fn], repeats, warmup)[0]
 
 
 def _timer_resolution_ns() -> int:
@@ -128,6 +142,7 @@ def bench_gemm(sizes, precisions, repeats: int = 11, seed: int = 0,
                      "Q": q, "median_ns": blas_ns,
                      "speedup_vs_scalar": scalar_ns / max(blas_ns, 1)})
         packed_label = "packed" if threads <= 1 else f"packed_t{threads}"
+        kernels = []
         for (m_bits, k_bits) in precisions:
             xe = gemm.encode_matrix(a, m_bits)
             we = gemm.encode_matrix(b, k_bits)
@@ -135,8 +150,9 @@ def bench_gemm(sizes, precisions, repeats: int = 11, seed: int = 0,
             oracle = gemm.decode_codes(xe) @ gemm.decode_codes(we).T
             if not np.array_equal(acc, oracle):
                 raise AssertionError(f"packed kernel diverged at M={m_bits}, K={k_bits}")
-            packed_ns = _median_ns(
-                lambda: gemm.encoded_gemm(xe, we, threads=threads), repeats, warmup)
+            kernels.append(lambda xe=xe, we=we: gemm.encoded_gemm(xe, we, threads=threads))
+        packed_times = _medians_ns(kernels, repeats, warmup)
+        for (m_bits, k_bits), packed_ns in zip(precisions, packed_times):
             rows.append({"kernel": packed_label, "M": m_bits, "K": k_bits, "P": p,
                          "N": n, "Q": q, "median_ns": packed_ns,
                          "speedup_vs_scalar": scalar_ns / max(packed_ns, 1)})

@@ -233,13 +233,22 @@ def cmd_speedup_table(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bitbranch")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=positive_int, default=1,
+                       help="row blocks the packed GEMM runs in parallel (>= 1)")
         p.add_argument("--config", default="", help="key=value file mirroring flags")
         p.set_defaults(_defaults={a.dest: a.default for a in p._actions})
 

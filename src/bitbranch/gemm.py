@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bitops, quant
-from .core import DomainError, ShapeError
+from . import _native, bitops, quant
+from .core import ConfigError, DomainError, ShapeError
 
 # N * (2^M - 1) * (2^K - 1) must stay below this for exact int64 accumulation.
 _ACC_LIMIT = 1 << 62
@@ -38,6 +38,10 @@ class EncodedMatrix:
         return self.words.shape[2]
 
 
+def _n_words(cols: int) -> int:
+    return (cols + bitops.WORD_BITS - 1) // bitops.WORD_BITS
+
+
 def _pack_rows(plane_digits: np.ndarray, n_words: int) -> np.ndarray:
     """Pack one digit plane row-wise: (rows, cols) {-1,+1} -> (rows, n_words)."""
     rows = plane_digits.shape[0]
@@ -54,24 +58,43 @@ def encode_codes(codes: np.ndarray, bits: int) -> EncodedMatrix:
         raise ShapeError(f"expected a 2-D code grid, got shape {codes.shape}")
     rows, cols = codes.shape
     digits = quant.odd_code_digits(codes, bits).reshape(bits, rows, cols)
-    n_words = (cols + bitops.WORD_BITS - 1) // bitops.WORD_BITS
+    n_words = _n_words(cols)
     words = np.zeros((rows, bits, n_words), dtype=np.uint64)
     for m in range(bits):
         words[:, m, :] = _pack_rows(digits[m], n_words)
     return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
 
 
+def _reject_non_finite(bad: int) -> None:
+    if bad:
+        raise DomainError(f"{bad} non-finite values cannot be quantized")
+
+
 def encode_matrix(x: np.ndarray, bits: int) -> EncodedMatrix:
-    """Quantize a real matrix onto the odd grid and pack its digit planes."""
-    q = quant.quantize_odd(x, bits)
-    return encode_codes(q.codes, bits)
+    """Quantize a real matrix onto the odd grid and pack its digit planes.
+
+    The planes are those of ``encode_codes(quant.quantize_odd(x, bits).codes)``;
+    the native kernel fuses both steps. Non-finite values raise DomainError.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix, got shape {x.shape}")
+    quant._check_bits(bits)
+    lib = _native.library()
+    if lib is None:
+        _reject_non_finite(x.size - int(np.count_nonzero(np.isfinite(x))))
+        return encode_codes(quant.quantize_odd(x, bits).codes, bits)
+    rows, cols = x.shape
+    words = np.empty((rows, bits, _n_words(cols)), dtype=np.uint64)
+    _reject_non_finite(lib.bb_encode(x, rows, cols, bits, quant._EDGE_SNAP, words))
+    return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
 
 
 def encode_digit_planes(digits: np.ndarray) -> EncodedMatrix:
     """Pack raw {-1,+1} digit planes of shape (bits, rows, cols)."""
     digits = np.asarray(digits)
     bits, rows, cols = digits.shape
-    n_words = (cols + bitops.WORD_BITS - 1) // bitops.WORD_BITS
+    n_words = _n_words(cols)
     words = np.zeros((rows, bits, n_words), dtype=np.uint64)
     for m in range(bits):
         words[:, m, :] = _pack_rows(digits[m], n_words)
@@ -79,18 +102,20 @@ def encode_digit_planes(digits: np.ndarray) -> EncodedMatrix:
 
 
 def decode_codes(enc: EncodedMatrix) -> np.ndarray:
-    """Recover the odd code grid from the packed planes."""
-    codes = np.zeros((enc.rows, enc.cols), dtype=np.int64)
-    for r in range(enc.rows):
-        for m in range(enc.bits):
-            plane = bitops.BitPlane(words=enc.words[r, m], n_valid=enc.cols)
-            codes[r] += (1 << m) * bitops.unpack(plane).astype(np.int64)
-    return codes
+    """Recover the odd code grid: code = 2 * sum_m 2^m * bit_m - (2^M - 1)."""
+    raw = np.ascontiguousarray(enc.words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=2, count=enc.cols, bitorder="little")
+    # sum_m 2^m * bit_m <= 255 at 8 bits, so it fits the uint8 the bits come in
+    b = np.einsum("m,rmc->rc", np.left_shift(1, np.arange(enc.bits, dtype=np.uint8)), bits)
+    return 2 * b.astype(np.int64) - ((1 << enc.bits) - 1)
 
 
-def _gemm_rows(x: EncodedMatrix, w: EncodedMatrix, row_lo: int, row_hi: int) -> np.ndarray:
+def _gemm_rows(x: EncodedMatrix, w: EncodedMatrix, row_lo: int, row_hi: int,
+               acc: np.ndarray) -> None:
+    """numpy kernel: acc[row_lo:row_hi] of the product."""
     n = x.cols
-    acc = np.zeros((row_hi - row_lo, w.rows), dtype=np.int64)
+    out = acc[row_lo:row_hi]
+    out[:] = 0
     # m-major then k; the order is irrelevant to the exact result but fixed
     # for reproducible timing.
     for m in range(x.bits):
@@ -98,22 +123,53 @@ def _gemm_rows(x: EncodedMatrix, w: EncodedMatrix, row_lo: int, row_hi: int) -> 
         for k in range(w.bits):
             b = w.words[:, k, :]  # (Q, nw)
             dots = bitops.xnor_popcount_words(a[:, None, :], b[None, :, :], n)
-            acc += (1 << (m + k)) * dots
-    return acc
+            out += (1 << (m + k)) * dots
+
+
+def _check_operand(enc: EncodedMatrix, name: str) -> None:
+    """The kernels index words by (rows, bits, cols); a mismatch must not reach them."""
+    expect = (enc.rows, enc.bits, _n_words(enc.cols))
+    words = enc.words
+    if not (isinstance(words, np.ndarray) and words.dtype == np.uint64
+            and words.shape == expect and words.flags.c_contiguous):
+        raise ShapeError(f"{name} operand needs C-contiguous uint64 words of shape {expect}, "
+                         f"got {getattr(words, 'dtype', None)} {getattr(words, 'shape', None)}")
 
 
 def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix, threads: int = 1) -> np.ndarray:
-    """Exact integer accumulator of the decomposed product, shape (P, Q)."""
+    """Exact integer accumulator of the decomposed product, shape (P, Q).
+
+    ``threads`` >= 1 splits the rows of x into that many blocks.
+    """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     if x.cols != w.cols:
         raise ShapeError(f"reduction lengths differ: {x.cols} vs {w.cols}")
     worst = x.cols * ((1 << x.bits) - 1) * ((1 << w.bits) - 1)
-    assert worst <= _ACC_LIMIT, "accumulator could overflow int64"
-    if threads <= 1 or x.rows < 2 * threads:
-        return _gemm_rows(x, w, 0, x.rows)
-    bounds = np.linspace(0, x.rows, threads + 1, dtype=int)
+    if worst > _ACC_LIMIT:
+        raise ShapeError(f"accumulator could overflow int64: N={x.cols}, "
+                         f"M={x.bits}, K={w.bits}")
+    _check_operand(x, "left")
+    _check_operand(w, "right")
+    acc = np.empty((x.rows, w.rows), dtype=np.int64)
+    lib = _native.library()
+    if lib is None:
+        def block(lo, hi):
+            _gemm_rows(x, w, lo, hi, acc)
+    else:
+        wt = np.ascontiguousarray(w.words.transpose(1, 2, 0))  # [plane][word][row]
+
+        def block(lo, hi):
+            lib.bb_gemm(x.words, wt, acc, lo, hi, w.rows, x.bits, w.bits,
+                        x.words_per_row, x.cols)
+    if threads == 1 or x.rows < 2 * threads:
+        block(0, x.rows)
+        return acc
+    bounds = np.linspace(0, x.rows, threads + 1, dtype=int).tolist()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda i: _gemm_rows(x, w, bounds[i], bounds[i + 1]), range(threads))
-    return np.vstack(list(parts))
+        for f in [pool.submit(block, lo, hi) for lo, hi in zip(bounds, bounds[1:])]:
+            f.result()
+    return acc
 
 
 def scale_output(acc: np.ndarray, m_bits: int, k_bits: int, r: float = 1.0) -> np.ndarray:

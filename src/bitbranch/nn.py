@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bitops, core, gemm, quant
-from .core import DecompositionError, ShapeError, StageError
+from .core import DecompositionError, DomainError, ShapeError, StageError
 
 MODEL_MAGIC = b"#bitbranch-model-v1\n"
 
@@ -108,6 +108,13 @@ def _weight_matrix(spec: LayerSpec, w: np.ndarray) -> np.ndarray:
     return np.asarray(w, dtype=np.float64).reshape(spec.out_features, spec.reduction_len())
 
 
+def _layer_name(spec: LayerSpec) -> str:
+    name = f"{spec.kind} {spec.in_features}->{spec.out_features}"
+    if spec.kind == "conv2d":
+        name += f" {spec.kernel[0]}x{spec.kernel[1]}"
+    return name + " layer"
+
+
 def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str, threads: int) -> np.ndarray:
     """Shared dense/conv core: rows of x2d against the layer weight."""
     if stage == "float":
@@ -144,8 +151,10 @@ def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str, threads: int) -
             # so run the dequantized codes exactly like the quantized stage
             wt = gemm.decode_codes(w).astype(np.float64) * (1.0 / ((1 << w.bits) - 1))
             return core.matmul_f(x2d, wt.T)
-        xq = quant.quantize_odd(x2d, spec.m_bits)
-        x_enc = gemm.encode_codes(xq.codes, spec.m_bits)
+        try:
+            x_enc = gemm.encode_matrix(x2d, spec.m_bits)
+        except DomainError as exc:
+            raise DomainError(f"{_layer_name(spec)} input: {exc}") from None
         acc = gemm.encoded_gemm(x_enc, w, threads=threads)
         if spec.follows_bn:
             return acc.astype(np.float64)

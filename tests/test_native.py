@@ -1,0 +1,293 @@
+"""The native kernels against their numpy oracles, the fallback, and the checks at the C boundary."""
+
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bitbranch import _native, bitops, cli, core, gemm, nn, quant
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(params=["native", "numpy"])
+def kernel(request, monkeypatch):
+    """Run the test once on the C kernels and once on the numpy fallback."""
+    if request.param == "native":
+        if _native.library() is None:
+            pytest.skip("no C compiler: the native kernels are not built")
+    else:
+        monkeypatch.setattr(_native, "library", lambda: None)
+    return request.param
+
+
+@pytest.fixture
+def fresh_library():
+    """Forget the loaded library before and after the test."""
+    _native._load.cache_clear()
+    yield
+    _native._load.cache_clear()
+
+
+def random_odd_codes(rng, shape, bits):
+    return rng.integers(0, 1 << bits, size=shape) * 2 - ((1 << bits) - 1)
+
+
+def numpy_gemm(x, w):
+    acc = np.empty((x.rows, w.rows), dtype=np.int64)
+    gemm._gemm_rows(x, w, 0, x.rows, acc)
+    return acc
+
+
+def decode_codes_loop(enc):
+    """Row-by-row plane unpacking; the reference for the vectorized decode."""
+    codes = np.zeros((enc.rows, enc.cols), dtype=np.int64)
+    for r in range(enc.rows):
+        for m in range(enc.bits):
+            plane = bitops.BitPlane(words=enc.words[r, m], n_valid=enc.cols)
+            codes[r] += (1 << m) * bitops.unpack(plane).astype(np.int64)
+    return codes
+
+
+def pad_bits(enc):
+    """The bits past the last column in each row's last word."""
+    tail = enc.cols % bitops.WORD_BITS
+    if tail == 0:
+        return np.zeros(1, dtype=np.uint64)
+    return enc.words[:, :, -1] >> np.uint64(tail)
+
+
+def edge_values(bits):
+    """Every grid point k/(2^M - 1), its float neighbours and near offsets, and extremes."""
+    levels = (1 << bits) - 1
+    grid = np.arange(-levels, levels + 1) / levels
+    near = [grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)]
+    near += [grid + d for d in (1e-10, -1e-10, 2e-9, -2e-9)]
+    extremes = np.array([0.0, -0.0, 1.0, -1.0, 1.5, -1.5, 1e300, -1e300, 5e-324, -5e-324])
+    return np.concatenate(near + [extremes])
+
+
+class TestNativeGemm:
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 12), q=st.integers(1, 70),
+           n=st.sampled_from([1, 63, 64, 65, 127, 128, 784]),
+           m_bits=st.integers(1, 8), k_bits=st.integers(1, 8),
+           threads=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_kernel_and_code_matmul(self, p, q, n, m_bits, k_bits, threads, seed):
+        rng = np.random.default_rng(seed)
+        xc = random_odd_codes(rng, (p, n), m_bits)
+        wc = random_odd_codes(rng, (q, n), k_bits)
+        xe, we = gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits)
+        expect = xc @ wc.T
+        np.testing.assert_array_equal(numpy_gemm(xe, we), expect)
+        np.testing.assert_array_equal(gemm.encoded_gemm(xe, we, threads=threads), expect)
+
+    def test_threaded_row_split(self, kernel):
+        rng = core.make_rng(3)
+        xe = gemm.encode_codes(random_odd_codes(rng, (37, 200), 3), 3)
+        we = gemm.encode_codes(random_odd_codes(rng, (40, 200), 2), 2)
+        one = gemm.encoded_gemm(xe, we)
+        for threads in (2, 3, 5):
+            np.testing.assert_array_equal(gemm.encoded_gemm(xe, we, threads=threads), one)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        xe = gemm.encode_matrix(np.zeros((4, 8)), 1)
+        with pytest.raises(core.ConfigError):
+            gemm.encoded_gemm(xe, xe, threads=threads)
+
+    @pytest.mark.parametrize("bad", ["rows", "bits", "words", "dtype", "order"])
+    def test_mismatched_operand_rejected(self, kernel, bad):
+        good = gemm.encode_matrix(np.zeros((3, 70)), 2)
+        words = good.words
+        fields = {"bits": 2, "rows": 3, "cols": 70}
+        if bad == "rows":
+            fields["rows"] = 4
+        elif bad == "bits":
+            fields["bits"] = 3
+        elif bad == "words":
+            words = words[:, :, :1].copy()
+        elif bad == "dtype":
+            words = words.astype(np.int64)
+        else:
+            words = np.asfortranarray(words)
+        broken = gemm.EncodedMatrix(words=words, **fields)
+        with pytest.raises(core.ShapeError):
+            gemm.encoded_gemm(broken, good)
+        with pytest.raises(core.ShapeError):
+            gemm.encoded_gemm(good, broken)
+
+    def test_overflow_guard(self, kernel):
+        huge = gemm.EncodedMatrix(bits=2, rows=1, cols=2**60, words=np.zeros((1, 2, 1), np.uint64))
+        with pytest.raises(core.ShapeError, match="overflow"):
+            gemm.encoded_gemm(huge, huge)
+
+    def test_overflow_guard_under_python_O(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from bitbranch import core, gemm\n"
+            "assert False, 'asserts are on'\n"
+            "huge = gemm.EncodedMatrix(bits=2, rows=1, cols=2**60,"
+            " words=np.zeros((1, 2, 1), np.uint64))\n"
+            "try:\n"
+            "    gemm.encoded_gemm(huge, huge)\n"
+            "except core.ShapeError as exc:\n"
+            "    print('ShapeError', exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={"PYTHONPATH": SRC}, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("ShapeError") and "overflow" in out.stdout
+
+
+class TestEncodeMatrix:
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_edges_match_quantize_odd(self, kernel, bits):
+        rng = core.make_rng(bits)
+        values = np.concatenate([edge_values(b) for b in range(1, 9)])
+        values = np.concatenate([values, rng.uniform(-1.2, 1.2, 1000)])
+        x = np.resize(values, (-(-values.size // 67), 67))
+        expect = gemm.encode_codes(quant.quantize_odd(x, bits).codes, bits)
+        got = gemm.encode_matrix(x, bits)
+        np.testing.assert_array_equal(got.words, expect.words)
+        assert (got.bits, got.rows, got.cols) == (expect.bits, expect.rows, expect.cols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 5), cols=st.integers(1, 140), bits=st.integers(1, 8),
+           data=st.data())
+    def test_any_finite_input_matches(self, rows, cols, bits, data):
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=rows * cols, max_size=rows * cols))
+        x = np.array(values, dtype=np.float64).reshape(rows, cols)
+        expect = gemm.encode_codes(quant.quantize_odd(x, bits).codes, bits)
+        np.testing.assert_array_equal(gemm.encode_matrix(x, bits).words, expect.words)
+
+    @pytest.mark.parametrize("cols", [1, 63, 64, 65, 130])
+    def test_pad_bits_zero(self, kernel, cols):
+        # +1 sets every digit, so a leaked pad bit would show
+        for x in (np.ones((3, cols)), core.make_rng(cols).uniform(-1, 1, (3, cols))):
+            for bits in (1, 2, 8):
+                assert not np.any(pad_bits(gemm.encode_matrix(x, bits)))
+                assert not np.any(pad_bits(gemm.encode_codes(quant.quantize_odd(x, bits).codes,
+                                                             bits)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, kernel, bad):
+        x = np.zeros((2, 70))
+        x[1, 66] = bad
+        with pytest.raises(core.DomainError, match="1 non-finite"):
+            gemm.encode_matrix(x, 2)
+
+
+class TestDecodeCodes:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 200), bits=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_loop(self, rows, cols, bits, seed):
+        codes = random_odd_codes(np.random.default_rng(seed), (rows, cols), bits)
+        enc = gemm.encode_codes(codes, bits)
+        np.testing.assert_array_equal(gemm.decode_codes(enc), decode_codes_loop(enc))
+        np.testing.assert_array_equal(gemm.decode_codes(enc), codes)
+
+
+class TestDecomposedStage:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dense_non_finite_names_layer(self, kernel, bad):
+        rng = core.make_rng(0)
+        spec = nn.dense(4, 3, m_bits=2, k_bits=2)
+        we = gemm.encode_codes(quant.quantize_odd(rng.uniform(-1, 1, (3, 4)), 2).codes, 2)
+        x = rng.uniform(-1, 1, (5, 4))
+        x[2, 1] = bad
+        with pytest.raises(core.DomainError, match="dense 4->3 layer"):
+            nn.dense_forward(x, spec, we, "decomposed")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_conv2d_non_finite_names_layer(self, kernel, bad):
+        rng = core.make_rng(1)
+        spec = nn.conv2d(2, 3, 3, 3, padding=1, m_bits=2, k_bits=2)
+        wq = quant.quantize_odd(rng.uniform(-1, 1, (3, 2, 3, 3)), 2)
+        we = gemm.encode_codes(wq.codes.reshape(3, -1), 2)
+        x = rng.uniform(-1, 1, (1, 2, 5, 5))
+        x[0, 1, 4, 4] = bad
+        with pytest.raises(core.DomainError, match="conv2d 2->3 3x3 layer"):
+            nn.conv2d_forward(x, spec, we, "decomposed")
+
+    def test_stages_agree(self, kernel):
+        rng = core.make_rng(2)
+        specs = [nn.conv2d(3, 4, 3, 3, padding=1, m_bits=2, k_bits=2), nn.batchnorm(4),
+                 nn.act_layer("htanh"),
+                 nn.conv2d(4, 5, 3, 3, stride=2, m_bits=3, k_bits=1, follows_bn=True)]
+        weights = [rng.uniform(-1, 1, (4, 3, 3, 3)),
+                   {"gamma": np.ones(4), "beta": np.zeros(4), "mean": np.zeros(4),
+                    "var": np.ones(4)}, None, rng.uniform(-1, 1, (5, 4, 3, 3))]
+        quantized = nn.quantize_model(nn.ModelState("float", specs, weights))
+        decomposed = nn.decompose_model(quantized)
+        x = rng.uniform(-1.5, 1.5, (2, 3, 7, 7))
+        np.testing.assert_array_equal(nn.model_forward(decomposed, x, threads=2),
+                                      nn.model_forward(quantized, x))
+
+    def test_loaded_planes_have_zero_pad_bits(self, tmp_path):
+        rng = core.make_rng(3)
+        model = nn.init_mlp([70, 5, 2], rng, m_bits=2, k_bits=3)
+        path = str(tmp_path / "d.bbm")
+        nn.save_model(nn.decompose_model(nn.quantize_model(model)), path)
+        encoded = [w for w in nn.load_model(path).weights if isinstance(w, gemm.EncodedMatrix)]
+        assert encoded and all(not np.any(pad_bits(w)) for w in encoded)
+
+
+class TestLibrary:
+    def test_fallback_same_outputs_one_warning(self, monkeypatch, fresh_library):
+        if _native.library() is None:
+            pytest.skip("no C compiler: nothing to fall back from")
+        rng = core.make_rng(4)
+        decomposed = nn.decompose_model(nn.quantize_model(
+            nn.init_mlp([30, 20, 4], rng, m_bits=2, k_bits=2, quantize_input=True)))
+        x = rng.uniform(-1, 1, (9, 30))
+        native = nn.model_forward(decomposed, x, threads=2)
+
+        def no_compiler():
+            raise OSError("cc: not found")
+
+        monkeypatch.setattr(_native, "_build", no_compiler)
+        _native._load.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outputs = [nn.model_forward(decomposed, x, threads=t) for t in (1, 2, 1)]
+        assert _native.library() is None
+        for out in outputs:
+            np.testing.assert_array_equal(out, native)
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1 and "numpy kernel" in str(runtime[0].message)
+
+    def test_built_once_into_private_cache(self, monkeypatch, tmp_path, fresh_library):
+        if _native.library() is None:
+            pytest.skip("no C compiler: the native kernels are not built")
+        _native._load.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        builds = []
+        real_build = _native._build
+
+        def counting_build():
+            builds.append(1)
+            return real_build()
+
+        monkeypatch.setattr(_native, "_build", counting_build)
+        assert _native.library() is not None
+        assert _native.library() is not None
+        assert len(builds) == 1
+        cache = tmp_path / "bitbranch"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_is_usage_error(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--model", str(tmp_path / "m.bbm"), "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
