@@ -5,18 +5,16 @@ planes, multiply with xnor/popcount, and train either the quantized model
 or its multi-branch binary form directly.
 """
 
-from .bitops import BitPlane, pack, unpack, xnor_popcount_dot
+from .bitops import pack, unpack, xnor_popcount_words
 from .core import (ConfigError, DecompositionError, DivergenceError, DomainError,
-                   EncodingError, ShapeError, StageError, make_rng, matmul_f,
-                   split_rng, tensor_new)
-from .gemm import (EncodedMatrix, encode_codes, encode_matrix, encoded_gemm,
-                   quantized_gemm, scale_output, zero_one_product)
+                   EncodingError, FormatError, ShapeError, StageError, make_rng, matmul_f)
+from .gemm import (EncodedMatrix, decode_codes, encode_codes, encode_matrix, encoded_gemm,
+                   scale_output, zero_one_product)
 from .nn import (LayerSpec, ModelState, accuracy, batchnorm_forward, conv2d_forward,
                  decompose_model, dense_forward, load_model, model_forward,
                  quantize_model, save_model)
-from .quant import (EncodedTensor, QuantizedTensor, activation, binarize,
-                    codes_to_digits, dequantize, encoder_derivative, mbit_encoder,
-                    quantize_linear, quantize_odd)
+from .quant import (QuantizedTensor, activation, binarize, dequantize, encoder_derivative,
+                    mbit_encoder_digits, odd_code_digits, quantize_linear, quantize_odd)
 from .train import (GradState, TrainConfig, optimizer_update, progressive_init,
                     train_model, train_step_alg1, train_step_alg2)
 

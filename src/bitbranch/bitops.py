@@ -1,14 +1,11 @@
-"""Bit-plane packing and the word-parallel xnor/popcount dot product.
+"""Bit-plane word packing and the word-parallel xnor/popcount dot product.
 
 A plane stores {-1,+1} digits packed into 64-bit words, LSB-first within a
-word (bit 1 means +1, bit 0 means -1). Padding bits past ``n_valid`` are
+word (bit 1 means +1, bit 0 means -1). Padding bits past the last digit are
 always zero, so packed planes are canonical and serialize byte-identically.
 """
 
 from __future__ import annotations
-
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,19 +14,9 @@ from .core import EncodingError, ShapeError
 WORD_BITS = 64
 
 
-@dataclass(frozen=True)
-class BitPlane:
-    """One packed digit plane with an explicit logical length."""
-
-    words: np.ndarray  # uint64, length ceil(n_valid / 64)
-    n_valid: int
-
-    def __post_init__(self):
-        expect = (self.n_valid + WORD_BITS - 1) // WORD_BITS
-        if self.words.dtype != np.uint64 or len(self.words) != expect:
-            raise ShapeError(
-                f"plane needs {expect} uint64 words for {self.n_valid} digits"
-            )
+def word_count(n: int) -> int:
+    """uint64 words that hold n digits."""
+    return (n + WORD_BITS - 1) // WORD_BITS
 
 
 def _tail_mask(n_valid: int) -> np.uint64:
@@ -37,71 +24,41 @@ def _tail_mask(n_valid: int) -> np.uint64:
     return np.uint64((1 << r) - 1) if r else np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def pack(digits, n: int | None = None) -> BitPlane:
-    """Pack an array of {-1,+1} digits into a BitPlane.
+def pack(digits) -> np.ndarray:
+    """Pack {-1,+1} digits along the last axis into uint64 words.
 
-    Bit i of the plane is set iff digit i is +1; pad bits stay zero.
+    A digit array of shape (..., n) becomes words of shape
+    (..., word_count(n)); bit i is set iff digit i is +1, pad bits stay zero.
     """
     d = np.asarray(digits)
-    if n is None:
-        n = d.size
-    d = d.reshape(-1)[:n]
     plus = d == 1
     if not np.all(plus | (d == -1)):
         raise EncodingError("digits must be -1 or +1")
-    bits = plus.astype(np.uint8)
-    raw = np.packbits(bits, bitorder="little")
-    n_words = (n + WORD_BITS - 1) // WORD_BITS
-    padded = np.zeros(n_words * 8, dtype=np.uint8)
-    padded[: raw.size] = raw
-    words = padded.view("<u8").astype(np.uint64)
-    return BitPlane(words=words, n_valid=n)
+    raw = np.packbits(plus, axis=-1, bitorder="little")
+    padded = np.zeros(d.shape[:-1] + (8 * word_count(d.shape[-1]),), dtype=np.uint8)
+    padded[..., : raw.shape[-1]] = raw
+    return padded.view("<u8").astype(np.uint64, copy=False)
 
 
-def unpack(plane: BitPlane) -> np.ndarray:
-    """Recover the {-1,+1} digits of a plane as int8."""
-    raw = plane.words.astype("<u8").view(np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: plane.n_valid]
-    return (2 * bits.astype(np.int8) - 1).astype(np.int8)
-
-
-def xnor_popcount_dot(a: BitPlane, b: BitPlane) -> int:
-    """Exact dot product of two {-1,+1} planes: 2*popcount(xnor) - N.
-
-    xnor turns the zero pad bits into ones, so the final word is masked
-    back to N valid bits before counting.
-    """
-    if a.n_valid != b.n_valid:
-        raise ShapeError(f"length mismatch: {a.n_valid} vs {b.n_valid}")
-    n = a.n_valid
-    x = ~(a.words ^ b.words)
-    x[-1] &= _tail_mask(n)
-    matches = int(np.bitwise_count(x).sum())
-    return 2 * matches - n
+def unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """Recover the first n {-1,+1} digits of each plane as int8, shape (..., n)."""
+    words = np.asarray(words)
+    if words.shape[-1] != word_count(n):
+        raise ShapeError(f"{n} digits need {word_count(n)} words per plane, "
+                         f"got shape {words.shape}")
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=-1, count=n, bitorder="little")
+    return 2 * bits.view(np.int8) - 1
 
 
 def xnor_popcount_words(a_words: np.ndarray, b_words: np.ndarray, n_valid: int) -> np.ndarray:
-    """Batched form of xnor_popcount_dot over the trailing word axis.
+    """Exact {-1,+1} dot products 2*popcount(xnor) - N over the trailing word axis.
 
     Operands broadcast against each other; the caller guarantees both carry
-    zero pad bits. Returns int64 dot products.
+    zero pad bits. xnor turns those into ones, so the final word is masked
+    back to N valid bits before counting. Returns int64 dot products.
     """
     x = ~(a_words ^ b_words)
     x[..., -1] &= _tail_mask(n_valid)
     matches = np.bitwise_count(x).sum(axis=-1).astype(np.int64)
     return 2 * matches - n_valid
-
-
-# ---------------------------------------------------------------------------
-# Serialization: n_valid as u64 LE, then each word as u64 LE
-# ---------------------------------------------------------------------------
-
-def bitplane_to_bytes(plane: BitPlane) -> bytes:
-    return struct.pack("<Q", plane.n_valid) + plane.words.astype("<u8").tobytes()
-
-
-def bitplane_from_bytes(buf: bytes) -> tuple[BitPlane, int]:
-    (n_valid,) = struct.unpack_from("<Q", buf, 0)
-    n_words = (n_valid + WORD_BITS - 1) // WORD_BITS
-    words = np.frombuffer(buf, dtype="<u8", count=n_words, offset=8).astype(np.uint64)
-    return BitPlane(words=words, n_valid=n_valid), 8 + 8 * n_words

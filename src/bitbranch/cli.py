@@ -49,11 +49,16 @@ def _require_file(path: str) -> None:
         raise FileNotFoundError(f"no such file: {path}")
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Fill flags from a key=value config file; explicit flags win."""
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill flags from a key=value config file; explicit flags win.
+
+    Each value goes through its flag's own argparse type and choices, so a
+    bad value exits 2 as it does on the command line.
+    """
     if not getattr(args, "config", None):
         return
     _require_file(args.config)
+    actions = {a.dest: a for a in parser._actions if a.option_strings}
     with open(args.config) as fh:
         for line in fh:
             line = line.strip()
@@ -61,28 +66,15 @@ def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> None:
                 continue
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            value = value.strip()
-            if not hasattr(args, key):
+            action = actions.get(key)
+            if action is None or not hasattr(args, key):
                 raise ConfigError(f"config key {key!r} does not match any flag")
-            default = parser_defaults.get(key)
-            if getattr(args, key) != default:
+            if getattr(args, key) != action.default:
                 continue  # flag explicitly set on the command line
-            if isinstance(default, bool):
-                setattr(args, key, value.lower() in ("1", "true", "yes"))
-            elif isinstance(default, int):
-                setattr(args, key, int(value))
-            elif isinstance(default, float):
-                setattr(args, key, float(value))
-            elif default is None:  # typed flags without a default, e.g. --lr
-                try:
-                    setattr(args, key, int(value))
-                except ValueError:
-                    try:
-                        setattr(args, key, float(value))
-                    except ValueError:
-                        setattr(args, key, value)
-            else:
-                setattr(args, key, value)
+            try:
+                setattr(args, key, parser._get_values(action, [value.strip()]))
+            except argparse.ArgumentError as exc:
+                parser.error(f"config file {args.config}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=positive_int, default=1,
                        help="row blocks the packed GEMM runs in parallel (>= 1)")
         p.add_argument("--config", default="", help="key=value file mirroring flags")
-        p.set_defaults(_defaults={a.dest: a.default for a in p._actions})
+        p.set_defaults(_parser=p)
 
     p = sub.add_parser("quantize", help="float model -> quantized-stage model")
     p.add_argument("--model", required=True)
@@ -327,7 +319,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, args._defaults)
+        _apply_config(args, args._parser)
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

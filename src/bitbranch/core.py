@@ -8,6 +8,7 @@ header so files are byte-identical across platforms.
 from __future__ import annotations
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -41,6 +42,10 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
+class FormatError(OSError):
+    """File contents do not follow the format they claim."""
+
+
 # ---------------------------------------------------------------------------
 # Deterministic RNG
 # ---------------------------------------------------------------------------
@@ -50,40 +55,9 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``n`` independent streams without advancing it.
-
-    Uses Philox jumps, so the children are disjoint from each other and from
-    the parent's future output. Split before fanning work out to threads.
-    """
-    return [np.random.Generator(rng.bit_generator.jumped(i + 1)) for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
-# Tensor construction and arithmetic
+# Tensor arithmetic
 # ---------------------------------------------------------------------------
-
-def tensor_new(shape, fill=0.0, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Allocate a row-major float64 tensor.
-
-    ``fill`` is either a constant or a tuple ``("uniform", lo, hi)`` drawn
-    from ``rng``. All dimensions must be >= 1.
-    """
-    shape = tuple(int(d) for d in shape)
-    if len(shape) == 0 or any(d < 1 for d in shape):
-        raise ShapeError(f"all dimensions must be >= 1, got {shape}")
-    if isinstance(fill, tuple):
-        kind, lo, hi = fill
-        if kind != "uniform":
-            raise ConfigError(f"unknown fill spec {kind!r}")
-        if rng is None:
-            raise ConfigError("random fill requires an rng")
-        out = rng.uniform(lo, hi, size=shape)
-    else:
-        out = np.full(shape, float(fill), dtype=np.float64)
-    assert_finite(out, "tensor_new")
-    return np.ascontiguousarray(out, dtype=np.float64)
-
 
 def matmul_f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Float reference matrix product; the oracle for every quantized path."""
@@ -94,11 +68,6 @@ def matmul_f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     return a @ b
-
-
-def assert_finite(x: np.ndarray, where: str = "tensor") -> None:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"non-finite values in {where}")
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -121,14 +90,28 @@ def tensor_to_bytes(a: np.ndarray) -> bytes:
     return header + a.astype("<f4").tobytes()
 
 
-def tensor_from_bytes(buf: bytes) -> tuple[np.ndarray, int]:
-    """Decode one tensor; returns (tensor, bytes consumed)."""
-    (rank,) = struct.unpack_from("<Q", buf, 0)
-    dims = struct.unpack_from(f"<{rank}Q", buf, 8)
-    n = int(np.prod(dims)) if rank else 1
-    off = 8 + 8 * rank
-    data = np.frombuffer(buf, dtype="<f4", count=n, offset=off)
-    return data.astype(np.float64).reshape(dims), off + 4 * n
+def require_bytes(buf: bytes, end: int) -> None:
+    """Raise FormatError unless ``buf`` holds at least ``end`` bytes."""
+    if end > len(buf):
+        raise FormatError(f"truncated payload: needs {end} bytes, has {len(buf)}")
+
+
+def _array_from_bytes(buf: bytes, off: int, dtype: str) -> tuple[np.ndarray, int]:
+    """Decode u64 rank, u64 dims and the payload at ``off``; returns (array, end offset)."""
+    require_bytes(buf, off + 8)
+    (rank,) = struct.unpack_from("<Q", buf, off)
+    start = off + 8 + 8 * rank
+    require_bytes(buf, start)
+    dims = struct.unpack_from(f"<{rank}Q", buf, off + 8)
+    end = start + np.dtype(dtype).itemsize * math.prod(dims)
+    require_bytes(buf, end)
+    return np.frombuffer(buf, dtype=dtype, count=math.prod(dims), offset=start).reshape(dims), end
+
+
+def tensor_from_bytes(buf: bytes, off: int = 0) -> tuple[np.ndarray, int]:
+    """Decode one tensor at ``off``; returns (tensor, offset just past it)."""
+    data, end = _array_from_bytes(buf, off, "<f4")
+    return data.astype(np.float64), end
 
 
 def write_tensor(fh: io.BufferedIOBase, a: np.ndarray) -> None:
@@ -155,10 +138,6 @@ def int_tensor_to_bytes(a: np.ndarray) -> bytes:
     return header + a.astype("<i2").tobytes()
 
 
-def int_tensor_from_bytes(buf: bytes) -> tuple[np.ndarray, int]:
-    (rank,) = struct.unpack_from("<Q", buf, 0)
-    dims = struct.unpack_from(f"<{rank}Q", buf, 8)
-    n = int(np.prod(dims)) if rank else 1
-    off = 8 + 8 * rank
-    data = np.frombuffer(buf, dtype="<i2", count=n, offset=off)
-    return data.astype(np.int64).reshape(dims), off + 2 * n
+def int_tensor_from_bytes(buf: bytes, off: int = 0) -> tuple[np.ndarray, int]:
+    data, end = _array_from_bytes(buf, off, "<i2")
+    return data.astype(np.int64), end

@@ -38,19 +38,6 @@ class EncodedMatrix:
         return self.words.shape[2]
 
 
-def _n_words(cols: int) -> int:
-    return (cols + bitops.WORD_BITS - 1) // bitops.WORD_BITS
-
-
-def _pack_rows(plane_digits: np.ndarray, n_words: int) -> np.ndarray:
-    """Pack one digit plane row-wise: (rows, cols) {-1,+1} -> (rows, n_words)."""
-    rows = plane_digits.shape[0]
-    raw = np.packbits(plane_digits == 1, axis=1, bitorder="little")
-    padded = np.zeros((rows, n_words * 8), dtype=np.uint8)
-    padded[:, : raw.shape[1]] = raw
-    return padded.view("<u8").astype(np.uint64)
-
-
 def encode_codes(codes: np.ndarray, bits: int) -> EncodedMatrix:
     """Pack a 2-D grid of odd codes into row planes."""
     codes = np.asarray(codes, dtype=np.int64)
@@ -58,10 +45,7 @@ def encode_codes(codes: np.ndarray, bits: int) -> EncodedMatrix:
         raise ShapeError(f"expected a 2-D code grid, got shape {codes.shape}")
     rows, cols = codes.shape
     digits = quant.odd_code_digits(codes, bits).reshape(bits, rows, cols)
-    n_words = _n_words(cols)
-    words = np.zeros((rows, bits, n_words), dtype=np.uint64)
-    for m in range(bits):
-        words[:, m, :] = _pack_rows(digits[m], n_words)
+    words = bitops.pack(digits.transpose(1, 0, 2))
     return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
 
 
@@ -85,19 +69,8 @@ def encode_matrix(x: np.ndarray, bits: int) -> EncodedMatrix:
         _reject_non_finite(x.size - int(np.count_nonzero(np.isfinite(x))))
         return encode_codes(quant.quantize_odd(x, bits).codes, bits)
     rows, cols = x.shape
-    words = np.empty((rows, bits, _n_words(cols)), dtype=np.uint64)
+    words = np.empty((rows, bits, bitops.word_count(cols)), dtype=np.uint64)
     _reject_non_finite(lib.bb_encode(x, rows, cols, bits, quant._EDGE_SNAP, words))
-    return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
-
-
-def encode_digit_planes(digits: np.ndarray) -> EncodedMatrix:
-    """Pack raw {-1,+1} digit planes of shape (bits, rows, cols)."""
-    digits = np.asarray(digits)
-    bits, rows, cols = digits.shape
-    n_words = _n_words(cols)
-    words = np.zeros((rows, bits, n_words), dtype=np.uint64)
-    for m in range(bits):
-        words[:, m, :] = _pack_rows(digits[m], n_words)
     return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
 
 
@@ -128,7 +101,7 @@ def _gemm_rows(x: EncodedMatrix, w: EncodedMatrix, row_lo: int, row_hi: int,
 
 def _check_operand(enc: EncodedMatrix, name: str) -> None:
     """The kernels index words by (rows, bits, cols); a mismatch must not reach them."""
-    expect = (enc.rows, enc.bits, _n_words(enc.cols))
+    expect = (enc.rows, enc.bits, bitops.word_count(enc.cols))
     words = enc.words
     if not (isinstance(words, np.ndarray) and words.dtype == np.uint64
             and words.shape == expect and words.flags.c_contiguous):
@@ -176,14 +149,6 @@ def scale_output(acc: np.ndarray, m_bits: int, k_bits: int, r: float = 1.0) -> n
     """Map integer accumulators back to quantized-real units (1/9 at 2 bits)."""
     scale = r / (((1 << m_bits) - 1) * ((1 << k_bits) - 1))
     return np.asarray(acc, dtype=np.float64) * scale
-
-
-def quantized_gemm(
-    x: np.ndarray, w: np.ndarray, m_bits: int, k_bits: int, r: float = 1.0, threads: int = 1
-) -> np.ndarray:
-    """Quantize, decompose, multiply with the bit kernel, and rescale."""
-    acc = encoded_gemm(encode_matrix(x, m_bits), encode_matrix(w, k_bits), threads=threads)
-    return scale_output(acc, m_bits, k_bits, r)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bitops, core, gemm, quant
-from .core import DecompositionError, DomainError, ShapeError, StageError
+from .core import DecompositionError, DomainError, FormatError, ShapeError, StageError
 
 MODEL_MAGIC = b"#bitbranch-model-v1\n"
 
@@ -125,6 +125,11 @@ def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str, threads: int) -
     if stage == "quantized":
         if not isinstance(w, quant.QuantizedTensor):
             raise StageError("quantized stage requires integer-coded weights")
+        if spec.m_bits is not None:
+            bad = x2d.size - int(np.count_nonzero(np.isfinite(x2d)))
+            if bad:  # the decomposed stage's error, from gemm.encode_matrix
+                raise DomainError(f"{_layer_name(spec)} input: {bad} non-finite values "
+                                  "cannot be quantized")
         w_codes = w.codes.reshape(spec.out_features, spec.reduction_len())
         if w.grid != "odd":
             wt = w_codes.astype(np.float64) * w.d
@@ -318,7 +323,7 @@ def decompose_model(m: ModelState) -> ModelState:
 # binary payload per weighted layer in order:
 #   float tensors       u64 rank, u64 dims, f32 data
 #   quantized codes     u64 rank, u64 dims, i16 codes   (t, grid in header)
-#   decomposed planes   per plane: u64 n_valid, u64 words. Planes are packed
+#   decomposed planes   per plane: u64 n_valid = rows*cols, u64 words. Planes are packed
 #                       contiguously over all rows (lowest plane first), so
 #                       the payload is rows*cols bits per plane plus at most
 #                       63 pad bits.
@@ -355,27 +360,27 @@ def _spec_from_json(d: dict) -> LayerSpec:
     raise StageError(f"unknown layer kind {kind!r}")
 
 
-def _encoded_to_contiguous_planes(enc: gemm.EncodedMatrix) -> list[bitops.BitPlane]:
+def _planes_to_bytes(enc: gemm.EncodedMatrix) -> bytes:
     n = enc.rows * enc.cols
-    planes = []
-    for m in range(enc.bits):
-        digits = np.empty(n, dtype=np.int8)
-        for r in range(enc.rows):
-            plane = bitops.BitPlane(words=enc.words[r, m], n_valid=enc.cols)
-            digits[r * enc.cols:(r + 1) * enc.cols] = bitops.unpack(plane)
-        planes.append(bitops.pack(digits, n))
-    return planes
+    digits = bitops.unpack(enc.words, enc.cols).transpose(1, 0, 2).reshape(enc.bits, n)
+    payload = np.hstack([np.full((enc.bits, 1), n, dtype=np.uint64), bitops.pack(digits)])
+    return payload.astype("<u8").tobytes()
 
 
-def _encoded_from_contiguous_planes(planes: list[bitops.BitPlane], rows: int, cols: int) -> gemm.EncodedMatrix:
-    bits = len(planes)
-    n_words = (cols + bitops.WORD_BITS - 1) // bitops.WORD_BITS
-    words = np.zeros((rows, bits, n_words), dtype=np.uint64)
-    for m, plane in enumerate(planes):
-        digits = bitops.unpack(plane)
-        for r in range(rows):
-            words[r, m] = bitops.pack(digits[r * cols:(r + 1) * cols], cols).words
-    return gemm.EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
+def _planes_from_bytes(buf: bytes, off: int, bits: int, rows: int,
+                       cols: int) -> tuple[gemm.EncodedMatrix, int]:
+    n = rows * cols
+    per_plane = 1 + bitops.word_count(n)
+    end = off + 8 * per_plane * bits
+    core.require_bytes(buf, end)
+    payload = np.frombuffer(buf, dtype="<u8", count=per_plane * bits, offset=off)
+    payload = payload.reshape(bits, per_plane)
+    if np.any(payload[:, 0] != n):
+        raise FormatError(f"plane lengths {payload[:, 0].tolist()} differ from "
+                          f"rows*cols = {n}")
+    digits = bitops.unpack(payload[:, 1:], n).reshape(bits, rows, cols)
+    words = bitops.pack(digits.transpose(1, 0, 2))
+    return gemm.EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words), end
 
 
 def _weight_meta(spec: LayerSpec, w) -> dict:
@@ -407,54 +412,60 @@ def save_model(m: ModelState, path: str) -> None:
             elif isinstance(w, quant.QuantizedTensor):
                 fh.write(core.int_tensor_to_bytes(w.codes))
             elif isinstance(w, gemm.EncodedMatrix):
-                for plane in _encoded_to_contiguous_planes(w):
-                    fh.write(bitops.bitplane_to_bytes(plane))
+                fh.write(_planes_to_bytes(w))
             elif isinstance(w, dict):
                 for key in ("gamma", "beta", "mean", "var"):
                     fh.write(core.tensor_to_bytes(w[key]))
 
 
-def load_model(path: str) -> ModelState:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise IOError(f"{path}: not a model file (bad magic)")
-        header = json.loads(fh.readline().decode())
-        blob = fh.read()
-    specs = [_spec_from_json(d) for d in header["layers"]]
-    weights = []
-    off = 0
-    for spec, meta in zip(specs, header["weights"]):
-        form = meta["form"]
-        if form == "float":
-            w, used = core.tensor_from_bytes(blob[off:])
-            weights.append(w.reshape(meta["shape"]))
-            off += used
-        elif form == "quantized":
-            codes, used = core.int_tensor_from_bytes(blob[off:])
-            off += used
-            bits, t = meta["bits"], meta["t"]
-            if meta["grid"] == "odd":
-                d = 1.0 / ((1 << bits) - 1)
-            else:
-                d = t if bits == 1 else t / ((1 << (bits - 1)) - 1)
-            weights.append(quant.QuantizedTensor(
-                codes=codes.reshape(meta["shape"]), bits=bits, t=t, d=d, grid=meta["grid"]))
-        elif form == "encoded":
-            planes = []
-            for _ in range(meta["bits"]):
-                plane, used = bitops.bitplane_from_bytes(blob[off:])
-                planes.append(plane)
-                off += used
-            weights.append(_encoded_from_contiguous_planes(planes, meta["rows"], meta["cols"]))
-        elif form == "batchnorm":
-            w = {}
-            for key in ("gamma", "beta", "mean", "var"):
-                w[key], used = core.tensor_from_bytes(blob[off:])
-                off += used
-            weights.append(w)
+def _weight_from_bytes(buf: bytes, off: int, meta: dict) -> tuple:
+    """Decode one weight payload at ``off``; returns (weight, offset just past it)."""
+    form = meta["form"]
+    if form == "float":
+        w, off = core.tensor_from_bytes(buf, off)
+        return w.reshape(meta["shape"]), off
+    if form == "quantized":
+        codes, off = core.int_tensor_from_bytes(buf, off)
+        bits, t = meta["bits"], meta["t"]
+        if meta["grid"] == "odd":
+            d = 1.0 / ((1 << bits) - 1)
         else:
-            weights.append(None)
+            d = t if bits == 1 else t / ((1 << (bits - 1)) - 1)
+        return quant.QuantizedTensor(codes=codes.reshape(meta["shape"]), bits=bits, t=t,
+                                     d=d, grid=meta["grid"]), off
+    if form == "encoded":
+        return _planes_from_bytes(buf, off, meta["bits"], meta["rows"], meta["cols"])
+    if form == "batchnorm":
+        w = {}
+        for key in ("gamma", "beta", "mean", "var"):
+            w[key], off = core.tensor_from_bytes(buf, off)
+        return w, off
+    return None, off
+
+
+def load_model(path: str) -> ModelState:
+    """Read a model file; contents that break the format raise FormatError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        if not blob.startswith(MODEL_MAGIC):
+            raise FormatError("not a model file (bad magic)")
+        off = blob.find(b"\n", len(MODEL_MAGIC)) + 1
+        if off == 0:
+            raise FormatError("header line has no end")
+        try:
+            header = json.loads(blob[len(MODEL_MAGIC):off])
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise FormatError(f"undecodable header: {exc}") from None
+        specs = [_spec_from_json(d) for d in header["layers"]]
+        weights = []
+        for meta in header["weights"]:
+            w, off = _weight_from_bytes(blob, off, meta)
+            weights.append(w)
+        if off != len(blob):
+            raise FormatError(f"{len(blob) - off} bytes after the last payload")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return ModelState(stage=header["stage"], specs=specs, weights=weights,
                       flavor=header["flavor"])
 
@@ -468,8 +479,7 @@ def weight_payload_bytes(m: ModelState) -> int:
         elif isinstance(w, quant.QuantizedTensor):
             total += 2 * w.codes.size
         elif isinstance(w, gemm.EncodedMatrix):
-            n = w.rows * w.cols
-            total += w.bits * 8 * ((n + bitops.WORD_BITS - 1) // bitops.WORD_BITS)
+            total += w.bits * 8 * bitops.word_count(w.rows * w.cols)
         elif isinstance(w, dict):
             total += sum(4 * np.asarray(w[k]).size for k in ("gamma", "beta", "mean", "var"))
     return total

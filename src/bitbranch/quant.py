@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bitops
 from .core import ConfigError, EncodingError, round_half_away
 
 MAX_BITS = 8
@@ -82,7 +81,7 @@ def activation_grad(x: np.ndarray, kind: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Quantized / encoded containers
+# Quantized container
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -98,22 +97,6 @@ class QuantizedTensor:
     @property
     def shape(self):
         return self.codes.shape
-
-
-@dataclass(frozen=True)
-class EncodedTensor:
-    """M packed digit planes; planes[0] is the lowest-significance plane."""
-
-    planes: list[bitops.BitPlane]
-    shape: tuple
-    bits: int
-
-    def reconstruct_codes(self) -> np.ndarray:
-        """Sum of 2^(m-1) * c_m per element; always an odd integer."""
-        total = np.zeros(int(np.prod(self.shape)), dtype=np.int64)
-        for m, plane in enumerate(self.planes, start=1):
-            total += (1 << (m - 1)) * bitops.unpack(plane).astype(np.int64)
-        return total.reshape(self.shape)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -196,15 +179,6 @@ def odd_code_digits(codes: np.ndarray, bits: int) -> np.ndarray:
     return planes
 
 
-def codes_to_digits(q: QuantizedTensor) -> EncodedTensor:
-    """Expand an odd-grid tensor into its exact M packed digit planes."""
-    if q.grid != "odd":
-        raise EncodingError(f"digit expansion needs the odd grid, got {q.grid!r}")
-    digits = odd_code_digits(q.codes, q.bits)
-    planes = [bitops.pack(digits[m], digits.shape[1]) for m in range(q.bits)]
-    return EncodedTensor(planes=planes, shape=q.codes.shape, bits=q.bits)
-
-
 def _sign_pm1(z: np.ndarray) -> np.ndarray:
     # sign with the zero input sent to -1; only exercised on sine zeros,
     # which the canonical quantizer path owns.
@@ -225,14 +199,6 @@ def mbit_encoder_digits(x: np.ndarray, bits: int) -> np.ndarray:
         s = np.sin((levels / (1 << m)) * np.pi * x)
         planes[m - 1] = _sign_pm1(s if m == bits else -s)
     return planes
-
-
-def mbit_encoder(x: np.ndarray, bits: int) -> EncodedTensor:
-    """Packed trig-encoder planes for x in [-1,1] (training-time surrogate)."""
-    x = np.asarray(x, dtype=np.float64)
-    digits = mbit_encoder_digits(x, bits)
-    planes = [bitops.pack(digits[m], digits.shape[1]) for m in range(bits)]
-    return EncodedTensor(planes=planes, shape=x.shape, bits=bits)
 
 
 def encoder_derivative(x, bits: int, m: int):

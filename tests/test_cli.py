@@ -143,6 +143,37 @@ class TestTrainCmd:
         assert len(log.read_text().strip().splitlines()) == 3  # header + 2 epochs
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("verb,line", [("train", "threads=0"), ("eval", "threads=0"),
+                                           ("train", "alg=foo")])
+    def test_bad_value_exits_2(self, tmp_path, capsys, verb, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        model = tmp_path / "f.bbm"
+        make_float_model(model)
+        argv = {"train": ["train", "--epochs", "1", "--n", "64", "--out", str(tmp_path / "t.bbm")],
+                "eval": ["eval", "--model", str(model), "--n", "64"]}[verb]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"argument --{line.split('=')[0]}" in capsys.readouterr().err
+
+    def test_value_goes_through_flag_type(self, tmp_path):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("alg=mbbn\nepochs=1\nn=64\n")
+        out = tmp_path / "c.bbm"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert nn.load_model(str(out)).flavor == "mbbn"
+
+    def test_explicit_flag_wins(self, tmp_path):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("alg=foo\n")
+        out = tmp_path / "c.bbm"
+        assert main(["train", "--alg", "mbbn", "--epochs", "1", "--n", "64",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert nn.load_model(str(out)).flavor == "mbbn"
+
+
 class TestInspectAndTable:
     def test_inspect_echoes_mixed_precisions(self, tmp_path, capsys):
         specs = [nn.dense(4, 8, m_bits=8, k_bits=7), nn.act_layer("htanh"),

@@ -1,4 +1,4 @@
-"""Tensor helpers, RNG determinism, and serialization round trips."""
+"""Matmul, RNG determinism, rounding, and serialization round trips."""
 
 import io
 
@@ -23,31 +23,6 @@ def matmul_oracle(a, b):
     return out
 
 
-class TestTensorNew:
-    def test_zero_fill(self):
-        t = core.tensor_new([2, 3], 0.0)
-        assert t.shape == (2, 3)
-        assert np.all(t == 0.0)
-
-    def test_uniform_deterministic(self):
-        a = core.tensor_new([4], ("uniform", -1, 1), core.make_rng(7))
-        b = core.tensor_new([4], ("uniform", -1, 1), core.make_rng(7))
-        np.testing.assert_array_equal(a, b)
-        assert np.all((a >= -1) & (a <= 1))
-
-    def test_fill_sum(self):
-        assert core.tensor_new([2, 2], 1.0).sum() == 4.0
-
-    @pytest.mark.parametrize("shape", [[0, 2], [3, -1], []])
-    def test_bad_shape(self, shape):
-        with pytest.raises(core.ShapeError):
-            core.tensor_new(shape, 0.0)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            core.tensor_new([2], float("nan"))
-
-
 class TestMatmul:
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -69,19 +44,6 @@ class TestMatmul:
 
 
 class TestRng:
-    def test_split_streams_disjoint(self):
-        rng = core.make_rng(0)
-        kids = core.split_rng(rng, 3)
-        draws = [k.uniform(size=4) for k in kids]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert not np.allclose(draws[i], draws[j])
-
-    def test_split_reproducible(self):
-        a = core.split_rng(core.make_rng(11), 2)[1].uniform(size=3)
-        b = core.split_rng(core.make_rng(11), 2)[1].uniform(size=3)
-        np.testing.assert_array_equal(a, b)
-
     def test_frozen_stream(self):
         # golden values pin the generator choice; a silent algorithm swap
         # would break reproducibility of every seeded artifact

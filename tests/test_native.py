@@ -48,8 +48,9 @@ def decode_codes_loop(enc):
     codes = np.zeros((enc.rows, enc.cols), dtype=np.int64)
     for r in range(enc.rows):
         for m in range(enc.bits):
-            plane = bitops.BitPlane(words=enc.words[r, m], n_valid=enc.cols)
-            codes[r] += (1 << m) * bitops.unpack(plane).astype(np.int64)
+            row = int.from_bytes(enc.words[r, m].astype("<u8").tobytes(), "little")
+            digits = [2 * ((row >> c) & 1) - 1 for c in range(enc.cols)]
+            codes[r] += (1 << m) * np.array(digits, dtype=np.int64)
     return codes
 
 

@@ -160,6 +160,50 @@ class TestBatchnorm:
                                  np.zeros(3), np.ones(3))
 
 
+class TestNonFiniteInput:
+    """Both stages refuse to quantize non-finite activations, with one message."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["dense", "conv2d"])
+    def test_stages_raise_the_same_error(self, kind, bad):
+        rng = core.make_rng(30)
+        if kind == "dense":
+            spec = nn.dense(4, 3, m_bits=2, k_bits=2)
+            x = rng.uniform(-1, 1, (5, 4))
+            x[2, 1] = bad
+        else:
+            spec = nn.conv2d(2, 3, 3, 3, padding=1, m_bits=2, k_bits=2)
+            x = rng.uniform(-1, 1, (1, 2, 5, 5))
+            x[0, 1, 4, 4] = bad
+        quantized = nn.quantize_model(
+            nn.ModelState("float", [spec], [rng.uniform(-1, 1, spec.weight_shape())]))
+        decomposed = nn.decompose_model(quantized)
+        messages = []
+        for model in (quantized, decomposed):
+            with pytest.raises(core.DomainError) as exc:
+                nn.model_forward(model, x)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"{kind} ")
+        assert "non-finite values cannot be quantized" in messages[0]
+
+    def test_quantized_input_mlp(self):
+        # NaN and +inf rows used to give finite logits on the quantized stage
+        model = nn.init_mlp([4, 3, 2], core.make_rng(31), m_bits=2, k_bits=2,
+                            quantize_input=True)
+        quantized = nn.quantize_model(model)
+        x = np.array([[np.nan, 0.1, 0.2, 0.3], [np.inf, 0.1, 0.2, 0.3]])
+        for m in (quantized, nn.decompose_model(quantized)):
+            with pytest.raises(core.DomainError, match="dense 4->3 layer input: 2 non-finite"):
+                nn.model_forward(m, x)
+
+    def test_full_precision_layer_passes_non_finite_through(self):
+        model = nn.quantize_model(nn.init_mlp([4, 3], core.make_rng(32), m_bits=2, k_bits=2))
+        assert model.specs[0].m_bits is None
+        out = nn.model_forward(model, np.array([[np.nan, 0.1, 0.2, 0.3]]))
+        assert np.all(np.isnan(out))
+
+
 class TestModelForward:
     def test_empty_model_is_identity(self):
         m = nn.ModelState(stage="float", specs=[], weights=[])

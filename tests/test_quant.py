@@ -5,12 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from bitbranch import bitops, core, quant
+from bitbranch import bitops, core, gemm, nn, quant
 
 
-def digits_of(enc):
-    """(bits, n) int8 digit array from an EncodedTensor."""
-    return np.stack([bitops.unpack(p) for p in enc.planes])
+def packed_codes(codes, bits):
+    """Odd codes packed into row planes and read back through the decoder."""
+    enc = gemm.encode_codes(np.asarray(codes).reshape(1, -1), bits)
+    return gemm.decode_codes(enc).ravel()
+
+
+def reconstruct(digits):
+    """sum_m 2^(m-1) * c_m per element, from (bits, n) digit planes."""
+    weights = np.left_shift(1, np.arange(digits.shape[0]))
+    return weights @ digits.astype(np.int64)
 
 
 class TestActivations:
@@ -135,54 +142,59 @@ class TestQuantizeOdd:
 class TestCodesToDigits:
     def test_two_bit_states(self):
         # encoded states listed high bit first: -1 -> {-1,+1}, 3 -> {+1,+1}
-        q = quant.QuantizedTensor(np.array([-1]), 2, 1.0, 1 / 3, "odd")
-        d = digits_of(quant.codes_to_digits(q))
+        d = quant.odd_code_digits(np.array([-1]), 2)
         assert (d[1][0], d[0][0]) == (-1, 1)
-        q = quant.QuantizedTensor(np.array([3]), 2, 1.0, 1 / 3, "odd")
-        d = digits_of(quant.codes_to_digits(q))
+        d = quant.odd_code_digits(np.array([3]), 2)
         assert (d[1][0], d[0][0]) == (1, 1)
 
     def test_minimum_all_minus(self):
-        q = quant.QuantizedTensor(np.array([-7]), 3, 1.0, 1 / 7, "odd")
-        np.testing.assert_array_equal(digits_of(quant.codes_to_digits(q)).ravel(),
+        np.testing.assert_array_equal(quant.odd_code_digits(np.array([-7]), 3).ravel(),
                                       [-1, -1, -1])
+        assert gemm.encode_codes(np.array([[-7]]), 3).words.tolist() == [[[0], [0], [0]]]
 
     @pytest.mark.parametrize("bits", range(1, 9))
     def test_round_trip_exhaustive(self, bits):
         levels = (1 << bits) - 1
         codes = np.arange(-levels, levels + 1, 2, dtype=np.int64)
-        q = quant.QuantizedTensor(codes, bits, 1.0, 1.0 / levels, "odd")
-        np.testing.assert_array_equal(
-            quant.codes_to_digits(q).reconstruct_codes(), codes)
+        np.testing.assert_array_equal(reconstruct(quant.odd_code_digits(codes, bits)), codes)
+        np.testing.assert_array_equal(packed_codes(codes, bits), codes)
 
     def test_even_code_rejected(self):
-        q = quant.QuantizedTensor(np.array([0]), 2, 1.0, 1 / 3, "odd")
         with pytest.raises(core.EncodingError):
-            quant.codes_to_digits(q)
+            quant.odd_code_digits(np.array([0]), 2)
+        with pytest.raises(core.EncodingError):
+            gemm.encode_codes(np.array([[0]]), 2)
 
     def test_out_of_range_rejected(self):
-        q = quant.QuantizedTensor(np.array([5]), 2, 1.0, 1 / 3, "odd")
         with pytest.raises(core.EncodingError):
-            quant.codes_to_digits(q)
+            quant.odd_code_digits(np.array([5]), 2)
+        with pytest.raises(core.EncodingError):
+            gemm.encode_codes(np.array([[5]]), 2)
 
     def test_linear_grid_rejected(self):
-        q = quant.quantize_linear(np.array([0.4]), 3)
-        with pytest.raises(core.EncodingError):
-            quant.codes_to_digits(q)
+        # 0.4 lands on the odd code 1 of the 3-bit linear grid; the grid tag,
+        # not the code, is what keeps it from being decomposed
+        q = quant.quantize_linear(np.array([[0.4]]), 3)
+        assert q.codes.tolist() == [[1]]
+        model = nn.ModelState(stage="quantized", specs=[nn.dense(1, 1, None, 3)], weights=[q])
+        with pytest.raises(core.DecompositionError):
+            nn.decompose_model(model)
 
 
 class TestMbitEncoder:
     def test_two_bit_anchor_plus_third(self):
-        d = digits_of(quant.mbit_encoder(np.array([1 / 3]), 2))
+        d = quant.mbit_encoder_digits(np.array([1 / 3]), 2)
         assert (d[1][0], d[0][0]) == (1, -1)  # state {+1,-1}
 
     def test_two_bit_anchor_minus_third(self):
-        d = digits_of(quant.mbit_encoder(np.array([-1 / 3]), 2))
+        d = quant.mbit_encoder_digits(np.array([-1 / 3]), 2)
         assert (d[1][0], d[0][0]) == (-1, 1)  # state {-1,+1}
 
     def test_three_bit_near_minimum(self):
-        enc = quant.mbit_encoder(np.array([-0.99]), 3)
-        assert enc.reconstruct_codes()[0] == -7
+        d = quant.mbit_encoder_digits(np.array([-0.99]), 3)
+        assert reconstruct(d)[0] == -7
+        enc = gemm.EncodedMatrix(bits=3, rows=1, cols=1, words=bitops.pack(d[None]))
+        assert gemm.decode_codes(enc)[0, 0] == -7
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 4])
     def test_matches_canonical_away_from_boundaries(self, bits):

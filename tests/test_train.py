@@ -196,9 +196,10 @@ class TestAlg1:
         logits, caches = train.forward_mbbn(model, x, gs, cfg)
         zhat = logits / caches[0]["scale"]
         x_digits = quant.mbit_encoder_digits(x, 3).reshape(3, 5, 6)
-        w_digits = quant.binarize(gs.params["w0"]).astype(np.int8)
-        acc = gemm.encoded_gemm(gemm.encode_digit_planes(x_digits),
-                                gemm.encode_digit_planes(w_digits))
+        w_digits = quant.binarize(gs.params["w0"]).astype(np.int64)  # (K, out, in)
+        place = lambda d: np.tensordot(np.left_shift(1, np.arange(len(d))), d, axes=1)
+        acc = gemm.encoded_gemm(gemm.encode_codes(place(x_digits), 3),
+                                gemm.encode_codes(place(w_digits), 2))
         np.testing.assert_array_equal(np.rint(zhat).astype(np.int64), acc)
 
     def test_scale_line_gradient_factor(self):
