@@ -7,7 +7,7 @@ header so files are byte-identical across platforms.
 
 from __future__ import annotations
 
-import io
+import json
 import math
 import struct
 
@@ -90,6 +90,22 @@ def tensor_to_bytes(a: np.ndarray) -> bytes:
     return header + a.astype("<f4").tobytes()
 
 
+def read_header(blob: bytes, magic: bytes) -> tuple[object, int]:
+    """Check the magic line and decode the JSON header line after it.
+
+    Returns (header, offset of the first payload byte); FormatError otherwise.
+    """
+    if not blob.startswith(magic):
+        raise FormatError(f"bad magic, expected {magic.strip()!r}")
+    off = blob.find(b"\n", len(magic)) + 1
+    if off == 0:
+        raise FormatError("header line has no end")
+    try:
+        return json.loads(blob[len(magic):off]), off
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"undecodable header: {exc}") from None
+
+
 def require_bytes(buf: bytes, end: int) -> None:
     """Raise FormatError unless ``buf`` holds at least ``end`` bytes."""
     if end > len(buf):
@@ -112,18 +128,6 @@ def tensor_from_bytes(buf: bytes, off: int = 0) -> tuple[np.ndarray, int]:
     """Decode one tensor at ``off``; returns (tensor, offset just past it)."""
     data, end = _array_from_bytes(buf, off, "<f4")
     return data.astype(np.float64), end
-
-
-def write_tensor(fh: io.BufferedIOBase, a: np.ndarray) -> None:
-    fh.write(tensor_to_bytes(a))
-
-
-def read_tensor(fh: io.BufferedIOBase) -> np.ndarray:
-    (rank,) = struct.unpack("<Q", fh.read(8))
-    dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
-    n = int(np.prod(dims)) if rank else 1
-    data = np.frombuffer(fh.read(4 * n), dtype="<f4", count=n)
-    return data.astype(np.float64).reshape(dims)
 
 
 def int_tensor_to_bytes(a: np.ndarray) -> bytes:

@@ -224,35 +224,18 @@ def batchnorm_forward(x: np.ndarray, gamma, beta, mean, var, eps: float = 1e-5) 
 # Whole-model forward
 # ---------------------------------------------------------------------------
 
-def _mbbn_dense_forward(x: np.ndarray, spec: LayerSpec, masters: np.ndarray) -> np.ndarray:
-    """Simulated multi-branch forward on float branch masters.
-
-    Each branch weight is binarized and the input's trig-encoder planes are
-    combined with weights 2^(m+k-2); algebraically this is the integer
-    reconstruction product, computed here in (exact) float.
-    """
-    m_bits, k_bits = spec.m_bits, spec.k_bits
-    digits = quant.mbit_encoder_digits(x, m_bits).astype(np.float64)
-    digits = digits.reshape(m_bits, *x.shape)
-    recon_x = np.tensordot(2.0 ** np.arange(m_bits), digits, axes=1)
-    recon_w = np.zeros((spec.out_features, spec.in_features))
-    for k in range(k_bits):
-        recon_w += (1 << k) * quant.binarize(masters[k])
-    acc = core.matmul_f(recon_x, recon_w.T)
-    if spec.follows_bn:
-        return acc
-    return gemm.scale_output(acc, m_bits, k_bits, spec.r)
-
-
 def model_forward(m: ModelState, x: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Run the stage-appropriate forward pass over all layers."""
+    """Run the stage-appropriate forward pass over all layers.
+
+    A float mbbn model has no float reading: its branch masters only count
+    through their signs, so it runs as its quantized form.
+    """
+    if m.flavor == "mbbn" and m.stage == "float":
+        m = quantize_model(m)
     h = np.asarray(x, dtype=np.float64)
     for spec, w in zip(m.specs, m.weights):
         if spec.kind == "dense":
-            if m.flavor == "mbbn" and m.stage == "float":
-                h = _mbbn_dense_forward(h, spec, w)
-            else:
-                h = dense_forward(h, spec, w, m.stage, threads)
+            h = dense_forward(h, spec, w, m.stage, threads)
         elif spec.kind == "conv2d":
             h = conv2d_forward(h, spec, w, m.stage, threads)
         elif spec.kind == "batchnorm":
@@ -277,13 +260,24 @@ def accuracy(m: ModelState, x: np.ndarray, y: np.ndarray, threads: int = 1) -> f
 # ---------------------------------------------------------------------------
 
 def quantize_model(m: ModelState, grid: str = "odd") -> ModelState:
-    """Quantize every weighted layer's float weights onto its K-bit grid."""
-    if m.stage != "float" or m.flavor != "qnn":
-        raise StageError("quantize_model expects a float-stage qnn model")
+    """Quantize every weighted layer's float weights onto its K-bit grid.
+
+    An mbbn model's K branch masters per layer collapse into odd K-bit codes
+    (``quant.branch_codes``); only the odd grid and the trained K apply.
+    """
+    if m.stage != "float":
+        raise StageError("quantize_model expects a float-stage model")
+    if m.flavor == "mbbn" and grid != "odd":
+        raise core.ConfigError(f"mbbn branch masters give odd-grid codes, not {grid!r}")
     weights = []
     for spec, w in zip(m.specs, m.weights):
         if spec.kind in ("dense", "conv2d") and spec.k_bits is not None:
-            if grid == "odd":
+            if m.flavor == "mbbn":
+                if w.shape != (spec.k_bits, *spec.weight_shape()):
+                    raise ShapeError(f"{_layer_name(spec)}: branch masters of shape "
+                                     f"{w.shape} do not give K={spec.k_bits} codes")
+                weights.append(quant.branch_codes(w))
+            elif grid == "odd":
                 weights.append(quant.quantize_odd(w, spec.k_bits))
             elif grid == "linear":
                 weights.append(quant.quantize_linear(w, spec.k_bits))
@@ -443,25 +437,34 @@ def _weight_from_bytes(buf: bytes, off: int, meta: dict) -> tuple:
     return None, off
 
 
+def _check_header(header) -> None:
+    """The top level of the header schema; layer entries are checked as they are read."""
+    fields = header if isinstance(header, dict) else {}
+    for key, kind in {"stage": str, "flavor": str, "layers": list, "weights": list}.items():
+        if not isinstance(fields.get(key), kind):
+            raise FormatError(f"header key {key!r} is missing or not a {kind.__name__}")
+    if len(header["weights"]) != len(header["layers"]):
+        raise FormatError(f"{len(header['weights'])} weight entries for "
+                          f"{len(header['layers'])} layers")
+    if not all(isinstance(d, dict) for d in header["layers"] + header["weights"]):
+        raise FormatError("layer and weight entries must be JSON objects")
+
+
 def load_model(path: str) -> ModelState:
     """Read a model file; contents that break the format raise FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        if not blob.startswith(MODEL_MAGIC):
-            raise FormatError("not a model file (bad magic)")
-        off = blob.find(b"\n", len(MODEL_MAGIC)) + 1
-        if off == 0:
-            raise FormatError("header line has no end")
+        header, off = core.read_header(blob, MODEL_MAGIC)
+        _check_header(header)
         try:
-            header = json.loads(blob[len(MODEL_MAGIC):off])
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise FormatError(f"undecodable header: {exc}") from None
-        specs = [_spec_from_json(d) for d in header["layers"]]
-        weights = []
-        for meta in header["weights"]:
-            w, off = _weight_from_bytes(blob, off, meta)
-            weights.append(w)
+            specs = [_spec_from_json(d) for d in header["layers"]]
+            weights = []
+            for meta in header["weights"]:
+                w, off = _weight_from_bytes(blob, off, meta)
+                weights.append(w)
+        except KeyError as exc:
+            raise FormatError(f"a layer entry lacks the key {exc}") from None
         if off != len(blob):
             raise FormatError(f"{len(blob) - off} bytes after the last payload")
     except FormatError as exc:

@@ -14,9 +14,9 @@ Two quantization grids coexist on purpose:
 The trigonometric encoder family maps a real in [-1,1] straight to its M
 digits: plane M is sign(sin(pi * x * (2^M-1)/2^M)) and the lower planes use
 the negated sine. It agrees with the canonical quantize-then-expand path
-everywhere except on the measure-zero set of cell boundaries (the sine
-zeros), where the sign is ill-defined; the canonical path owns boundary
-semantics.
+except on the cell boundaries (the sine zeros), so every forward pass uses
+``quantize_odd``; the encoder is a test oracle, and its cosine derivatives
+are the surrogate gradient of multi-branch training.
 """
 
 from __future__ import annotations
@@ -241,6 +241,15 @@ def binarize(w: np.ndarray) -> np.ndarray:
     """sign(htanh(w)) with sign(0) = +1; the 1-bit weight map."""
     w = np.asarray(w, dtype=np.float64)
     return np.where(w >= 0, 1.0, -1.0)
+
+
+def branch_codes(masters: np.ndarray) -> QuantizedTensor:
+    """Odd K-bit codes sum_k 2^(k-1) * binarize(w_k) of K branch masters (K, ...)."""
+    bits = len(masters)
+    _check_bits(bits)
+    codes = np.tensordot(np.left_shift(1, np.arange(bits)), binarize(masters), axes=1)
+    return QuantizedTensor(codes=codes.astype(np.int64), bits=bits, t=1.0,
+                           d=1.0 / ((1 << bits) - 1), grid="odd")
 
 
 def binarize_grad_mask(w: np.ndarray) -> np.ndarray:

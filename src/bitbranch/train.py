@@ -8,10 +8,11 @@ stacks:
   pass straight through the rounding with the clamp mask, and float
   master weights receive the update.
 * ``mbbn`` direct multi-branch training: each layer keeps one float master
-  per weight bit, masters are binarized in the forward pass, input digit
-  planes come from the trig encoders and are combined with the 2^(m+k-2)
-  branch weights, and the encoder backward uses the cosine surrogate
-  derivatives.
+  per weight bit. The forward pass is the deployed integer product: inputs
+  are quantized onto the odd grid and the binarized masters collapse into
+  odd weight codes (``quant.branch_codes``), so an exported model gives the
+  training forward's logits bit for bit. The backward pass takes the
+  cosine surrogate derivatives of the trig encoders for the digit planes.
 
 Masters are clamped to [-1, 1] after every update. All randomness comes
 from the config seed, and batch reduction order is fixed, so a run is
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import core, nn, quant
-from .core import ConfigError, DivergenceError
+from .core import ConfigError, DivergenceError, FormatError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -199,12 +200,6 @@ def train_step_alg2(model: nn.ModelState, batch, cfg: TrainConfig, gs: GradState
 # Direct multi-branch training
 # ---------------------------------------------------------------------------
 
-def _encoder_planes(x: np.ndarray, bits: int) -> np.ndarray:
-    """Trig-encoder digit planes as floats, shape (bits, B, N)."""
-    digits = quant.mbit_encoder_digits(x, bits).astype(np.float64)
-    return digits.reshape(bits, *x.shape)
-
-
 def back_mbit_encoder(g_planes: np.ndarray, x: np.ndarray, bits: int) -> np.ndarray:
     """Combine per-plane upstream gradients through the encoder surrogate.
 
@@ -223,19 +218,18 @@ def forward_mbbn(model: nn.ModelState, x: np.ndarray, gs: GradState, cfg: TrainC
     """Multi-branch forward on binarized branch masters; returns logits, caches.
 
     The branch sum over planes m and weight bits k with weights 2^(m+k-2)
-    is computed in factored form: it equals the product of the two digit
-    reconstructions, exactly, and stays integer-valued in float64.
+    is computed in factored form: it equals the product of the odd input
+    codes and the odd branch codes, exactly, and stays integer-valued in
+    float64. This is the quantized stage's product, so the exported model
+    reproduces these logits.
     """
     layers = _dense_layers(model)
     h = np.asarray(x, dtype=np.float64)
     caches = []
     for j, (_, spec, _) in enumerate(layers):
         m_bits, k_bits = spec.m_bits, spec.k_bits
-        planes = _encoder_planes(h, m_bits)
-        recon_x = np.tensordot(2.0 ** np.arange(m_bits), planes, axes=1)
-        w = gs.params[f"w{j}"]
-        wb = quant.binarize(w)  # (K, out, in)
-        recon_w = np.tensordot(2.0 ** np.arange(k_bits), wb, axes=1)
+        recon_x = quant.quantize_odd(h, m_bits).codes.astype(np.float64)
+        recon_w = quant.branch_codes(gs.params[f"w{j}"]).codes.astype(np.float64)
         zhat = recon_x @ recon_w.T
         scale = spec.r / (((1 << m_bits) - 1) * ((1 << k_bits) - 1))
         a = zhat * scale
@@ -393,32 +387,12 @@ def write_log(history: list[dict], path: str) -> None:
 def export_model(model: nn.ModelState, gs: GradState, stage: str = "float") -> nn.ModelState:
     """Materialize the trained masters at the requested stage."""
     synced = sync_model(model, gs)
-    if model.flavor == "mbbn":
-        if stage == "float":
-            return synced
-        quantized = _mbbn_codes_model(synced)
-        if stage == "quantized":
-            return quantized
-        return nn.decompose_model(quantized)
     if stage == "float":
         return synced
-    quantized = nn.quantize_model(synced, grid="odd")
+    quantized = nn.quantize_model(synced)
     if stage == "quantized":
         return quantized
     return nn.decompose_model(quantized)
-
-
-def _mbbn_codes_model(m: nn.ModelState) -> nn.ModelState:
-    """Collapse branch masters into odd weight codes: sum_k 2^(k-1) sign(w_k)."""
-    weights = []
-    for spec, w in zip(m.specs, m.weights):
-        codes = np.tensordot(2 ** np.arange(spec.k_bits),
-                             quant.binarize(w).astype(np.int64), axes=1)
-        levels = (1 << spec.k_bits) - 1
-        weights.append(quant.QuantizedTensor(
-            codes=codes, bits=spec.k_bits, t=1.0, d=1.0 / levels, grid="odd"))
-    return nn.ModelState(stage="quantized", specs=list(m.specs), weights=weights,
-                         flavor=m.flavor)
 
 
 def progressive_init(high: nn.ModelState) -> nn.ModelState:
@@ -462,18 +436,25 @@ def save_checkpoint(path: str, model: nn.ModelState, gs: GradState,
 
 
 def load_checkpoint(path: str) -> tuple[nn.ModelState, GradState]:
-    import json
-
+    """Model file plus its ``.opt`` sidecar; a corrupt sidecar raises FormatError."""
     model = nn.load_model(path)
+    opt_path = path + ".opt"
+    with open(opt_path, "rb") as fh:
+        blob = fh.read()
     gs = GradState(params={})
-    with open(path + ".opt", "rb") as fh:
-        if fh.read(len(OPT_MAGIC)) != OPT_MAGIC:
-            raise IOError(f"{path}.opt: not an optimizer sidecar (bad magic)")
-        header = json.loads(fh.readline().decode())
-        for name in header["params"]:
-            gs.params[name] = core.read_tensor(fh)
-            gs.m1[name] = core.read_tensor(fh)
-            gs.m2[name] = core.read_tensor(fh)
+    try:
+        header, off = core.read_header(blob, OPT_MAGIC)
+        names = header.get("params") if isinstance(header, dict) else None
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                and isinstance(header.get("step"), int)):
+            raise FormatError("header needs an int 'step' and a 'params' list of names")
+        for name in names:
+            for store in (gs.params, gs.m1, gs.m2):
+                store[name], off = core.tensor_from_bytes(blob, off)
+        if off != len(blob):
+            raise FormatError(f"{len(blob) - off} bytes after the last tensor")
+    except FormatError as exc:
+        raise FormatError(f"{opt_path}: {exc}") from None
     gs.step = header["step"]
     return model, gs
 

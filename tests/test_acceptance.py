@@ -263,3 +263,22 @@ def test_10_cli_determinism(tmp_path):
                              (ckpt, d / "ckpt.bbm.opt", log, qout, dout)))
     assert outputs[0] == outputs[1]
     print("\nACCEPTANCE 10 determinism: PASS (5 artifacts byte-identical)")
+
+
+def test_11_mbbn_training_is_its_deployment():
+    """mbbn, M,K in {1,2,3}: training forward and every exported stage, same logits."""
+    x, y = datasets.make_moons(256, noise=0.1, seed=1)
+    (xt, yt), (xv, yv) = datasets.split(x, y, 0.25, seed=1)
+    for m_bits in (1, 2, 3):
+        for k_bits in (1, 2, 3):
+            model = nn.init_mlp(DIMS, core.make_rng(m_bits * 10 + k_bits), m_bits=m_bits,
+                                k_bits=k_bits, flavor="mbbn")
+            cfg = train.TrainConfig(algorithm="mbbn", epochs=15, batch_size=64, seed=2)
+            res = train.train_model(model, (xt, yt), cfg)
+            reference = train.training_forward(model, xv, res.grad_state, cfg)
+            for stage in ("float", "quantized", "decomposed"):
+                deployed = train.export_model(model, res.grad_state, stage)
+                logits = nn.model_forward(deployed, xv)
+                assert np.array_equal(logits, reference), (m_bits, k_bits, stage)
+    print("\nACCEPTANCE 11 mbbn-training-is-deployment: PASS "
+          "(9 (M, K) pairs x 3 exported stages, logits bit-identical)")

@@ -59,6 +59,32 @@ class TestDecomposeEval:
         assert rc == 0
         assert "equivalent: true" in out
 
+    def test_mbbn_checkpoint_pipeline(self, tmp_path, capsys):
+        ckpt, q, d = tmp_path / "m.bbm", tmp_path / "q.bbm", tmp_path / "d.bbm"
+        assert main(["train", "--alg", "mbbn", "--epochs", "5", "--n", "128",
+                     "--seed", "3", "--out", str(ckpt)]) == 0
+        assert main(["quantize", "--model", str(ckpt), "--out", str(q),
+                     "--M", "2", "--K", "2"]) == 0
+        assert main(["decompose", "--model", str(q), "--out", str(d)]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(ckpt), "--model2", str(d),
+                   "--n", "200", "--seed", "3"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "max logit diff: 0.000e+00" in out and "equivalent: true" in out
+
+    @pytest.mark.parametrize("flags,error", [(["--K", "3"], "do not give K=3 codes"),
+                                             (["--K", "2", "--grid", "linear"], "odd-grid")],
+                             ids=["K3", "linear"])
+    def test_mbbn_quantize_refuses_other_codes(self, tmp_path, capsys, flags, error):
+        ckpt, out = tmp_path / "m.bbm", tmp_path / "q.bbm"
+        assert main(["train", "--alg", "mbbn", "--epochs", "1", "--n", "64",
+                     "--out", str(ckpt)]) == 0
+        rc = main(["quantize", "--model", str(ckpt), "--out", str(out), "--M", "2"] + flags)
+        assert rc == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
     def test_equivalence_false_nonzero_exit(self, tmp_path, capsys):
         a = tmp_path / "a.bbm"
         b = tmp_path / "b.bbm"

@@ -1,7 +1,5 @@
 """Matmul, RNG determinism, rounding, and serialization round trips."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -75,13 +73,6 @@ class TestSerialization:
         assert buf[8:16] == (2).to_bytes(8, "little")
         assert buf[16:24] == (3).to_bytes(8, "little")
         assert len(buf) == 24 + 4 * 6
-
-    def test_stream_round_trip(self):
-        t = np.arange(6, dtype=np.float64).reshape(2, 3)
-        fh = io.BytesIO()
-        core.write_tensor(fh, t)
-        fh.seek(0)
-        np.testing.assert_array_equal(core.read_tensor(fh), t)
 
     def test_reserialization_identical(self):
         rng = core.make_rng(9)

@@ -1,6 +1,7 @@
 """The model file: pinned bytes, the decomposed payload layout, and corrupt files."""
 
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -156,6 +157,27 @@ class TestCorruptFiles:
         path.write_bytes(b"not a model\n")
         with pytest.raises(core.FormatError, match="bad magic"):
             nn.load_model(str(path))
+
+    @pytest.mark.parametrize("edit,error", [
+        (lambda h: {}, "'stage' is missing"),
+        (lambda h: [h], "'stage' is missing"),
+        (lambda h: {**h, "layers": 3}, "'layers' is missing or not a list"),
+        (lambda h: {**h, "weights": h["weights"][:-1]}, "5 weight entries for 6 layers"),
+        (lambda h: {**h, "layers": [{k: v for k, v in h["layers"][0].items() if k != "in"}]
+                    + h["layers"][1:]}, "lacks the key 'in'"),
+        (lambda h: {**h, "weights": [{}] + h["weights"][1:]}, "lacks the key 'form'"),
+    ], ids=["empty", "not_object", "layers_mistyped", "weights_count", "layer_key",
+            "weight_key"])
+    def test_header_schema(self, golden_files, tmp_path, capsys, edit, error):
+        blob = golden_files["decomposed"].read_bytes()
+        line = blob[len(nn.MODEL_MAGIC):len(blob) - len(payload_of(blob))]
+        header = edit(json.loads(line))
+        path = tmp_path / "m.bbm"
+        path.write_bytes(nn.MODEL_MAGIC + json.dumps(header).encode() + b"\n" + payload_of(blob))
+        with pytest.raises(core.FormatError, match=error):
+            nn.load_model(str(path))
+        assert main(["inspect", "--model", str(path)]) == 2
+        assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["cut", "junk"])
     def test_cli_exit_2(self, golden_files, tmp_path, capsys, damage):
