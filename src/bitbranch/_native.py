@@ -83,6 +83,11 @@ def _build() -> ctypes.CDLL:
                               i64, i64, cint, ctypes.c_double,
                               np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS,WRITEABLE")]
     lib.bb_encode.restype = i64
+    lib.bb_encode_patches.argtypes = [np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+                                      *[i64] * 8, cint, ctypes.c_double,
+                                      np.ctypeslib.ndpointer(np.uint64,
+                                                             flags="C_CONTIGUOUS,WRITEABLE")]
+    lib.bb_encode_patches.restype = i64
     return lib
 
 

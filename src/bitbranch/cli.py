@@ -126,7 +126,6 @@ def cmd_train(args) -> int:
         raise ConfigError("progressive fine-tuning applies to qnn training only")
     model = nn.init_mlp(dims, rng, m_bits=m_bits, k_bits=k_bits, flavor=flavor)
 
-    gs = train.init_grad_state(model, cfg)
     try:
         if args.progressive_from:
             results = train.progressive_schedule(
@@ -135,10 +134,10 @@ def cmd_train(args) -> int:
             res = results[-1]
             history = [row for r in results for row in r.history]
         else:
-            res = train.train_model(model, (xt, yt), cfg, val_set=(xv, yv), gs=gs)
+            res = train.train_model(model, (xt, yt), cfg, val_set=(xv, yv))
             history = res.history
     except DivergenceError as exc:
-        train.save_checkpoint(args.out, model, gs, cfg)
+        train.save_checkpoint(args.out, exc.model, exc.grad_state, cfg)
         print(f"training diverged: {exc}; last checkpoint kept at {args.out}",
               file=sys.stderr)
         return 1

@@ -39,7 +39,16 @@ class DecompositionError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss.
+
+    ``train.train_model`` sets ``model`` and ``grad_state`` to the training
+    state that diverged; they stay None when a single step raises it.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.model = None
+        self.grad_state = None
 
 
 class FormatError(OSError):

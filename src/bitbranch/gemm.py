@@ -74,6 +74,48 @@ def encode_matrix(x: np.ndarray, bits: int) -> EncodedMatrix:
     return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
 
 
+def patch_grid(shape: tuple, kh: int, kw: int, stride: int, padding: int) -> tuple[int, int]:
+    """Output height and width of a kh x kw convolution over a (B, C, H, W) input."""
+    if min(kh, kw, stride) < 1 or padding < 0:
+        raise ShapeError(f"a conv needs kernel and stride >= 1 and padding >= 0, got kernel "
+                         f"{kh}x{kw}, stride {stride}, padding {padding}")
+    h, w = shape[2], shape[3]
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"kernel {kh}x{kw} does not fit input {h}x{w} (pad {padding})")
+    return oh, ow
+
+
+def encode_patches(x: np.ndarray, bits: int, kh: int, kw: int, stride: int,
+                   padding: int) -> EncodedMatrix | None:
+    """``encode_matrix`` of the zero-padded conv patch matrix of x, (B, C, H, W).
+
+    The native kernel quantizes each input element once and packs the patches
+    from bytes, so the float patch matrix is never built. Returns None when
+    there is no native kernel, or when x holds non-finite values: the caller
+    then encodes the patch matrix itself, whose error counts every patch entry.
+    """
+    quant._check_bits(bits)
+    lib = _native.library()
+    if lib is None:
+        return None
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 4:
+        raise ShapeError(f"expected a (B, C, H, W) input, got shape {x.shape}")
+    oh, ow = patch_grid(x.shape, kh, kw, stride, padding)
+    b, c = x.shape[:2]
+    rows, cols = b * oh * ow, c * kh * kw
+    words = np.empty((rows, bits, bitops.word_count(cols)), dtype=np.uint64)
+    bad = lib.bb_encode_patches(x, *x.shape, kh, kw, stride, padding, bits, quant._EDGE_SNAP,
+                                words)
+    if bad < 0:
+        raise MemoryError("no memory for the conv input's byte image")
+    if bad:
+        return None
+    return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
+
+
 def decode_codes(enc: EncodedMatrix) -> np.ndarray:
     """Recover the odd code grid: code = 2 * sum_m 2^m * bit_m - (2^M - 1)."""
     raw = np.ascontiguousarray(enc.words, dtype="<u8").view(np.uint8)

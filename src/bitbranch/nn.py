@@ -115,8 +115,13 @@ def _layer_name(spec: LayerSpec) -> str:
     return name + " layer"
 
 
-def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str, threads: int) -> np.ndarray:
-    """Shared dense/conv core: rows of x2d against the layer weight."""
+def _gemm_stage(x2d: np.ndarray | gemm.EncodedMatrix, spec: LayerSpec, w, stage: str,
+                threads: int) -> np.ndarray:
+    """Shared dense/conv core: rows of x2d against the layer weight.
+
+    x2d is a float matrix; the decomposed stage also takes rows that are
+    already encoded to the layer's M bits (``gemm.encode_patches``).
+    """
     if stage == "float":
         if not isinstance(w, np.ndarray):
             raise StageError("float stage requires a float weight tensor")
@@ -156,10 +161,13 @@ def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str, threads: int) -
             # so run the dequantized codes exactly like the quantized stage
             wt = gemm.decode_codes(w).astype(np.float64) * (1.0 / ((1 << w.bits) - 1))
             return core.matmul_f(x2d, wt.T)
-        try:
-            x_enc = gemm.encode_matrix(x2d, spec.m_bits)
-        except DomainError as exc:
-            raise DomainError(f"{_layer_name(spec)} input: {exc}") from None
+        if isinstance(x2d, gemm.EncodedMatrix):
+            x_enc = x2d
+        else:
+            try:
+                x_enc = gemm.encode_matrix(x2d, spec.m_bits)
+            except DomainError as exc:
+                raise DomainError(f"{_layer_name(spec)} input: {exc}") from None
         acc = gemm.encoded_gemm(x_enc, w, threads=threads)
         if spec.follows_bn:
             return acc.astype(np.float64)
@@ -175,19 +183,17 @@ def dense_forward(x: np.ndarray, spec: LayerSpec, w, stage: str, threads: int = 
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Extract conv patches: (B, C, H, W) -> (B * OH * OW, C * kh * kw)."""
-    b, c, h, w = x.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"kernel {kh}x{kw} does not fit input {h}x{w} (pad {padding})")
+    """Extract conv patches: (B, C, H, W) -> (B * OH * OW, C * kh * kw).
+
+    Row (b, oh, ow) holds its window in (c, i, j) order, padding as zeros.
+    """
+    b, c = x.shape[:2]
+    oh, ow = gemm.patch_grid(x.shape, kh, kw, stride, padding)
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     cols = np.empty((b, oh, ow, c, kh, kw), dtype=np.float64)
-    for i in range(oh):
-        for j in range(ow):
-            hi, wj = i * stride, j * stride
-            cols[:, i, j] = x[:, :, hi:hi + kh, wj:wj + kw]
+    cols[...] = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
     return cols.reshape(b * oh * ow, c * kh * kw)
 
 
@@ -196,17 +202,22 @@ def conv2d_forward(x: np.ndarray, spec: LayerSpec, w, stage: str, threads: int =
 
     In quantized/decomposed stages the patch matrix (padding zeros
     included) is what gets quantized: the odd grid has no zero, so padded
-    positions land on the nearest odd level like any other value.
+    positions land on the nearest odd level like any other value. The
+    decomposed stage encodes the patches straight from x when the native
+    kernel is built (``gemm.encode_patches``), with the same planes.
     """
     if x.ndim != 4 or x.shape[1] != spec.in_features:
         raise ShapeError(f"conv input {x.shape} does not match in_channels={spec.in_features}")
-    b = x.shape[0]
-    kh, kw = spec.kernel
-    oh = (x.shape[2] + 2 * spec.padding - kh) // spec.stride + 1
-    ow = (x.shape[3] + 2 * spec.padding - kw) // spec.stride + 1
-    patches = im2col(np.asarray(x, dtype=np.float64), kh, kw, spec.stride, spec.padding)
-    out = _gemm_stage(patches, spec, w, stage, threads)
-    return out.reshape(b, oh, ow, spec.out_features).transpose(0, 3, 1, 2)
+    x = np.asarray(x, dtype=np.float64)
+    geometry = (*spec.kernel, spec.stride, spec.padding)
+    oh, ow = gemm.patch_grid(x.shape, *geometry)
+    rows = None
+    if stage == "decomposed" and spec.m_bits is not None and isinstance(w, gemm.EncodedMatrix):
+        rows = gemm.encode_patches(x, spec.m_bits, *geometry)
+    if rows is None:
+        rows = im2col(x, *geometry)
+    out = _gemm_stage(rows, spec, w, stage, threads)
+    return out.reshape(x.shape[0], oh, ow, spec.out_features).transpose(0, 3, 1, 2)
 
 
 def batchnorm_forward(x: np.ndarray, gamma, beta, mean, var, eps: float = 1e-5) -> np.ndarray:
@@ -412,27 +423,72 @@ def save_model(m: ModelState, path: str) -> None:
                     fh.write(core.tensor_to_bytes(w[key]))
 
 
-def _weight_from_bytes(buf: bytes, off: int, meta: dict) -> tuple:
-    """Decode one weight payload at ``off``; returns (weight, offset just past it)."""
+# the weight forms each layer kind may carry in a model file
+_WEIGHT_FORMS = {"dense": ("float", "quantized", "encoded"),
+                 "conv2d": ("float", "quantized", "encoded"),
+                 "batchnorm": ("batchnorm",), "activation": ("none",)}
+
+
+def _header_int(key: str, v, lo: int = 0, hi: int | None = None) -> int:
+    """An int value of a weight's header entry, in lo..hi; FormatError otherwise."""
+    if type(v) is not int or v < lo or (hi is not None and v > hi):
+        bound = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+        raise FormatError(f"weight {key!r} must be an int {bound}, got {v!r}")
+    return v
+
+
+def _check_shape(spec: LayerSpec, got: tuple, expect: tuple) -> None:
+    if tuple(got) != tuple(expect):
+        raise FormatError(f"{_layer_name(spec)}: weight of shape {tuple(got)}, "
+                          f"expected {tuple(expect)}")
+
+
+def _weight_from_bytes(buf: bytes, off: int, meta: dict, spec: LayerSpec,
+                       flavor: str) -> tuple:
+    """Decode one weight payload at ``off``; returns (weight, offset just past it).
+
+    The header entry must name a form that fits the layer kind, with int
+    fields in range and a shape the layer spec implies.
+    """
     form = meta["form"]
+    if form not in _WEIGHT_FORMS[spec.kind]:
+        raise FormatError(f"weight form {form!r} does not fit a {spec.kind} layer")
+    if form in ("float", "quantized"):
+        shape = meta["shape"]
+        if not isinstance(shape, list):
+            raise FormatError(f"weight 'shape' must be a list of ints, got {shape!r}")
+        shape = tuple(_header_int("shape", d) for d in shape)
+        expect = spec.weight_shape()
+        if form == "float" and flavor == "mbbn":
+            expect = (spec.k_bits, *expect)
+        _check_shape(spec, shape, expect)
     if form == "float":
         w, off = core.tensor_from_bytes(buf, off)
-        return w.reshape(meta["shape"]), off
+        _check_shape(spec, w.shape, shape)
+        return w, off
     if form == "quantized":
+        bits = _header_int("bits", meta["bits"], 1, quant.MAX_BITS)
+        t, grid = meta["t"], meta["grid"]
+        if grid not in ("odd", "linear") or type(t) not in (int, float) or not t > 0:
+            raise FormatError(f"quantized weight needs grid 'odd' or 'linear' and t > 0, "
+                              f"got {grid!r} and {t!r}")
         codes, off = core.int_tensor_from_bytes(buf, off)
-        bits, t = meta["bits"], meta["t"]
-        if meta["grid"] == "odd":
+        _check_shape(spec, codes.shape, shape)
+        if grid == "odd":
             d = 1.0 / ((1 << bits) - 1)
         else:
             d = t if bits == 1 else t / ((1 << (bits - 1)) - 1)
-        return quant.QuantizedTensor(codes=codes.reshape(meta["shape"]), bits=bits, t=t,
-                                     d=d, grid=meta["grid"]), off
+        return quant.QuantizedTensor(codes=codes, bits=bits, t=t, d=d, grid=grid), off
     if form == "encoded":
-        return _planes_from_bytes(buf, off, meta["bits"], meta["rows"], meta["cols"])
+        bits = _header_int("bits", meta["bits"], 1, quant.MAX_BITS)
+        rows, cols = _header_int("rows", meta["rows"]), _header_int("cols", meta["cols"])
+        _check_shape(spec, (rows, cols), (spec.out_features, spec.reduction_len()))
+        return _planes_from_bytes(buf, off, bits, rows, cols)
     if form == "batchnorm":
         w = {}
         for key in ("gamma", "beta", "mean", "var"):
             w[key], off = core.tensor_from_bytes(buf, off)
+            _check_shape(spec, w[key].shape, (spec.in_features,))
         return w, off
     return None, off
 
@@ -460,8 +516,8 @@ def load_model(path: str) -> ModelState:
         try:
             specs = [_spec_from_json(d) for d in header["layers"]]
             weights = []
-            for meta in header["weights"]:
-                w, off = _weight_from_bytes(blob, off, meta)
+            for spec, meta in zip(specs, header["weights"]):
+                w, off = _weight_from_bytes(blob, off, meta, spec, header["flavor"])
                 weights.append(w)
         except KeyError as exc:
             raise FormatError(f"a layer entry lacks the key {exc}") from None

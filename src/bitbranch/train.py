@@ -337,7 +337,8 @@ def train_model(model: nn.ModelState, train_set, cfg: TrainConfig, val_set=None,
     """Run epochs of the configured algorithm; deterministic given the seed.
 
     Stops early once train accuracy reaches ``target_acc`` (if given).
-    History rows carry per-epoch mean loss and accuracies.
+    History rows carry per-epoch mean loss and accuracies. A DivergenceError
+    carries the model and grad state it diverged in.
     """
     x, y = train_set
     n = len(x)
@@ -353,7 +354,11 @@ def train_model(model: nn.ModelState, train_set, cfg: TrainConfig, val_set=None,
         losses = []
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            losses.append(step_fn(model, (x[idx], y[idx]), cfg, gs))
+            try:
+                losses.append(step_fn(model, (x[idx], y[idx]), cfg, gs))
+            except DivergenceError as exc:
+                exc.model, exc.grad_state = model, gs
+                raise
             optimizer_update(gs, opt, lr)
         train_acc = float(np.mean(
             np.argmax(training_forward(model, x, gs, cfg), axis=1) == y))

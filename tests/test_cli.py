@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bitbranch import cli, core, nn
+from bitbranch import cli, core, nn, train
 from bitbranch.cli import main
 
 
@@ -157,6 +157,27 @@ class TestTrainCmd:
         assert model.specs[0].k_bits == 2  # stepped 4 -> 3 -> 2
         # one log block per stage
         assert len(log.read_text().strip().splitlines()) == 1 + 3 * 2
+
+    def test_progressive_divergence_saves_the_diverged_phase(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the fourth step of the 3-bit phase (4 -> 3 -> 2) diverges
+        real_step = train.train_step_alg2
+
+        def step(model, batch, cfg, gs):
+            if model.specs[0].k_bits == 3 and gs.step == 3:
+                raise core.DivergenceError("non-finite loss nan")
+            return real_step(model, batch, cfg, gs)
+
+        monkeypatch.setattr(train, "train_step_alg2", step)
+        out = tmp_path / "prog.bbm"
+        rc = main(["train", "--dataset", "moons", "--arch", "mlp:2-8-2",
+                   "--M", "2", "--K", "2", "--progressive-from", "4",
+                   "--epochs", "2", "--n", "128", "--seed", "0", "--out", str(out)])
+        assert rc == 1
+        assert "training diverged" in capsys.readouterr().err
+        model, gs = train.load_checkpoint(str(out))
+        assert [s.k_bits for s in model.specs if s.kind == "dense"] == [3, 3]
+        assert gs.step == 3
 
     def test_config_file_fills_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -178,6 +179,48 @@ class TestCorruptFiles:
             nn.load_model(str(path))
         assert main(["inspect", "--model", str(path)]) == 2
         assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage,key,value,error", [
+        ("decomposed", "form", "bogus", "weight form 'bogus' does not fit a conv2d layer"),
+        ("decomposed", "form", "batchnorm", "weight form 'batchnorm' does not fit"),
+        ("decomposed", "bits", "2", "'bits' must be an int 1..8, got '2'"),
+        ("decomposed", "bits", 9, "'bits' must be an int 1..8, got 9"),
+        ("decomposed", "bits", True, "'bits' must be an int 1..8, got True"),
+        ("decomposed", "rows", 4.0, "'rows' must be an int >= 0, got 4.0"),
+        ("decomposed", "cols", None, "'cols' must be an int >= 0, got None"),
+        ("decomposed", "rows", 5, "weight of shape (5, 27), expected (4, 27)"),
+        ("quantized", "bits", 0, "'bits' must be an int 1..8, got 0"),
+        ("quantized", "grid", "even", "grid 'odd' or 'linear'"),
+        ("quantized", "shape", [4, 3, 3, "3"], "'shape' must be an int >= 0, got '3'"),
+        ("quantized", "shape", [4, 27], "weight of shape (4, 27), expected (4, 3, 3, 3)"),
+        ("float", "shape", 108, "'shape' must be a list of ints, got 108"),
+        ("float", "shape", [4, 3, 9], "weight of shape (4, 3, 9), expected (4, 3, 3, 3)"),
+    ])
+    def test_weight_entry_values(self, golden_files, tmp_path, capsys, stage, key, value, error):
+        blob = golden_files[stage].read_bytes()
+        line = blob[len(nn.MODEL_MAGIC):len(blob) - len(payload_of(blob))]
+        header = json.loads(line)
+        header["weights"][0][key] = value
+        path = tmp_path / "m.bbm"
+        path.write_bytes(nn.MODEL_MAGIC + json.dumps(header).encode() + b"\n" + payload_of(blob))
+        with pytest.raises(core.FormatError, match=re.escape(error)):
+            nn.load_model(str(path))
+        assert main(["inspect", "--model", str(path)]) == 2
+        assert error in capsys.readouterr().err
+
+    def test_payload_shape_must_match_header(self, tmp_path):
+        # a header that fits the spec over a float payload of another shape
+        model = nn.ModelState("float", [nn.dense(3, 2)], [np.zeros((2, 3))])
+        path = tmp_path / "m.bbm"
+        nn.save_model(model, str(path))
+        blob = path.read_bytes()
+        payload = payload_of(blob)
+        bad = core.tensor_to_bytes(np.zeros((3, 2)))
+        assert len(bad) == len(payload)
+        path.write_bytes(blob[:len(blob) - len(payload)] + bad)
+        with pytest.raises(core.FormatError, match=re.escape("weight of shape (3, 2), "
+                                                             "expected (2, 3)")):
+            nn.load_model(str(path))
 
     @pytest.mark.parametrize("damage", ["cut", "junk"])
     def test_cli_exit_2(self, golden_files, tmp_path, capsys, damage):

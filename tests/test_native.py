@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from bitbranch import _native, bitops, cli, core, gemm, nn, quant
 
@@ -184,6 +184,126 @@ class TestEncodeMatrix:
             gemm.encode_matrix(x, 2)
 
 
+def im2col_loop(x, kh, kw, stride, padding):
+    """One window per output position; the reference for the vectorized nn.im2col."""
+    b, c, h, w = x.shape
+    x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    rows = [x[n, :, i * stride:i * stride + kh, j * stride:j * stride + kw].reshape(-1)
+            for n in range(b) for i in range(oh) for j in range(ow)]
+    return np.array(rows, dtype=np.float64).reshape(b * oh * ow, c * kh * kw)
+
+
+# the kernel fixture is function-scoped, but it only picks the library, which
+# every hypothesis example of the test may share
+FIXTURE_OK = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def conv_inputs(draw, special=()):
+    """(x, kh, kw, stride, padding, bits): any geometry that fits; values are
+    the bit width's grid points, their float neighbours and extremes, or
+    uniform in [-2, 2], plus 1-3 ``special`` values; x is either C-contiguous
+    or a channels-last view, as a conv after a conv receives it."""
+    b, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, kh - 2 * padding), 9))
+    w = draw(st.integers(max(1, kw - 2 * padding), 9))
+    bits = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = b * c * h * w
+    x = np.where(rng.random(n) < 0.5, rng.choice(edge_values(bits), n), rng.uniform(-2, 2, n))
+    if special:
+        x[rng.integers(0, n, draw(st.integers(1, 3)))] = rng.choice(special)
+    if draw(st.booleans()):
+        x = x.reshape(b, h, w, c).transpose(0, 3, 1, 2)
+    else:
+        x = x.reshape(b, c, h, w)
+    return x, kh, kw, stride, padding, bits
+
+
+class TestEncodePatches:
+    @settings(max_examples=300, **FIXTURE_OK)
+    @given(case=conv_inputs())
+    def test_words_equal_encoded_patch_matrix(self, kernel, case):
+        x, kh, kw, stride, padding, bits = case
+        patches = im2col_loop(x, kh, kw, stride, padding)
+        np.testing.assert_array_equal(nn.im2col(x, kh, kw, stride, padding), patches)
+        expect = gemm.encode_codes(quant.quantize_odd(patches, bits).codes, bits)
+        got = gemm.encode_patches(x, bits, kh, kw, stride, padding)
+        if kernel == "numpy":
+            assert got is None  # conv2d_forward then encodes nn.im2col's patches
+            return
+        assert (got.bits, got.rows, got.cols) == (expect.bits, expect.rows, expect.cols)
+        np.testing.assert_array_equal(got.words, expect.words)
+
+    @settings(max_examples=60, **FIXTURE_OK)
+    @given(case=conv_inputs(special=(np.nan, np.inf, -np.inf)))
+    def test_non_finite_counts_patch_entries(self, kernel, case):
+        x, kh, kw, stride, padding, bits = case
+        assume(not np.all(np.isfinite(x)))
+        spec = nn.conv2d(x.shape[1], 2, kh, kw, stride=stride, padding=padding, m_bits=bits,
+                         k_bits=2)
+        wq = quant.quantize_odd(core.make_rng(0).uniform(-1, 1, spec.weight_shape()), 2)
+        we = gemm.encode_codes(wq.codes.reshape(2, -1), 2)
+        assert gemm.encode_patches(x, bits, kh, kw, stride, padding) is None
+        bad = int(np.count_nonzero(~np.isfinite(im2col_loop(x, kh, kw, stride, padding))))
+        if bad == 0:  # every non-finite element lies outside all windows
+            np.testing.assert_array_equal(nn.conv2d_forward(x, spec, we, "decomposed"),
+                                          nn.conv2d_forward(x, spec, wq, "quantized"))
+            return
+        with pytest.raises(core.DomainError, match=f"layer input: {bad} non-finite values"):
+            nn.conv2d_forward(x, spec, we, "decomposed")
+
+
+@st.composite
+def random_models(draw):
+    """(float model, input): a conv or a dense stack of 1-3 weighted layers with
+    M in {None, 1..4} and K in 1..4, each maybe followed by batchnorm (the
+    layer then sometimes ``follows_bn``) and maybe by htanh."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conv = draw(st.booleans())
+    batch, features = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    h0, w0 = h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    specs, weights = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        out = draw(st.integers(1, 6))
+        bits = {"m_bits": draw(st.sampled_from([None, 1, 2, 3, 4])),
+                "k_bits": draw(st.integers(1, 4))}
+        bn = draw(st.booleans())
+        follows_bn = bn and draw(st.booleans())
+        if conv:
+            padding, stride = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+            kh = draw(st.integers(1, h + 2 * padding))
+            kw = draw(st.integers(1, w + 2 * padding))
+            spec = nn.conv2d(features, out, kh, kw, stride=stride, padding=padding,
+                             follows_bn=follows_bn, **bits)
+            h, w = gemm.patch_grid((batch, features, h, w), kh, kw, stride, padding)
+        else:
+            spec = nn.dense(features, out, follows_bn=follows_bn, **bits)
+        specs.append(spec)
+        weights.append(rng.uniform(-1, 1, spec.weight_shape()))
+        if bn:
+            # raw accumulators reach about sqrt(N) (2^M - 1)(2^K - 1): widen the
+            # variance so that htanh does not always saturate
+            spread = spec.reduction_len() * 225.0 if follows_bn else 1.0
+            specs.append(nn.batchnorm(out))
+            weights.append({"gamma": rng.uniform(0.5, 1.5, out),
+                            "beta": rng.uniform(-0.2, 0.2, out),
+                            "mean": rng.uniform(-0.5, 0.5, out),
+                            "var": rng.uniform(0.5, 2.0, out) * spread})
+        if draw(st.booleans()):
+            specs.append(nn.act_layer("htanh"))
+            weights.append(None)
+        features = out
+    shape = (batch, specs[0].in_features, *((h0, w0) if conv else ()))
+    n = int(np.prod(shape))
+    x = np.where(rng.random(n) < 0.3, rng.choice(edge_values(4), n), rng.uniform(-1.5, 1.5, n))
+    return nn.ModelState("float", specs, weights), x.reshape(shape)
+
+
 class TestDecodeCodes:
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(1, 6), cols=st.integers(1, 200), bits=st.integers(1, 8),
@@ -229,6 +349,15 @@ class TestDecomposedStage:
         decomposed = nn.decompose_model(quantized)
         x = rng.uniform(-1.5, 1.5, (2, 3, 7, 7))
         np.testing.assert_array_equal(nn.model_forward(decomposed, x, threads=2),
+                                      nn.model_forward(quantized, x))
+
+    @settings(max_examples=150, **FIXTURE_OK)
+    @given(case=random_models(), threads=st.sampled_from([1, 2]))
+    def test_random_architectures_agree(self, kernel, case, threads):
+        model, x = case
+        quantized = nn.quantize_model(model)
+        decomposed = nn.decompose_model(quantized)
+        np.testing.assert_array_equal(nn.model_forward(decomposed, x, threads=threads),
                                       nn.model_forward(quantized, x))
 
     def test_loaded_planes_have_zero_pad_bits(self, tmp_path):
