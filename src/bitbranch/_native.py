@@ -74,20 +74,23 @@ def _build() -> ctypes.CDLL:
                 os.unlink(tmp)
     lib = ctypes.CDLL(str(lib_path))
     words = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
-    i64, cint = ctypes.c_int64, ctypes.c_int
+    out_words = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS,WRITEABLE")
+    i64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    code_bytes = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+    out_bytes = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
+    i64, cint, double = ctypes.c_int64, ctypes.c_int, ctypes.c_double
+    shape = [i64, i64, cint, cint, i64, i64]  # rows, w_rows, x_bits, w_bits, n_words, n
     lib.bb_gemm.argtypes = [words, words,
                             np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE"),
-                            i64, i64, i64, cint, cint, i64, i64]
+                            *shape]
     lib.bb_gemm.restype = None
-    lib.bb_encode.argtypes = [np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-                              i64, i64, cint, ctypes.c_double,
-                              np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS,WRITEABLE")]
-    lib.bb_encode.restype = i64
-    lib.bb_encode_patches.argtypes = [np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-                                      *[i64] * 8, cint, ctypes.c_double,
-                                      np.ctypeslib.ndpointer(np.uint64,
-                                                             flags="C_CONTIGUOUS,WRITEABLE")]
-    lib.bb_encode_patches.restype = i64
+    lib.bb_gemm_codes.argtypes = [words, words, i64s, i64s, cint, out_bytes, *shape]
+    lib.bb_gemm_codes.restype = None
+    lib.bb_quantize.argtypes = [np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+                                i64, cint, double, out_bytes]
+    lib.bb_quantize.restype = i64
+    lib.bb_gather.argtypes = [code_bytes, *[i64] * 8, cint, double, out_words]
+    lib.bb_gather.restype = cint
     return lib
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,41 +81,44 @@ def scalar_gemm(a: np.ndarray, b_t: np.ndarray) -> list:
     return out
 
 
-def _medians_ns(fns, repeats: int, warmup: int = 3) -> list[int]:
-    """Median time of each function, timed round-robin.
+# one timed sample lasts at least this long
+_SAMPLE_NS = 1_000_000
 
-    Each round calls every function once, starting one further along each
-    time, so drift in machine speed during the measurement, and any cost
-    of going first in a round, reach all of them alike; that matters where
-    their times differ by a few percent.
+
+def _medians_ns(fns, repeats: int, warmup: int = 3) -> list[int]:
+    """Median time per call of each function over ``repeats`` samples.
+
+    A sample calls the functions in turn, one call each and starting one
+    further along each time, as many times over as fill ``_SAMPLE_NS`` (from
+    the fastest warm-up calls), and keeps each function's median call. The
+    functions thus share every change in machine speed down to the length
+    of one call, which matters where their times differ by a few percent,
+    and the medians drop the calls that an interrupt or a page fault hit.
     """
-    for _ in range(warmup):
-        for fn in fns:
-            fn()
-    times = [[] for _ in fns]
-    for r in range(repeats):
-        for i in range(len(fns)):
-            j = (r + i) % len(fns)
+    fastest = [None] * len(fns)
+    for _ in range(max(warmup, 1)):
+        for i, fn in enumerate(fns):
             t0 = time.perf_counter_ns()
-            fns[j]()
-            times[j].append(time.perf_counter_ns() - t0)
+            fn()
+            dt = time.perf_counter_ns() - t0
+            fastest[i] = dt if fastest[i] is None else min(fastest[i], dt)
+    calls = max(1, -(-_SAMPLE_NS // max(sum(fastest), 1)))
+    times = [[] for _ in fns]
+    for _ in range(repeats):
+        sample = [[] for _ in fns]
+        for c in range(calls):
+            for i in range(len(fns)):
+                j = (c + i) % len(fns)
+                t0 = time.perf_counter_ns()
+                fns[j]()
+                sample[j].append(time.perf_counter_ns() - t0)
+        for j in range(len(fns)):
+            times[j].append(np.median(sample[j]))
     return [int(np.median(t)) for t in times]
 
 
 def _median_ns(fn, repeats: int, warmup: int = 3) -> int:
     return _medians_ns([fn], repeats, warmup)[0]
-
-
-def _timer_resolution_ns() -> int:
-    best = None
-    for _ in range(50):
-        t0 = time.perf_counter_ns()
-        t1 = time.perf_counter_ns()
-        while t1 == t0:
-            t1 = time.perf_counter_ns()
-        d = t1 - t0
-        best = d if best is None else min(best, d)
-    return best
 
 
 def bench_gemm(sizes, precisions, repeats: int = 11, seed: int = 0,
@@ -123,43 +127,57 @@ def bench_gemm(sizes, precisions, repeats: int = 11, seed: int = 0,
 
     ``sizes`` is a list of (P, N, Q) triples and ``precisions`` a list of
     (M, K) pairs. Each packed configuration is checked once against the
-    integer code-matmul oracle before timing. Rows use the schema
-    kernel, M, K, P, N, Q, median_ns, speedup_vs_scalar.
+    integer code-matmul oracle before timing. ``threads`` > 1 splits the
+    left operand's rows into that many blocks, multiplied in parallel.
+    Rows use the schema kernel, M, K, P, N, Q, median_ns, speedup_vs_scalar;
+    median_ns is the median time of one call.
     """
     if repeats <= 0:
         return []
     rng = core.make_rng(seed)
-    resolution = _timer_resolution_ns()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return [row for size in sizes
+                for row in _bench_size(size, precisions, repeats, warmup, rng, threads, pool)]
+
+
+def _row_blocks(x: gemm.EncodedMatrix, blocks: int) -> list[gemm.EncodedMatrix]:
+    bounds = np.linspace(0, x.rows, min(blocks, max(x.rows, 1)) + 1, dtype=int).tolist()
+    return [gemm.EncodedMatrix(bits=x.bits, rows=hi - lo, cols=x.cols, words=x.words[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _bench_size(size, precisions, repeats, warmup, rng, threads, pool) -> list[dict]:
+    p, n, q = size
     rows = []
-    for (p, n, q) in sizes:
-        a = rng.uniform(-1, 1, size=(p, n))
-        b = rng.uniform(-1, 1, size=(q, n))
-        scalar_ns = _median_ns(lambda: scalar_gemm(a, b), repeats, warmup)
-        rows.append({"kernel": "scalar_float", "M": 0, "K": 0, "P": p, "N": n,
-                     "Q": q, "median_ns": scalar_ns, "speedup_vs_scalar": 1.0})
-        blas_ns = _median_ns(lambda: a @ b.T, repeats, warmup)
-        rows.append({"kernel": "blas_float", "M": 0, "K": 0, "P": p, "N": n,
-                     "Q": q, "median_ns": blas_ns,
-                     "speedup_vs_scalar": scalar_ns / max(blas_ns, 1)})
-        packed_label = "packed" if threads <= 1 else f"packed_t{threads}"
-        kernels = []
-        for (m_bits, k_bits) in precisions:
-            xe = gemm.encode_matrix(a, m_bits)
-            we = gemm.encode_matrix(b, k_bits)
-            acc = gemm.encoded_gemm(xe, we, threads=threads)
-            oracle = gemm.decode_codes(xe) @ gemm.decode_codes(we).T
-            if not np.array_equal(acc, oracle):
-                raise AssertionError(f"packed kernel diverged at M={m_bits}, K={k_bits}")
-            kernels.append(lambda xe=xe, we=we: gemm.encoded_gemm(xe, we, threads=threads))
-        packed_times = _medians_ns(kernels, repeats, warmup)
-        for (m_bits, k_bits), packed_ns in zip(precisions, packed_times):
-            rows.append({"kernel": packed_label, "M": m_bits, "K": k_bits, "P": p,
-                         "N": n, "Q": q, "median_ns": packed_ns,
-                         "speedup_vs_scalar": scalar_ns / max(packed_ns, 1)})
-            if packed_ns < 50 * resolution:
-                rows.append({"kernel": "timer_warning", "M": m_bits, "K": k_bits,
-                             "P": p, "N": n, "Q": q, "median_ns": packed_ns,
-                             "speedup_vs_scalar": 0.0})
+    a = rng.uniform(-1, 1, size=(p, n))
+    b = rng.uniform(-1, 1, size=(q, n))
+    scalar_ns = _median_ns(lambda: scalar_gemm(a, b), repeats, warmup)
+    rows.append({"kernel": "scalar_float", "M": 0, "K": 0, "P": p, "N": n,
+                 "Q": q, "median_ns": scalar_ns, "speedup_vs_scalar": 1.0})
+    blas_ns = _median_ns(lambda: a @ b.T, repeats, warmup)
+    rows.append({"kernel": "blas_float", "M": 0, "K": 0, "P": p, "N": n,
+                 "Q": q, "median_ns": blas_ns,
+                 "speedup_vs_scalar": scalar_ns / max(blas_ns, 1)})
+    packed_label = "packed" if threads <= 1 else f"packed_t{threads}"
+    kernels = []
+    for (m_bits, k_bits) in precisions:
+        xe = gemm.encode_matrix(a, m_bits)
+        we = gemm.encode_matrix(b, k_bits)
+        if threads <= 1:
+            def kernel(xe=xe, we=we):
+                return gemm.encoded_gemm(xe, we)
+        else:
+            def kernel(blocks=_row_blocks(xe, threads), we=we):
+                return np.vstack(list(pool.map(lambda x: gemm.encoded_gemm(x, we), blocks)))
+        oracle = gemm.decode_codes(xe) @ gemm.decode_codes(we).T
+        if not np.array_equal(kernel(), oracle):
+            raise AssertionError(f"packed kernel diverged at M={m_bits}, K={k_bits}")
+        kernels.append(kernel)
+    packed_times = _medians_ns(kernels, repeats, warmup)
+    for (m_bits, k_bits), packed_ns in zip(precisions, packed_times):
+        rows.append({"kernel": packed_label, "M": m_bits, "K": k_bits, "P": p,
+                     "N": n, "Q": q, "median_ns": packed_ns,
+                     "speedup_vs_scalar": scalar_ns / max(packed_ns, 1)})
     return rows
 
 

@@ -12,13 +12,13 @@ r / ((2^M - 1)(2^K - 1)) restores quantized-real units.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _native, bitops, quant
-from .core import ConfigError, DomainError, ShapeError
+from .core import DomainError, ShapeError
 
 # N * (2^M - 1) * (2^K - 1) must stay below this for exact int64 accumulation.
 _ACC_LIMIT = 1 << 62
@@ -54,11 +54,18 @@ def _reject_non_finite(bad: int) -> None:
         raise DomainError(f"{bad} non-finite values cannot be quantized")
 
 
+def _quantize_bytes(lib, x: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
+    """Code bytes of a C-contiguous float array and its non-finite count."""
+    b = np.empty(x.shape, dtype=np.uint8)
+    return b, lib.bb_quantize(x, x.size, bits, quant._EDGE_SNAP, b)
+
+
 def encode_matrix(x: np.ndarray, bits: int) -> EncodedMatrix:
     """Quantize a real matrix onto the odd grid and pack its digit planes.
 
     The planes are those of ``encode_codes(quant.quantize_odd(x, bits).codes)``;
-    the native kernel fuses both steps. Non-finite values raise DomainError.
+    the native kernel quantizes the whole matrix to code bytes in one pass and
+    packs them row by row. Non-finite values raise DomainError.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -68,10 +75,9 @@ def encode_matrix(x: np.ndarray, bits: int) -> EncodedMatrix:
     if lib is None:
         _reject_non_finite(x.size - int(np.count_nonzero(np.isfinite(x))))
         return encode_codes(quant.quantize_odd(x, bits).codes, bits)
-    rows, cols = x.shape
-    words = np.empty((rows, bits, bitops.word_count(cols)), dtype=np.uint64)
-    _reject_non_finite(lib.bb_encode(x, rows, cols, bits, quant._EDGE_SNAP, words))
-    return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
+    b, bad = _quantize_bytes(lib, x, bits)
+    _reject_non_finite(bad)
+    return gather_codes(b.reshape(x.shape[0], 1, 1, x.shape[1]), bits)
 
 
 def patch_grid(shape: tuple, kh: int, kw: int, stride: int, padding: int) -> tuple[int, int]:
@@ -87,33 +93,56 @@ def patch_grid(shape: tuple, kh: int, kw: int, stride: int, padding: int) -> tup
     return oh, ow
 
 
+def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int = 1,
+                 padding: int = 0) -> EncodedMatrix:
+    """Pack the conv patches of a channels-last image of code bytes (native kernel only).
+
+    b is uint8 (B, H, W, C) holding b = (code + 2^M - 1) / 2 per element; a
+    dense input is a 1 x 1 image. Row (b, oh, ow) holds its window in
+    (i, j, c) order, with the code of 0.0 in the padding, so it meets a conv
+    weight whose reduction axis is in that order too.
+    """
+    quant._check_bits(bits)
+    lib = _native.library()
+    if lib is None:
+        raise RuntimeError("gather_codes needs the native kernel")
+    if not (isinstance(b, np.ndarray) and b.dtype == np.uint8 and b.ndim == 4
+            and b.flags.c_contiguous):
+        raise ShapeError("gather_codes needs a C-contiguous uint8 (B, H, W, C) image, got "
+                         f"{getattr(b, 'dtype', None)} {getattr(b, 'shape', None)}")
+    batch, h, w, c = b.shape
+    oh, ow = patch_grid((batch, c, h, w), kh, kw, stride, padding)
+    rows, cols = batch * oh * ow, c * kh * kw
+    words = np.empty((rows, bits, bitops.word_count(cols)), dtype=np.uint64)
+    if lib.bb_gather(b, batch, h, w, c, kh, kw, stride, padding, bits, quant._EDGE_SNAP,
+                     words):
+        raise MemoryError("no memory for a patch row")
+    return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
+
+
 def encode_patches(x: np.ndarray, bits: int, kh: int, kw: int, stride: int,
                    padding: int) -> EncodedMatrix | None:
-    """``encode_matrix`` of the zero-padded conv patch matrix of x, (B, C, H, W).
+    """Encoded conv patches of x, (B, C, H, W), with each row in (i, j, c) order.
 
-    The native kernel quantizes each input element once and packs the patches
-    from bytes, so the float patch matrix is never built. Returns None when
-    there is no native kernel, or when x holds non-finite values: the caller
-    then encodes the patch matrix itself, whose error counts every patch entry.
+    The rows hold the planes of ``encode_matrix`` of the zero-padded patch
+    matrix, reordered from ``nn.im2col``'s (c, i, j) to (i, j, c): the native
+    kernel quantizes each input element once, channels-last, and gathers the
+    patches from the bytes. Returns None when there is no native kernel, or
+    when x holds non-finite values: the caller then encodes the patch matrix
+    itself, whose error counts every patch entry.
     """
     quant._check_bits(bits)
     lib = _native.library()
     if lib is None:
         return None
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ShapeError(f"expected a (B, C, H, W) input, got shape {x.shape}")
-    oh, ow = patch_grid(x.shape, kh, kw, stride, padding)
-    b, c = x.shape[:2]
-    rows, cols = b * oh * ow, c * kh * kw
-    words = np.empty((rows, bits, bitops.word_count(cols)), dtype=np.uint64)
-    bad = lib.bb_encode_patches(x, *x.shape, kh, kw, stride, padding, bits, quant._EDGE_SNAP,
-                                words)
-    if bad < 0:
-        raise MemoryError("no memory for the conv input's byte image")
+    patch_grid(x.shape, kh, kw, stride, padding)
+    b, bad = _quantize_bytes(lib, np.ascontiguousarray(x.transpose(0, 2, 3, 1)), bits)
     if bad:
         return None
-    return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
+    return gather_codes(b, bits, kh, kw, stride, padding)
 
 
 def decode_codes(enc: EncodedMatrix) -> np.ndarray:
@@ -151,13 +180,61 @@ def _check_operand(enc: EncodedMatrix, name: str) -> None:
                          f"got {getattr(words, 'dtype', None)} {getattr(words, 'shape', None)}")
 
 
-def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix, threads: int = 1) -> np.ndarray:
+@dataclass(frozen=True)
+class CodeThresholds:
+    """A GEMM epilogue that maps each accumulator to a code byte of ``bits`` bits.
+
+    Output q's byte is the number of k with sign[q] * acc >= t[k, q]; it
+    stands for a function of acc that is monotone on every output.
+    """
+
+    bits: int
+    t: np.ndarray  # int64 (2^bits - 1, Q), C-contiguous, ascending down each column
+    sign: np.ndarray  # int64 (Q,) of +1 and -1
+
+    def codes(self, acc: np.ndarray) -> np.ndarray:
+        """The epilogue in numpy: code bytes of an int64 (P, Q) accumulator."""
+        v = np.asarray(acc, dtype=np.int64) * self.sign
+        return np.count_nonzero(v[:, None, :] >= self.t, axis=1).astype(np.uint8)
+
+
+def bisect_thresholds(real: Callable[[np.ndarray], np.ndarray], limit: int, channels: int,
+                      bits: int) -> CodeThresholds:
+    """The thresholds of acc -> quantize_odd(real(acc), bits) over |acc| <= limit.
+
+    ``real`` maps an int64 (n, channels) array of accumulators to the values
+    the next layer quantizes, and must be monotone in acc on each channel.
+    The direction comes from the two ends of the range; each threshold is
+    the least acc whose code byte reaches its level, found by bisection, so
+    a layer costs O(2^bits log limit) evaluations of ``real``.
+    """
+    levels = (1 << bits) - 1
+
+    def byte(acc):
+        return (quant.quantize_odd(real(acc), bits).codes + levels) >> 1
+
+    ends = byte(np.repeat(np.array([[-limit], [limit]], dtype=np.int64), channels, axis=1))
+    sign = np.where(ends[1] >= ends[0], 1, -1).astype(np.int64)
+    level = np.arange(1, levels + 1)[:, None]
+    # byte(sign * lo) < level <= byte(sign * hi), with -limit - 1 and
+    # limit + 1 standing for codes below and above every level
+    lo = np.full((levels, channels), -limit - 1, dtype=np.int64)
+    hi = np.full((levels, channels), limit + 1, dtype=np.int64)
+    while np.any(unsettled := hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        up = byte(sign * mid) >= level
+        hi = np.where(unsettled & up, mid, hi)
+        lo = np.where(unsettled & ~up, mid, lo)
+    return CodeThresholds(bits=bits, t=hi, sign=sign)
+
+
+def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix,
+                 fold: CodeThresholds | None = None) -> np.ndarray:
     """Exact integer accumulator of the decomposed product, shape (P, Q).
 
-    ``threads`` >= 1 splits the rows of x into that many blocks.
+    With ``fold`` the epilogue turns each accumulator into the next layer's
+    code byte instead, and the result is uint8 (P, Q), channels-last.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     if x.cols != w.cols:
         raise ShapeError(f"reduction lengths differ: {x.cols} vs {w.cols}")
     worst = x.cols * ((1 << x.bits) - 1) * ((1 << w.bits) - 1)
@@ -166,25 +243,24 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix, threads: int = 1) -> np.nda
                          f"M={x.bits}, K={w.bits}")
     _check_operand(x, "left")
     _check_operand(w, "right")
-    acc = np.empty((x.rows, w.rows), dtype=np.int64)
+    if fold is not None and (fold.t.shape, fold.sign.shape) != (((1 << fold.bits) - 1, w.rows),
+                                                                (w.rows,)):
+        raise ShapeError(f"thresholds {fold.t.shape} and signs {fold.sign.shape} do not fit "
+                         f"{w.rows} outputs of {fold.bits} bits")
     lib = _native.library()
     if lib is None:
-        def block(lo, hi):
-            _gemm_rows(x, w, lo, hi, acc)
-    else:
-        wt = np.ascontiguousarray(w.words.transpose(1, 2, 0))  # [plane][word][row]
-
-        def block(lo, hi):
-            lib.bb_gemm(x.words, wt, acc, lo, hi, w.rows, x.bits, w.bits,
-                        x.words_per_row, x.cols)
-    if threads == 1 or x.rows < 2 * threads:
-        block(0, x.rows)
+        acc = np.empty((x.rows, w.rows), dtype=np.int64)
+        _gemm_rows(x, w, 0, x.rows, acc)
+        return acc if fold is None else fold.codes(acc)
+    wt = np.ascontiguousarray(w.words.transpose(1, 2, 0))  # [plane][word][row]
+    shape = (x.rows, w.rows, x.bits, w.bits, x.words_per_row, x.cols)
+    if fold is None:
+        acc = np.empty((x.rows, w.rows), dtype=np.int64)
+        lib.bb_gemm(x.words, wt, acc, *shape)
         return acc
-    bounds = np.linspace(0, x.rows, threads + 1, dtype=int).tolist()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for f in [pool.submit(block, lo, hi) for lo, hi in zip(bounds, bounds[1:])]:
-            f.result()
-    return acc
+    codes = np.empty((x.rows, w.rows), dtype=np.uint8)
+    lib.bb_gemm_codes(x.words, wt, fold.t, fold.sign, len(fold.t), codes, *shape)
+    return codes
 
 
 def scale_output(acc: np.ndarray, m_bits: int, k_bits: int, r: float = 1.0) -> np.ndarray:

@@ -8,21 +8,25 @@ and lives in exactly one stage:
                   quantized on the fly at each dense/conv input.
 * ``decomposed``  weights are packed {-1,+1} bit planes; the forward pass
                   runs on the xnor/popcount kernel and is value-identical
-                  to the quantized stage.
+                  to the quantized stage. A model's first forward compiles
+                  it into an integer plan (see below).
 
-Convolution is lowered to patch extraction (im2col) followed by the same
-GEMM as dense layers, so the bit kernel is the only inner loop everywhere.
+Convolution is lowered to patch extraction (im2col, or the plan's gather of
+code bytes) followed by the same GEMM as dense layers, so the bit kernel is
+the only inner loop everywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bitops, core, gemm, quant
-from .core import DecompositionError, DomainError, FormatError, ShapeError, StageError
+from . import _native, bitops, core, gemm, quant
+from .core import ConfigError, DecompositionError, DomainError, FormatError, ShapeError, StageError
 
 MODEL_MAGIC = b"#bitbranch-model-v1\n"
 
@@ -91,6 +95,10 @@ class ModelState:
     specs: list[LayerSpec]
     weights: list  # per layer: ndarray | QuantizedTensor | EncodedMatrix | dict | None
     flavor: str = "qnn"
+    # the decomposed stage's integer plan, built by its first forward and
+    # rebuilt when a spec or a weight object is replaced (not when a weight
+    # array is written in place)
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -115,13 +123,33 @@ def _layer_name(spec: LayerSpec) -> str:
     return name + " layer"
 
 
-def _gemm_stage(x2d: np.ndarray | gemm.EncodedMatrix, spec: LayerSpec, w, stage: str,
-                threads: int) -> np.ndarray:
-    """Shared dense/conv core: rows of x2d against the layer weight.
+def _dequantized(w: gemm.EncodedMatrix) -> np.ndarray:
+    """Bit-plane weights as the quantized stage's reals, codes / (2^K - 1)."""
+    return gemm.decode_codes(w).astype(np.float64) * (1.0 / ((1 << w.bits) - 1))
 
-    x2d is a float matrix; the decomposed stage also takes rows that are
-    already encoded to the layer's M bits (``gemm.encode_patches``).
-    """
+
+def _encode_input(x2d: np.ndarray, spec: LayerSpec) -> gemm.EncodedMatrix:
+    """The layer's input rows on its M-bit grid; non-finite values name the layer."""
+    try:
+        return gemm.encode_matrix(x2d, spec.m_bits)
+    except DomainError as exc:
+        raise DomainError(f"{_layer_name(spec)} input: {exc}") from None
+
+
+def _decomposed_gemm(x_enc: gemm.EncodedMatrix, spec: LayerSpec, w: gemm.EncodedMatrix,
+                     fold: gemm.CodeThresholds | None = None) -> np.ndarray:
+    """The bit GEMM and its epilogue: the next layer's code bytes with ``fold``,
+    else the quantized stage's float output."""
+    out = gemm.encoded_gemm(x_enc, w, fold)
+    if fold is not None:
+        return out
+    if spec.follows_bn:
+        return out.astype(np.float64)
+    return gemm.scale_output(out, spec.m_bits, w.bits, spec.r)
+
+
+def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
+    """Shared dense/conv core: rows of x2d against the layer weight."""
     if stage == "float":
         if not isinstance(w, np.ndarray):
             raise StageError("float stage requires a float weight tensor")
@@ -159,27 +187,22 @@ def _gemm_stage(x2d: np.ndarray | gemm.EncodedMatrix, spec: LayerSpec, w, stage:
         if spec.m_bits is None:
             # full-precision activations: no planes to feed the bit kernel,
             # so run the dequantized codes exactly like the quantized stage
-            wt = gemm.decode_codes(w).astype(np.float64) * (1.0 / ((1 << w.bits) - 1))
-            return core.matmul_f(x2d, wt.T)
-        if isinstance(x2d, gemm.EncodedMatrix):
-            x_enc = x2d
-        else:
-            try:
-                x_enc = gemm.encode_matrix(x2d, spec.m_bits)
-            except DomainError as exc:
-                raise DomainError(f"{_layer_name(spec)} input: {exc}") from None
-        acc = gemm.encoded_gemm(x_enc, w, threads=threads)
-        if spec.follows_bn:
-            return acc.astype(np.float64)
-        return gemm.scale_output(acc, spec.m_bits, w.bits, spec.r)
+            return core.matmul_f(x2d, _dequantized(w).T)
+        return _decomposed_gemm(_encode_input(x2d, spec), spec, w)
 
     raise StageError(f"unknown stage {stage!r}")
 
 
-def dense_forward(x: np.ndarray, spec: LayerSpec, w, stage: str, threads: int = 1) -> np.ndarray:
-    if x.ndim != 2 or x.shape[1] != spec.in_features:
+def _check_input(x: np.ndarray, spec: LayerSpec) -> None:
+    if spec.kind == "dense" and (x.ndim != 2 or x.shape[1] != spec.in_features):
         raise ShapeError(f"dense input {x.shape} does not match in_features={spec.in_features}")
-    return _gemm_stage(np.asarray(x, dtype=np.float64), spec, w, stage, threads)
+    if spec.kind == "conv2d" and (x.ndim != 4 or x.shape[1] != spec.in_features):
+        raise ShapeError(f"conv input {x.shape} does not match in_channels={spec.in_features}")
+
+
+def dense_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
+    _check_input(x, spec)
+    return _gemm_stage(np.asarray(x, dtype=np.float64), spec, w, stage)
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -197,26 +220,18 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0) -
     return cols.reshape(b * oh * ow, c * kh * kw)
 
 
-def conv2d_forward(x: np.ndarray, spec: LayerSpec, w, stage: str, threads: int = 1) -> np.ndarray:
+def conv2d_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
     """Convolution as im2col + the stage GEMM.
 
     In quantized/decomposed stages the patch matrix (padding zeros
     included) is what gets quantized: the odd grid has no zero, so padded
-    positions land on the nearest odd level like any other value. The
-    decomposed stage encodes the patches straight from x when the native
-    kernel is built (``gemm.encode_patches``), with the same planes.
+    positions land on the nearest odd level like any other value.
     """
-    if x.ndim != 4 or x.shape[1] != spec.in_features:
-        raise ShapeError(f"conv input {x.shape} does not match in_channels={spec.in_features}")
+    _check_input(x, spec)
     x = np.asarray(x, dtype=np.float64)
     geometry = (*spec.kernel, spec.stride, spec.padding)
     oh, ow = gemm.patch_grid(x.shape, *geometry)
-    rows = None
-    if stage == "decomposed" and spec.m_bits is not None and isinstance(w, gemm.EncodedMatrix):
-        rows = gemm.encode_patches(x, spec.m_bits, *geometry)
-    if rows is None:
-        rows = im2col(x, *geometry)
-    out = _gemm_stage(rows, spec, w, stage, threads)
+    out = _gemm_stage(im2col(x, *geometry), spec, w, stage)
     return out.reshape(x.shape[0], oh, ow, spec.out_features).transpose(0, 3, 1, 2)
 
 
@@ -235,26 +250,42 @@ def batchnorm_forward(x: np.ndarray, gamma, beta, mean, var, eps: float = 1e-5) 
 # Whole-model forward
 # ---------------------------------------------------------------------------
 
+def _layer_forward(h: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
+    if spec.kind == "dense":
+        return dense_forward(h, spec, w, stage)
+    if spec.kind == "conv2d":
+        return conv2d_forward(h, spec, w, stage)
+    if spec.kind == "batchnorm":
+        return batchnorm_forward(h, w["gamma"], w["beta"], w["mean"], w["var"], spec.eps)
+    if spec.kind == "activation":
+        return quant.activation(h, spec.act)
+    raise StageError(f"unknown layer kind {spec.kind!r}")
+
+
 def model_forward(m: ModelState, x: np.ndarray, threads: int = 1) -> np.ndarray:
     """Run the stage-appropriate forward pass over all layers.
 
     A float mbbn model has no float reading: its branch masters only count
-    through their signs, so it runs as its quantized form.
+    through their signs, so it runs as its quantized form. The decomposed
+    stage runs its integer plan; ``threads`` > 1 splits its batch into that
+    many row blocks, which run the layers between two full-precision GEMMs
+    in parallel. Rows are independent there (batchnorm runs in inference
+    mode), so the output does not depend on ``threads``.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     if m.flavor == "mbbn" and m.stage == "float":
         m = quantize_model(m)
     h = np.asarray(x, dtype=np.float64)
-    for spec, w in zip(m.specs, m.weights):
-        if spec.kind == "dense":
-            h = dense_forward(h, spec, w, m.stage, threads)
-        elif spec.kind == "conv2d":
-            h = conv2d_forward(h, spec, w, m.stage, threads)
-        elif spec.kind == "batchnorm":
-            h = batchnorm_forward(h, w["gamma"], w["beta"], w["mean"], w["var"], spec.eps)
-        elif spec.kind == "activation":
-            h = quant.activation(h, spec.act)
+    if m.stage != "decomposed":
+        for spec, w in zip(m.specs, m.weights):
+            h = _layer_forward(h, spec, w, m.stage)
+        return h
+    for rowwise, steps in _plan(m).segments:
+        if rowwise and threads > 1 and h.ndim and len(h) > 1:
+            h = _split_rows(steps, h, threads)
         else:
-            raise StageError(f"unknown layer kind {spec.kind!r}")
+            h = _run_steps(steps, h)
     return h
 
 
@@ -264,6 +295,196 @@ def predict(m: ModelState, x: np.ndarray, threads: int = 1) -> np.ndarray:
 
 def accuracy(m: ModelState, x: np.ndarray, y: np.ndarray, threads: int = 1) -> float:
     return float(np.mean(predict(m, x, threads) == np.asarray(y)))
+
+
+# ---------------------------------------------------------------------------
+# Integer plan of the decomposed stage
+# ---------------------------------------------------------------------------
+#
+# The first forward of a decomposed model compiles it into steps, cached on
+# the model. With the native kernel, a bit layer (bit-plane weights, M set)
+# whose output reaches the next bit layer of its kind through batchnorm,
+# htanh and hrelu only folds that chain into per-channel thresholds, found
+# by bisection on the quantized stage's own functions: its GEMM writes the
+# next layer's code bytes, channels-last, and the next layer gathers its
+# rows from them. For that gather a conv weight's reduction axis is
+# re-encoded in (i, j, c) order; the model keeps the file's (c, i, j).
+# Every other layer runs its per-layer forward, with full-precision weights
+# decoded once.
+
+# monotone under IEEE rounding; tanh and sigmoid go through libm or SIMD code
+_FOLDING_ACTS = ("htanh", "hrelu")
+
+
+@dataclass
+class _Plan:
+    native: bool
+    specs: list[LayerSpec]
+    weights: list  # the weights it was built from; held, so their ids stay unique
+    segments: list  # (rowwise, steps); a rowwise run of steps keeps batch rows independent
+
+
+@dataclass(frozen=True)
+class _BitLayer:
+    spec: LayerSpec
+    w: gemm.EncodedMatrix  # the model's weight, reduction in (c, i, j) order
+    w_ijc: gemm.EncodedMatrix  # the same codes in (i, j, c) order (w itself for dense)
+    fold: gemm.CodeThresholds | None  # epilogue to the next bit layer's code bytes
+
+
+def _plan(m: ModelState) -> _Plan:
+    """The model's plan, rebuilt if its layers or the native kernel changed."""
+    native = _native.library() is not None
+    p = m._plan
+    if (p is None or (p.native, p.specs) != (native, m.specs)
+            or list(map(id, p.weights)) != list(map(id, m.weights))):
+        p = m._plan = _build_plan(m, native)
+    return p
+
+
+def _bit_layer_ok(spec: LayerSpec, w) -> bool:
+    """Well-formed bit-plane weights on a layer with quantized inputs."""
+    return (spec.kind in ("dense", "conv2d") and isinstance(w, gemm.EncodedMatrix)
+            and type(spec.m_bits) is int and 1 <= spec.m_bits <= quant.MAX_BITS
+            and (w.rows, w.cols) == (spec.out_features, spec.reduction_len())
+            and isinstance(w.words, np.ndarray) and w.words.dtype == np.uint64
+            and w.words.shape == (w.rows, w.bits, bitops.word_count(w.cols)))
+
+
+def _reduction_ijc(spec: LayerSpec, w: gemm.EncodedMatrix) -> gemm.EncodedMatrix:
+    """The weight with its reduction axis in gathered-row (i, j, c) order."""
+    if spec.kind != "conv2d":
+        return w
+    codes = gemm.decode_codes(w).reshape(spec.out_features, spec.in_features, *spec.kernel)
+    return gemm.encode_codes(codes.transpose(0, 2, 3, 1).reshape(spec.out_features, -1), w.bits)
+
+
+def _chain_folds(spec: LayerSpec, w, channels: int) -> bool:
+    if spec.kind == "activation":
+        return spec.act in _FOLDING_ACTS
+    return spec.kind == "batchnorm" and isinstance(w, dict) and all(
+        np.shape(w.get(k)) == (channels,) for k in ("gamma", "beta", "mean", "var"))
+
+
+def fold_thresholds(specs: list[LayerSpec], weights: list,
+                    i: int) -> tuple[gemm.CodeThresholds | None, int]:
+    """Thresholds from bit layer i's accumulator to the next bit layer's code bytes.
+
+    Returns them with that layer's index, or (None, i + 1) when the layers
+    between do not fold: they must be batchnorm, htanh or hrelu, the next
+    weighted layer a bit layer of the same kind, and every intermediate
+    value finite at both ends of the accumulator range (which also rules
+    out var + eps <= 0). Each channel's map from acc to the code is then
+    monotone, and its thresholds are those of the quantized stage's own
+    float code, evaluated on the integers.
+    """
+    spec, w = specs[i], weights[i]
+    j = i + 1
+    while j < len(specs) and specs[j].kind not in ("dense", "conv2d"):
+        j += 1
+    chain = list(zip(specs[i + 1:j], weights[i + 1:j]))
+    if not (j < len(specs) and specs[j].kind == spec.kind
+            and specs[j].in_features == spec.out_features and _bit_layer_ok(specs[j], weights[j])
+            and all(_chain_folds(s, p, spec.out_features) for s, p in chain)):
+        return None, i + 1
+
+    def values(acc: np.ndarray) -> list[np.ndarray]:
+        h = (acc.astype(np.float64) if spec.follows_bn
+             else gemm.scale_output(acc, spec.m_bits, w.bits, spec.r))
+        out = [h]
+        for s, p in chain:
+            h = (batchnorm_forward(h, p["gamma"], p["beta"], p["mean"], p["var"], s.eps)
+                 if s.kind == "batchnorm" else quant.activation(h, s.act))
+            out.append(h)
+        return out
+
+    limit = spec.reduction_len() * ((1 << spec.m_bits) - 1) * ((1 << w.bits) - 1)
+    with np.errstate(all="ignore"):
+        ends = values(np.array([[-limit], [limit]], dtype=np.int64))
+    if not all(np.all(np.isfinite(v)) for v in ends):
+        return None, i + 1
+    return gemm.bisect_thresholds(lambda acc: values(acc)[-1], limit, spec.out_features,
+                                  specs[j].m_bits), j
+
+
+def _build_plan(m: ModelState, native: bool) -> _Plan:
+    steps = []  # (rowwise, step)
+    i = 0
+    while i < len(m.specs):
+        spec, w = m.specs[i], m.weights[i]
+        nxt = i + 1
+        if spec.kind in ("dense", "conv2d") and (
+                isinstance(w, np.ndarray)
+                or (isinstance(w, gemm.EncodedMatrix) and spec.m_bits is None)):
+            if isinstance(w, gemm.EncodedMatrix):
+                w = _dequantized(w)
+            # the same float GEMM as the quantized stage's; BLAS may round a
+            # row differently in a different block of rows, so no split here
+            steps.append((False, functools.partial(_layer_forward, spec=spec, w=w,
+                                                   stage="float")))
+        elif native and _bit_layer_ok(spec, w):
+            fold, nxt = fold_thresholds(m.specs, m.weights, i)
+            layer = _BitLayer(spec, w, _reduction_ijc(spec, w), fold)
+            steps.append((True, functools.partial(_bit_layer_forward, layer=layer)))
+        else:
+            steps.append((True, functools.partial(_layer_forward, spec=spec, w=w,
+                                                  stage="decomposed")))
+        i = nxt
+    segments = []
+    for rowwise, step in steps:
+        if rowwise and segments and segments[-1][0]:
+            segments[-1][1].append(step)
+        else:
+            segments.append((rowwise, [step]))
+    return _Plan(native, list(m.specs), list(m.weights), segments)
+
+
+def _bit_layer_forward(h: np.ndarray, layer: _BitLayer) -> np.ndarray:
+    """A bit layer of the plan on its float input, or on the code bytes of a
+    folded layer: uint8 (B, N) for dense, (B, H, W, C) for conv."""
+    spec = layer.spec
+    conv = spec.kind == "conv2d"
+    geometry = (*spec.kernel, spec.stride, spec.padding) if conv else (1, 1, 1, 0)
+    if h.dtype == np.uint8:
+        image = h if conv else h.reshape(len(h), 1, 1, -1)
+        nchw = (image.shape[0], image.shape[3], *image.shape[1:3])
+        x_enc, w = gemm.gather_codes(image, spec.m_bits, *geometry), layer.w_ijc
+    else:
+        _check_input(h, spec)
+        nchw = h.shape
+        x_enc, w = (gemm.encode_patches(h, spec.m_bits, *geometry) if conv else None), layer.w_ijc
+        if x_enc is None:  # dense, or a conv input with non-finite values
+            x_enc, w = _encode_input(im2col(h, *geometry) if conv else h, spec), layer.w
+    out = _decomposed_gemm(x_enc, spec, w, layer.fold)
+    if not conv:
+        return out
+    out = out.reshape(nchw[0], *gemm.patch_grid(nchw, *geometry), spec.out_features)
+    return out if layer.fold is not None else out.transpose(0, 3, 1, 2)
+
+
+def _run_steps(steps: list, h: np.ndarray) -> np.ndarray:
+    for step in steps:
+        h = step(h)
+    return h
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """One long-lived pool per worker count."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+def _split_rows(steps: list, h: np.ndarray, threads: int) -> np.ndarray:
+    """The steps over min(threads, rows) row blocks; the caller's thread runs the first."""
+    parts = np.array_split(h, min(threads, len(h)))
+    futures = [_pool(threads - 1).submit(_run_steps, steps, part) for part in parts[1:]]
+    try:
+        outs = [_run_steps(steps, parts[0])] + [f.result() for f in futures]
+    except DomainError:
+        outs = None  # a block counts only its own non-finite values
+    finally:
+        wait(futures)
+    return _run_steps(steps, h) if outs is None else np.concatenate(outs)
 
 
 # ---------------------------------------------------------------------------

@@ -141,13 +141,20 @@ def _fake_quant(x: np.ndarray, bits: int, t: float, grid: str = "odd"):
 
 
 def forward_qnn(model: nn.ModelState, x: np.ndarray, gs: GradState, cfg: TrainConfig):
-    """Simulated quantized forward; returns logits and per-layer caches."""
+    """Simulated quantized forward; returns logits and per-layer caches.
+
+    A non-finite activation entering a quantizer raises DivergenceError: the
+    quantizer would turn it into a finite code, hiding it from the loss.
+    """
     layers = _dense_layers(model)
     h = np.asarray(x, dtype=np.float64)
     caches = []
     for j, (_, spec, act) in enumerate(layers):
         w = gs.params[f"w{j}"]
         if spec.m_bits is not None:
+            if not np.all(np.isfinite(h)):
+                raise DivergenceError(f"non-finite activations enter the quantizer of "
+                                      f"dense layer {j}")
             ta = float(gs.params[f"ta{j}"])
             aq, a_mask, a_sat = _fake_quant(h, spec.m_bits, ta, cfg.grid)
         else:
@@ -349,29 +356,29 @@ def train_model(model: nn.ModelState, train_set, cfg: TrainConfig, val_set=None,
         gs = init_grad_state(model, cfg)
     rng = core.make_rng(cfg.seed)
     history = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        losses = []
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            try:
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(n)
+            losses = []
+            for lo in range(0, n, cfg.batch_size):
+                idx = order[lo:lo + cfg.batch_size]
                 losses.append(step_fn(model, (x[idx], y[idx]), cfg, gs))
-            except DivergenceError as exc:
-                exc.model, exc.grad_state = model, gs
-                raise
-            optimizer_update(gs, opt, lr)
-        train_acc = float(np.mean(
-            np.argmax(training_forward(model, x, gs, cfg), axis=1) == y))
-        row = {"epoch": epoch, "loss": float(np.mean(losses)), "train_acc": train_acc}
-        if val_set is not None:
-            vx, vy = val_set
-            row["val_acc"] = float(np.mean(
-                np.argmax(training_forward(model, vx, gs, cfg), axis=1) == vy))
-        else:
-            row["val_acc"] = train_acc
-        history.append(row)
-        if target_acc is not None and train_acc >= target_acc:
-            break
+                optimizer_update(gs, opt, lr)
+            train_acc = float(np.mean(
+                np.argmax(training_forward(model, x, gs, cfg), axis=1) == y))
+            row = {"epoch": epoch, "loss": float(np.mean(losses)), "train_acc": train_acc}
+            if val_set is not None:
+                vx, vy = val_set
+                row["val_acc"] = float(np.mean(
+                    np.argmax(training_forward(model, vx, gs, cfg), axis=1) == vy))
+            else:
+                row["val_acc"] = train_acc
+            history.append(row)
+            if target_acc is not None and train_acc >= target_acc:
+                break
+    except DivergenceError as exc:
+        exc.model, exc.grad_state = model, gs
+        raise
     if log_path:
         write_log(history, log_path)
     return TrainResult(model=sync_model(model, gs), grad_state=gs, history=history)

@@ -179,6 +179,28 @@ class TestTrainCmd:
         assert [s.k_bits for s in model.specs if s.kind == "dense"] == [3, 3]
         assert gs.step == 3
 
+    def test_nan_batch_diverges_in_its_phase(self, tmp_path, capsys, monkeypatch):
+        # an all-NaN batch at the fourth step of the 3-bit phase (4 -> 3 -> 2)
+        real_step = train.train_step_alg2
+
+        def step(model, batch, cfg, gs):
+            x, y = batch
+            if model.specs[0].k_bits == 3 and gs.step == 3:
+                x = np.full_like(x, np.nan)
+            return real_step(model, (x, y), cfg, gs)
+
+        monkeypatch.setattr(train, "train_step_alg2", step)
+        out = tmp_path / "nan.bbm"
+        rc = main(["train", "--dataset", "moons", "--arch", "mlp:2-8-2",
+                   "--M", "2", "--K", "2", "--progressive-from", "4",
+                   "--epochs", "2", "--n", "128", "--seed", "0", "--out", str(out)])
+        assert rc == 1
+        assert "non-finite activations" in capsys.readouterr().err
+        model, gs = train.load_checkpoint(str(out))
+        assert [s.k_bits for s in model.specs if s.kind == "dense"] == [3, 3]
+        assert gs.step == 3
+        assert all(np.all(np.isfinite(p)) for p in gs.params.values())
+
     def test_config_file_fills_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epochs=2\nn=64\narch=mlp:2-4-2\n")

@@ -77,29 +77,32 @@ class TestNativeGemm:
     @given(p=st.integers(1, 12), q=st.integers(1, 70),
            n=st.sampled_from([1, 63, 64, 65, 127, 128, 784]),
            m_bits=st.integers(1, 8), k_bits=st.integers(1, 8),
-           threads=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
-    def test_matches_numpy_kernel_and_code_matmul(self, p, q, n, m_bits, k_bits, threads, seed):
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_kernel_and_code_matmul(self, p, q, n, m_bits, k_bits, seed):
         rng = np.random.default_rng(seed)
         xc = random_odd_codes(rng, (p, n), m_bits)
         wc = random_odd_codes(rng, (q, n), k_bits)
         xe, we = gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits)
         expect = xc @ wc.T
         np.testing.assert_array_equal(numpy_gemm(xe, we), expect)
-        np.testing.assert_array_equal(gemm.encoded_gemm(xe, we, threads=threads), expect)
+        np.testing.assert_array_equal(gemm.encoded_gemm(xe, we), expect)
 
     def test_threaded_row_split(self, kernel):
+        # the batch split of model_forward, over 2-5 blocks of a 37-row batch
         rng = core.make_rng(3)
-        xe = gemm.encode_codes(random_odd_codes(rng, (37, 200), 3), 3)
-        we = gemm.encode_codes(random_odd_codes(rng, (40, 200), 2), 2)
-        one = gemm.encoded_gemm(xe, we)
+        model = nn.decompose_model(nn.quantize_model(
+            nn.init_mlp([200, 40, 30, 5], rng, m_bits=3, k_bits=2)))
+        x = rng.uniform(-1, 1, (37, 200))
+        one = nn.model_forward(model, x)
         for threads in (2, 3, 5):
-            np.testing.assert_array_equal(gemm.encoded_gemm(xe, we, threads=threads), one)
+            np.testing.assert_array_equal(nn.model_forward(model, x, threads=threads), one)
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, threads):
-        xe = gemm.encode_matrix(np.zeros((4, 8)), 1)
+        model = nn.decompose_model(nn.quantize_model(
+            nn.init_mlp([8, 3], core.make_rng(0), m_bits=1, k_bits=1)))
         with pytest.raises(core.ConfigError):
-            gemm.encoded_gemm(xe, xe, threads=threads)
+            nn.model_forward(model, np.zeros((4, 8)), threads=threads)
 
     @pytest.mark.parametrize("bad", ["rows", "bits", "words", "dtype", "order"])
     def test_mismatched_operand_rejected(self, kernel, bad):
@@ -231,7 +234,10 @@ class TestEncodePatches:
         x, kh, kw, stride, padding, bits = case
         patches = im2col_loop(x, kh, kw, stride, padding)
         np.testing.assert_array_equal(nn.im2col(x, kh, kw, stride, padding), patches)
-        expect = gemm.encode_codes(quant.quantize_odd(patches, bits).codes, bits)
+        # encode_patches orders each row (i, j, c), im2col (c, i, j)
+        ijc = patches.reshape(len(patches), x.shape[1], kh, kw).transpose(0, 2, 3, 1)
+        expect = gemm.encode_codes(quant.quantize_odd(ijc.reshape(len(patches), -1), bits).codes,
+                                   bits)
         got = gemm.encode_patches(x, bits, kh, kw, stride, padding)
         if kernel == "numpy":
             assert got is None  # conv2d_forward then encodes nn.im2col's patches
@@ -262,7 +268,9 @@ class TestEncodePatches:
 def random_models(draw):
     """(float model, input): a conv or a dense stack of 1-3 weighted layers with
     M in {None, 1..4} and K in 1..4, each maybe followed by batchnorm (the
-    layer then sometimes ``follows_bn``) and maybe by htanh."""
+    layer then sometimes ``follows_bn``; gamma positive, negative or zero per
+    channel) and maybe by an activation: htanh and hrelu fold into the bit
+    layer before them, tanh and sigmoid keep the float epilogue."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     conv = draw(st.booleans())
     batch, features = draw(st.integers(1, 3)), draw(st.integers(1, 4))
@@ -290,18 +298,107 @@ def random_models(draw):
             # variance so that htanh does not always saturate
             spread = spec.reduction_len() * 225.0 if follows_bn else 1.0
             specs.append(nn.batchnorm(out))
-            weights.append({"gamma": rng.uniform(0.5, 1.5, out),
+            sign = rng.choice([-1.0, 0.0, 1.0], out, p=[0.4, 0.1, 0.5])
+            weights.append({"gamma": rng.uniform(0.5, 1.5, out) * sign,
                             "beta": rng.uniform(-0.2, 0.2, out),
                             "mean": rng.uniform(-0.5, 0.5, out),
                             "var": rng.uniform(0.5, 2.0, out) * spread})
-        if draw(st.booleans()):
-            specs.append(nn.act_layer("htanh"))
+        act = draw(st.sampled_from([None, "htanh", "hrelu", "tanh", "sigmoid"]))
+        if act:
+            specs.append(nn.act_layer(act))
             weights.append(None)
         features = out
     shape = (batch, specs[0].in_features, *((h0, w0) if conv else ()))
     n = int(np.prod(shape))
     x = np.where(rng.random(n) < 0.3, rng.choice(edge_values(4), n), rng.uniform(-1.5, 1.5, n))
     return nn.ModelState("float", specs, weights), x.reshape(shape)
+
+
+class TestFold:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), m_bits=st.integers(1, 3), k_bits=st.integers(1, 3),
+           channels=st.integers(1, 4), next_bits=st.integers(1, 4),
+           follows_bn=st.booleans(), r=st.sampled_from([1.0, 0.5, 3.0, -1.0]),
+           bn=st.booleans(), act=st.sampled_from([None, "htanh", "hrelu"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_thresholds_equal_exhaustive_table(self, n, m_bits, k_bits, channels, next_bits,
+                                               follows_bn, r, bn, act, seed):
+        rng = np.random.default_rng(seed)
+        limit = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+        specs = [nn.dense(n, channels, m_bits, k_bits, follows_bn=follows_bn, r=r)]
+        weights = [gemm.encode_codes(random_odd_codes(rng, (channels, n), k_bits), k_bits)]
+        if bn:
+            # gamma positive, negative or zero; the spread puts cell edges inside the range
+            spread = limit / 4 if follows_bn else 1.0
+            specs.append(nn.batchnorm(channels))
+            weights.append({"gamma": rng.uniform(0.2, 2, channels)
+                            * rng.choice([-1.0, 0.0, 1.0], channels),
+                            "beta": rng.uniform(-0.5, 0.5, channels),
+                            "mean": rng.uniform(-0.5, 0.5, channels) * spread,
+                            "var": rng.uniform(0.1, 2, channels) * spread ** 2})
+        if act:
+            specs.append(nn.act_layer(act))
+            weights.append(None)
+        specs.append(nn.dense(channels, 2, m_bits=next_bits, k_bits=2))
+        weights.append(gemm.encode_codes(random_odd_codes(rng, (2, channels), 2), 2))
+        fold, nxt = nn.fold_thresholds(specs, weights, 0)
+        assert nxt == len(specs) - 1 and fold is not None
+        # the oracle: the quantized stage's float code on every reachable acc
+        acc = np.repeat(np.arange(-limit, limit + 1)[:, None], channels, axis=1)
+        h = acc.astype(np.float64) if follows_bn else gemm.scale_output(acc, m_bits, k_bits, r)
+        if bn:
+            p = weights[1]
+            h = nn.batchnorm_forward(h, p["gamma"], p["beta"], p["mean"], p["var"])
+        if act:
+            h = quant.activation(h, act)
+        levels = (1 << next_bits) - 1
+        table = (quant.quantize_odd(h, next_bits).codes + levels) >> 1
+        np.testing.assert_array_equal(fold.codes(acc), table)
+
+    @pytest.mark.parametrize("chain", ["zero_var", "tanh", "logits", "float_next"])
+    def test_chains_that_do_not_fold(self, chain):
+        rng = core.make_rng(9)
+        specs = [nn.dense(6, 3, m_bits=2, k_bits=2), nn.batchnorm(3),
+                 nn.act_layer("tanh" if chain == "tanh" else "htanh"),
+                 nn.dense(3, 2, m_bits=None if chain == "float_next" else 2, k_bits=2)]
+        weights = [rng.uniform(-1, 1, (3, 6)),
+                   {"gamma": np.ones(3), "beta": np.zeros(3), "mean": np.full(3, 0.5),
+                    "var": np.full(3, -1e-5 if chain == "zero_var" else 1.0)},
+                   None, rng.uniform(-1, 1, (2, 3))]
+        if chain == "logits":
+            specs, weights = specs[:3], weights[:3]
+        quantized = nn.quantize_model(nn.ModelState("float", specs, weights))
+        decomposed = nn.decompose_model(quantized)
+        assert nn.fold_thresholds(decomposed.specs, decomposed.weights, 0) == (None, 1)
+        x = rng.uniform(-1, 1, (5, 6))
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(nn.model_forward(decomposed, x),
+                                          nn.model_forward(quantized, x))
+
+    @pytest.mark.parametrize("t_rows,t_cols,signs", [(3, 3, 4), (3, 4, 3), (1, 4, 4)])
+    def test_threshold_shapes_checked(self, kernel, t_rows, t_cols, signs):
+        xe = gemm.encode_codes(np.ones((2, 5), dtype=np.int64), 1)
+        we = gemm.encode_codes(np.ones((4, 5), dtype=np.int64), 1)
+        fold = gemm.CodeThresholds(bits=2, t=np.zeros((t_rows, t_cols), dtype=np.int64),
+                                   sign=np.ones(signs, dtype=np.int64))
+        with pytest.raises(core.ShapeError, match="thresholds"):
+            gemm.encoded_gemm(xe, we, fold)
+
+    @settings(max_examples=60, **FIXTURE_OK)
+    @given(p=st.integers(1, 9), q=st.integers(1, 70), n=st.sampled_from([1, 27, 64, 130]),
+           m_bits=st.integers(1, 3), k_bits=st.integers(1, 3), bits=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gemm_epilogue_matches_numpy(self, kernel, p, q, n, m_bits, k_bits, bits, seed):
+        rng = np.random.default_rng(seed)
+        xc = random_odd_codes(rng, (p, n), m_bits)
+        wc = random_odd_codes(rng, (q, n), k_bits)
+        limit = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+        t = np.sort(rng.integers(-limit, limit + 2, ((1 << bits) - 1, q)), axis=0)
+        fold = gemm.CodeThresholds(bits=bits, t=t, sign=rng.choice([-1, 1], q))
+        got = gemm.encoded_gemm(gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits),
+                                fold)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, fold.codes(xc @ wc.T))
 
 
 class TestDecodeCodes:
@@ -351,14 +448,80 @@ class TestDecomposedStage:
         np.testing.assert_array_equal(nn.model_forward(decomposed, x, threads=2),
                                       nn.model_forward(quantized, x))
 
-    @settings(max_examples=150, **FIXTURE_OK)
-    @given(case=random_models(), threads=st.sampled_from([1, 2]))
+    @settings(max_examples=200, **FIXTURE_OK)
+    @given(case=random_models(), threads=st.sampled_from([1, 2, 3]))
     def test_random_architectures_agree(self, kernel, case, threads):
+        # batches of 1-3 rows: the split also meets fewer rows than threads
         model, x = case
         quantized = nn.quantize_model(model)
         decomposed = nn.decompose_model(quantized)
+        with np.errstate(over="ignore"):  # sigmoid of a large raw accumulator
+            np.testing.assert_array_equal(nn.model_forward(decomposed, x, threads=threads),
+                                          nn.model_forward(quantized, x))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_input_through_plan(self, kernel, threads):
+        # 3x3 windows at stride 3 over 7x7 leave row and column 6 unread
+        rng = core.make_rng(7)
+        specs = [nn.conv2d(2, 3, 3, 3, stride=3, m_bits=2, k_bits=2), nn.act_layer("htanh"),
+                 nn.conv2d(3, 2, 2, 2, m_bits=2, k_bits=2)]
+        weights = [rng.uniform(-1, 1, (3, 2, 3, 3)), None, rng.uniform(-1, 1, (2, 3, 2, 2))]
+        quantized = nn.quantize_model(nn.ModelState("float", specs, weights))
+        decomposed = nn.decompose_model(quantized)
+        x = rng.uniform(-1, 1, (4, 2, 7, 7))
+        x[1, 0, 6, 2] = x[3, 1, 4, 6] = np.nan
         np.testing.assert_array_equal(nn.model_forward(decomposed, x, threads=threads),
                                       nn.model_forward(quantized, x))
+        x[0, 1, 2, 2] = x[3, 0, 0, 0] = np.inf  # inside windows, in two row blocks
+        with pytest.raises(core.DomainError) as expect:
+            nn.model_forward(quantized, x)
+        assert "2 non-finite values" in str(expect.value)
+        with pytest.raises(core.DomainError, match=str(expect.value)):
+            nn.model_forward(decomposed, x, threads=threads)
+
+    def test_plan_built_by_first_forward_only(self, tmp_path):
+        rng = core.make_rng(5)
+        model = nn.init_mlp([12, 8, 3], rng, m_bits=2, k_bits=2, quantize_input=True)
+        decomposed = nn.decompose_model(nn.quantize_model(model))
+        assert decomposed._plan is None
+        path = str(tmp_path / "d.bbm")
+        nn.save_model(decomposed, path)
+        loaded = nn.load_model(path)
+        assert decomposed._plan is None and loaded._plan is None
+        x = rng.uniform(-1, 1, (4, 12))
+        nn.model_forward(loaded, x)
+        plan = loaded._plan
+        assert plan is not None
+        nn.model_forward(loaded, x, threads=2)
+        assert loaded._plan is plan
+        loaded.weights[0] = decomposed.weights[0]  # a new weight object: a new plan
+        nn.model_forward(loaded, x)
+        assert loaded._plan is not plan
+
+    def test_which_layers_fold(self):
+        if _native.library() is None:
+            pytest.skip("no C compiler: the plan folds nothing")
+        rng = core.make_rng(6)
+        bn = {"gamma": -np.ones(4), "beta": np.zeros(4), "mean": np.zeros(4), "var": np.ones(4)}
+        specs = [nn.dense(5, 4, m_bits=2, k_bits=2), nn.batchnorm(4), nn.act_layer("htanh"),
+                 nn.dense(4, 4, m_bits=3, k_bits=2), nn.act_layer("tanh"),
+                 nn.dense(4, 4, m_bits=2, k_bits=1), nn.act_layer("hrelu"),
+                 nn.dense(4, 4, k_bits=2),  # full-precision inputs
+                 nn.dense(4, 4, m_bits=2, k_bits=2), nn.act_layer("htanh"),
+                 nn.dense(4, 2, m_bits=2, k_bits=2)]
+        weights = [rng.uniform(-1, 1, s.weight_shape()) if s.weight_shape() else None
+                   for s in specs]
+        weights[1] = bn
+        quantized = nn.quantize_model(nn.ModelState("float", specs, weights))
+        decomposed = nn.decompose_model(quantized)
+        x = rng.uniform(-1, 1, (6, 5))
+        np.testing.assert_array_equal(nn.model_forward(decomposed, x),
+                                      nn.model_forward(quantized, x))
+        layers = [step.keywords["layer"] for _, steps in decomposed._plan.segments
+                  for step in steps if "layer" in step.keywords]
+        assert [layer.fold is not None for layer in layers] == [True, False, False, True,
+                                                                 False]
+        assert [s for s, _ in decomposed._plan.segments] == [True, False, True]
 
     def test_loaded_planes_have_zero_pad_bits(self, tmp_path):
         rng = core.make_rng(3)

@@ -324,6 +324,16 @@ class TestTrainLoop:
         assert res.history[-1]["loss"] < res.history[0]["loss"]
         assert res.history[-1]["train_acc"] > 0.7
 
+    def test_non_finite_val_set_diverges_with_state(self):
+        # the epoch's validation forward, outside any step, quantizes NaN
+        x, y = datasets.make_moons(64, seed=4)
+        vx = np.full((8, 2), np.nan)
+        model = nn.init_mlp([2, 4, 2], core.make_rng(7), m_bits=2, k_bits=2)
+        cfg = train.TrainConfig(epochs=2, batch_size=32, seed=0)
+        with pytest.raises(core.DivergenceError, match="non-finite activations") as exc:
+            train.train_model(model, (x, y), cfg, val_set=(vx, y[:8]))
+        assert exc.value.model is model and exc.value.grad_state.step == 2
+
     def test_log_csv_schema(self, tmp_path):
         x, y = datasets.make_moons(64, seed=3)
         model = nn.init_mlp([2, 4, 2], core.make_rng(6), m_bits=2, k_bits=2)
