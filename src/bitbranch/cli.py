@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=positive_int, default=1,
-                       help="row blocks the packed GEMM runs in parallel (>= 1)")
+                       help="row blocks the decomposed model_forward splits the batch into, "
+                            "run in parallel (>= 1)")
         p.add_argument("--config", default="", help="key=value file mirroring flags")
         p.set_defaults(_parser=p)
 

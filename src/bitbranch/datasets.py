@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .core import make_rng
+from .core import FormatError, make_rng, require_bytes
 
 GRID_MAGIC = b"#bitbranch-grid-v1\n"
 
@@ -90,11 +90,22 @@ def save_grid(path: str, images: np.ndarray, labels: np.ndarray) -> None:
 
 
 def load_grid(path: str):
+    """Read an image-grid file; contents that break the format raise FormatError."""
     with open(path, "rb") as fh:
-        if fh.read(len(GRID_MAGIC)) != GRID_MAGIC:
-            raise IOError(f"{path}: not an image-grid file (bad magic)")
-        n, c, h, w = struct.unpack("<4Q", fh.read(32))
-        pixels = np.frombuffer(fh.read(4 * n * c * h * w), dtype="<f4")
-        labels = np.frombuffer(fh.read(8 * n), dtype="<u8")
-    images = pixels.astype(np.float64).reshape(n, c, h, w)
-    return images, labels.astype(np.int64)
+        blob = fh.read()
+    if not blob.startswith(GRID_MAGIC):
+        raise FormatError(f"{path}: not an image-grid file (bad magic)")
+    off = len(GRID_MAGIC) + 32
+    try:
+        require_bytes(blob, off)
+        n, c, h, w = struct.unpack_from("<4Q", blob, len(GRID_MAGIC))
+        size = n * c * h * w
+        end = off + 4 * size + 8 * n
+        require_bytes(blob, end)
+        if end != len(blob):
+            raise FormatError(f"{len(blob) - end} bytes after the labels")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    pixels = np.frombuffer(blob, dtype="<f4", count=size, offset=off)
+    labels = np.frombuffer(blob, dtype="<u8", count=n, offset=off + 4 * size)
+    return pixels.astype(np.float64).reshape(n, c, h, w), labels.astype(np.int64)

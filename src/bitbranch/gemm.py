@@ -54,28 +54,32 @@ def _reject_non_finite(bad: int) -> None:
         raise DomainError(f"{bad} non-finite values cannot be quantized")
 
 
-def _quantize_bytes(lib, x: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
-    """Code bytes of a C-contiguous float array and its non-finite count."""
-    b = np.empty(x.shape, dtype=np.uint8)
-    return b, lib.bb_quantize(x, x.size, bits, quant._EDGE_SNAP, b)
+def quantize_bytes(x: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
+    """Code bytes b = (code + 2^M - 1) / 2 of ``quant.quantize_odd(x, bits)``,
+    shaped like x, and the count of non-finite values in x, which are
+    encoded as 0.0."""
+    quant._check_bits(bits)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    lib = _native.library()
+    if lib is not None:
+        b = np.empty(x.shape, dtype=np.uint8)
+        return b, lib.bb_quantize(x, x.size, bits, quant._EDGE_SNAP, b)
+    finite = np.isfinite(x)
+    b = (quant.quantize_odd(np.where(finite, x, 0.0), bits).codes + (1 << bits) - 1) >> 1
+    return b.astype(np.uint8), x.size - int(np.count_nonzero(finite))
 
 
 def encode_matrix(x: np.ndarray, bits: int) -> EncodedMatrix:
     """Quantize a real matrix onto the odd grid and pack its digit planes.
 
-    The planes are those of ``encode_codes(quant.quantize_odd(x, bits).codes)``;
-    the native kernel quantizes the whole matrix to code bytes in one pass and
-    packs them row by row. Non-finite values raise DomainError.
+    The planes are those of ``encode_codes(quant.quantize_odd(x, bits).codes)``,
+    made as ``quantize_bytes`` then ``gather_codes`` of a 1 x 1 image.
+    Non-finite values raise DomainError.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {x.shape}")
-    quant._check_bits(bits)
-    lib = _native.library()
-    if lib is None:
-        _reject_non_finite(x.size - int(np.count_nonzero(np.isfinite(x))))
-        return encode_codes(quant.quantize_odd(x, bits).codes, bits)
-    b, bad = _quantize_bytes(lib, x, bits)
+    b, bad = quantize_bytes(x, bits)
     _reject_non_finite(bad)
     return gather_codes(b.reshape(x.shape[0], 1, 1, x.shape[1]), bits)
 
@@ -95,7 +99,7 @@ def patch_grid(shape: tuple, kh: int, kw: int, stride: int, padding: int) -> tup
 
 def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int = 1,
                  padding: int = 0) -> EncodedMatrix:
-    """Pack the conv patches of a channels-last image of code bytes (native kernel only).
+    """Pack the conv patches of a channels-last image of code bytes.
 
     b is uint8 (B, H, W, C) holding b = (code + 2^M - 1) / 2 per element; a
     dense input is a 1 x 1 image. Row (b, oh, ow) holds its window in
@@ -103,9 +107,6 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
     weight whose reduction axis is in that order too.
     """
     quant._check_bits(bits)
-    lib = _native.library()
-    if lib is None:
-        raise RuntimeError("gather_codes needs the native kernel")
     if not (isinstance(b, np.ndarray) and b.dtype == np.uint8 and b.ndim == 4
             and b.flags.c_contiguous):
         raise ShapeError("gather_codes needs a C-contiguous uint8 (B, H, W, C) image, got "
@@ -113,36 +114,19 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
     batch, h, w, c = b.shape
     oh, ow = patch_grid((batch, c, h, w), kh, kw, stride, padding)
     rows, cols = batch * oh * ow, c * kh * kw
+    lib = _native.library()
+    if lib is None:
+        pad = quantize_bytes(np.zeros(1), bits)[0][0]
+        b = np.pad(b, ((0, 0), (padding, padding), (padding, padding), (0, 0)),
+                   constant_values=pad)
+        windows = np.lib.stride_tricks.sliding_window_view(b, (kh, kw), axis=(1, 2))
+        ijc = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3).reshape(rows, cols)
+        return encode_codes(2 * ijc.astype(np.int64) - ((1 << bits) - 1), bits)
     words = np.empty((rows, bits, bitops.word_count(cols)), dtype=np.uint64)
     if lib.bb_gather(b, batch, h, w, c, kh, kw, stride, padding, bits, quant._EDGE_SNAP,
                      words):
         raise MemoryError("no memory for a patch row")
     return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
-
-
-def encode_patches(x: np.ndarray, bits: int, kh: int, kw: int, stride: int,
-                   padding: int) -> EncodedMatrix | None:
-    """Encoded conv patches of x, (B, C, H, W), with each row in (i, j, c) order.
-
-    The rows hold the planes of ``encode_matrix`` of the zero-padded patch
-    matrix, reordered from ``nn.im2col``'s (c, i, j) to (i, j, c): the native
-    kernel quantizes each input element once, channels-last, and gathers the
-    patches from the bytes. Returns None when there is no native kernel, or
-    when x holds non-finite values: the caller then encodes the patch matrix
-    itself, whose error counts every patch entry.
-    """
-    quant._check_bits(bits)
-    lib = _native.library()
-    if lib is None:
-        return None
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ShapeError(f"expected a (B, C, H, W) input, got shape {x.shape}")
-    patch_grid(x.shape, kh, kw, stride, padding)
-    b, bad = _quantize_bytes(lib, np.ascontiguousarray(x.transpose(0, 2, 3, 1)), bits)
-    if bad:
-        return None
-    return gather_codes(b, bits, kh, kw, stride, padding)
 
 
 def decode_codes(enc: EncodedMatrix) -> np.ndarray:

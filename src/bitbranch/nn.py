@@ -9,11 +9,14 @@ and lives in exactly one stage:
 * ``decomposed``  weights are packed {-1,+1} bit planes; the forward pass
                   runs on the xnor/popcount kernel and is value-identical
                   to the quantized stage. A model's first forward compiles
-                  it into an integer plan (see below).
+                  it into an integer plan (see below), the one decomposed
+                  forward; ``dense_forward`` and ``conv2d_forward`` run a
+                  single layer's step of it.
 
-Convolution is lowered to patch extraction (im2col, or the plan's gather of
-code bytes) followed by the same GEMM as dense layers, so the bit kernel is
-the only inner loop everywhere.
+Convolution is lowered to patch extraction followed by the same GEMM as
+dense layers: im2col of the activation in the float and quantized stages,
+a gather of code bytes in the decomposed stage. ``gemm`` picks the C or the
+numpy kernel; this module does not know which one runs.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _native, bitops, core, gemm, quant
+from . import bitops, core, gemm, quant
 from .core import ConfigError, DecompositionError, DomainError, FormatError, ShapeError, StageError
 
 MODEL_MAGIC = b"#bitbranch-model-v1\n"
@@ -128,24 +131,12 @@ def _dequantized(w: gemm.EncodedMatrix) -> np.ndarray:
     return gemm.decode_codes(w).astype(np.float64) * (1.0 / ((1 << w.bits) - 1))
 
 
-def _encode_input(x2d: np.ndarray, spec: LayerSpec) -> gemm.EncodedMatrix:
-    """The layer's input rows on its M-bit grid; non-finite values name the layer."""
-    try:
-        return gemm.encode_matrix(x2d, spec.m_bits)
-    except DomainError as exc:
-        raise DomainError(f"{_layer_name(spec)} input: {exc}") from None
-
-
-def _decomposed_gemm(x_enc: gemm.EncodedMatrix, spec: LayerSpec, w: gemm.EncodedMatrix,
-                     fold: gemm.CodeThresholds | None = None) -> np.ndarray:
-    """The bit GEMM and its epilogue: the next layer's code bytes with ``fold``,
-    else the quantized stage's float output."""
-    out = gemm.encoded_gemm(x_enc, w, fold)
-    if fold is not None:
-        return out
-    if spec.follows_bn:
-        return out.astype(np.float64)
-    return gemm.scale_output(out, spec.m_bits, w.bits, spec.r)
+def _reject_non_finite(x2d: np.ndarray, spec: LayerSpec) -> None:
+    """The quantizer's input rows must be finite; both stages raise this error."""
+    bad = x2d.size - int(np.count_nonzero(np.isfinite(x2d)))
+    if bad:
+        raise DomainError(f"{_layer_name(spec)} input: {bad} non-finite values cannot be "
+                          "quantized")
 
 
 def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
@@ -159,10 +150,7 @@ def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
         if not isinstance(w, quant.QuantizedTensor):
             raise StageError("quantized stage requires integer-coded weights")
         if spec.m_bits is not None:
-            bad = x2d.size - int(np.count_nonzero(np.isfinite(x2d)))
-            if bad:  # the decomposed stage's error, from gemm.encode_matrix
-                raise DomainError(f"{_layer_name(spec)} input: {bad} non-finite values "
-                                  "cannot be quantized")
+            _reject_non_finite(x2d, spec)
         w_codes = w.codes.reshape(spec.out_features, spec.reduction_len())
         if w.grid != "odd":
             wt = w_codes.astype(np.float64) * w.d
@@ -178,18 +166,6 @@ def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
             return acc
         return gemm.scale_output(acc, spec.m_bits, w.bits, spec.r)
 
-    if stage == "decomposed":
-        if isinstance(w, np.ndarray):
-            # full-precision layer inside a decomposed model
-            return core.matmul_f(x2d, _weight_matrix(spec, w).T)
-        if not isinstance(w, gemm.EncodedMatrix):
-            raise StageError("decomposed stage requires bit-plane weights")
-        if spec.m_bits is None:
-            # full-precision activations: no planes to feed the bit kernel,
-            # so run the dequantized codes exactly like the quantized stage
-            return core.matmul_f(x2d, _dequantized(w).T)
-        return _decomposed_gemm(_encode_input(x2d, spec), spec, w)
-
     raise StageError(f"unknown stage {stage!r}")
 
 
@@ -201,6 +177,8 @@ def _check_input(x: np.ndarray, spec: LayerSpec) -> None:
 
 
 def dense_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
+    if stage == "decomposed":
+        return _decomposed_step(spec, w)[1](np.asarray(x, dtype=np.float64))
     _check_input(x, spec)
     return _gemm_stage(np.asarray(x, dtype=np.float64), spec, w, stage)
 
@@ -225,8 +203,11 @@ def conv2d_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
 
     In quantized/decomposed stages the patch matrix (padding zeros
     included) is what gets quantized: the odd grid has no zero, so padded
-    positions land on the nearest odd level like any other value.
+    positions land on the nearest odd level like any other value. The
+    decomposed stage gathers the same patches from code bytes.
     """
+    if stage == "decomposed":
+        return _decomposed_step(spec, w)[1](np.asarray(x, dtype=np.float64))
     _check_input(x, spec)
     x = np.asarray(x, dtype=np.float64)
     geometry = (*spec.kernel, spec.stride, spec.padding)
@@ -302,15 +283,15 @@ def accuracy(m: ModelState, x: np.ndarray, y: np.ndarray, threads: int = 1) -> f
 # ---------------------------------------------------------------------------
 #
 # The first forward of a decomposed model compiles it into steps, cached on
-# the model. With the native kernel, a bit layer (bit-plane weights, M set)
-# whose output reaches the next bit layer of its kind through batchnorm,
-# htanh and hrelu only folds that chain into per-channel thresholds, found
-# by bisection on the quantized stage's own functions: its GEMM writes the
-# next layer's code bytes, channels-last, and the next layer gathers its
-# rows from them. For that gather a conv weight's reduction axis is
-# re-encoded in (i, j, c) order; the model keeps the file's (c, i, j).
-# Every other layer runs its per-layer forward, with full-precision weights
-# decoded once.
+# the model. A bit layer (bit-plane weights, M set) whose output reaches the
+# next bit layer of its kind through batchnorm, htanh and hrelu only folds
+# that chain into per-channel thresholds, found by bisection on the
+# quantized stage's own functions: its GEMM writes the next layer's code
+# bytes, channels-last, and the next layer gathers its rows from them. A
+# bit layer's float input is quantized to code bytes channels-last and
+# gathered the same way, so a conv weight's reduction axis is re-encoded in
+# the gather's (i, j, c) order; the model keeps the file's (c, i, j).
+# Full-precision layers run the float GEMM, with their weights decoded once.
 
 # monotone under IEEE rounding; tanh and sigmoid go through libm or SIMD code
 _FOLDING_ACTS = ("htanh", "hrelu")
@@ -318,7 +299,6 @@ _FOLDING_ACTS = ("htanh", "hrelu")
 
 @dataclass
 class _Plan:
-    native: bool
     specs: list[LayerSpec]
     weights: list  # the weights it was built from; held, so their ids stay unique
     segments: list  # (rowwise, steps); a rowwise run of steps keeps batch rows independent
@@ -327,18 +307,16 @@ class _Plan:
 @dataclass(frozen=True)
 class _BitLayer:
     spec: LayerSpec
-    w: gemm.EncodedMatrix  # the model's weight, reduction in (c, i, j) order
-    w_ijc: gemm.EncodedMatrix  # the same codes in (i, j, c) order (w itself for dense)
+    w: gemm.EncodedMatrix  # the model's weight codes, reduction in (i, j, c) order
     fold: gemm.CodeThresholds | None  # epilogue to the next bit layer's code bytes
 
 
 def _plan(m: ModelState) -> _Plan:
-    """The model's plan, rebuilt if its layers or the native kernel changed."""
-    native = _native.library() is not None
+    """The model's plan, rebuilt if its layers changed."""
     p = m._plan
-    if (p is None or (p.native, p.specs) != (native, m.specs)
+    if (p is None or p.specs != m.specs
             or list(map(id, p.weights)) != list(map(id, m.weights))):
-        p = m._plan = _build_plan(m, native)
+        p = m._plan = _build_plan(m)
     return p
 
 
@@ -371,19 +349,19 @@ def fold_thresholds(specs: list[LayerSpec], weights: list,
     """Thresholds from bit layer i's accumulator to the next bit layer's code bytes.
 
     Returns them with that layer's index, or (None, i + 1) when the layers
-    between do not fold: they must be batchnorm, htanh or hrelu, the next
-    weighted layer a bit layer of the same kind, and every intermediate
-    value finite at both ends of the accumulator range (which also rules
-    out var + eps <= 0). Each channel's map from acc to the code is then
-    monotone, and its thresholds are those of the quantized stage's own
-    float code, evaluated on the integers.
+    do not fold: layer i and the next weighted layer must be bit layers of
+    the same kind, the layers between batchnorm, htanh or hrelu, and every
+    intermediate value finite at both ends of the accumulator range (which
+    also rules out var + eps <= 0). Each channel's map from acc to the code
+    is then monotone, and its thresholds are those of the quantized stage's
+    own float code, evaluated on the integers.
     """
     spec, w = specs[i], weights[i]
     j = i + 1
     while j < len(specs) and specs[j].kind not in ("dense", "conv2d"):
         j += 1
     chain = list(zip(specs[i + 1:j], weights[i + 1:j]))
-    if not (j < len(specs) and specs[j].kind == spec.kind
+    if not (_bit_layer_ok(spec, w) and j < len(specs) and specs[j].kind == spec.kind
             and specs[j].in_features == spec.out_features and _bit_layer_ok(specs[j], weights[j])
             and all(_chain_folds(s, p, spec.out_features) for s, p in chain)):
         return None, i + 1
@@ -407,25 +385,32 @@ def fold_thresholds(specs: list[LayerSpec], weights: list,
                                   specs[j].m_bits), j
 
 
-def _build_plan(m: ModelState, native: bool) -> _Plan:
+def _decomposed_step(spec: LayerSpec, w,
+                     fold: gemm.CodeThresholds | None = None) -> tuple[bool, object]:
+    """A dense or conv layer of the plan as (rowwise, step)."""
+    if isinstance(w, gemm.EncodedMatrix) and spec.m_bits is None:
+        # full-precision activations: no planes to feed the bit kernel, so
+        # run the dequantized codes exactly like the quantized stage
+        w = _dequantized(w)
+    if isinstance(w, np.ndarray):
+        # the same float GEMM as the quantized stage's; BLAS may round a
+        # row differently in a different block of rows, so no split here
+        return False, functools.partial(_layer_forward, spec=spec, w=w, stage="float")
+    if not isinstance(w, gemm.EncodedMatrix):
+        raise StageError("decomposed stage requires bit-plane weights")
+    layer = _BitLayer(spec, _reduction_ijc(spec, w), fold)
+    return True, functools.partial(_bit_layer_forward, layer=layer)
+
+
+def _build_plan(m: ModelState) -> _Plan:
     steps = []  # (rowwise, step)
     i = 0
     while i < len(m.specs):
         spec, w = m.specs[i], m.weights[i]
         nxt = i + 1
-        if spec.kind in ("dense", "conv2d") and (
-                isinstance(w, np.ndarray)
-                or (isinstance(w, gemm.EncodedMatrix) and spec.m_bits is None)):
-            if isinstance(w, gemm.EncodedMatrix):
-                w = _dequantized(w)
-            # the same float GEMM as the quantized stage's; BLAS may round a
-            # row differently in a different block of rows, so no split here
-            steps.append((False, functools.partial(_layer_forward, spec=spec, w=w,
-                                                   stage="float")))
-        elif native and _bit_layer_ok(spec, w):
+        if spec.kind in ("dense", "conv2d"):
             fold, nxt = fold_thresholds(m.specs, m.weights, i)
-            layer = _BitLayer(spec, w, _reduction_ijc(spec, w), fold)
-            steps.append((True, functools.partial(_bit_layer_forward, layer=layer)))
+            steps.append(_decomposed_step(spec, w, fold))
         else:
             steps.append((True, functools.partial(_layer_forward, spec=spec, w=w,
                                                   stage="decomposed")))
@@ -436,7 +421,7 @@ def _build_plan(m: ModelState, native: bool) -> _Plan:
             segments[-1][1].append(step)
         else:
             segments.append((rowwise, [step]))
-    return _Plan(native, list(m.specs), list(m.weights), segments)
+    return _Plan(list(m.specs), list(m.weights), segments)
 
 
 def _bit_layer_forward(h: np.ndarray, layer: _BitLayer) -> np.ndarray:
@@ -445,19 +430,21 @@ def _bit_layer_forward(h: np.ndarray, layer: _BitLayer) -> np.ndarray:
     spec = layer.spec
     conv = spec.kind == "conv2d"
     geometry = (*spec.kernel, spec.stride, spec.padding) if conv else (1, 1, 1, 0)
-    if h.dtype == np.uint8:
-        image = h if conv else h.reshape(len(h), 1, 1, -1)
-        nchw = (image.shape[0], image.shape[3], *image.shape[1:3])
-        x_enc, w = gemm.gather_codes(image, spec.m_bits, *geometry), layer.w_ijc
-    else:
+    if h.dtype != np.uint8:
         _check_input(h, spec)
-        nchw = h.shape
-        x_enc, w = (gemm.encode_patches(h, spec.m_bits, *geometry) if conv else None), layer.w_ijc
-        if x_enc is None:  # dense, or a conv input with non-finite values
-            x_enc, w = _encode_input(im2col(h, *geometry) if conv else h, spec), layer.w
-    out = _decomposed_gemm(x_enc, spec, w, layer.fold)
+        b, bad = gemm.quantize_bytes(h.transpose(0, 2, 3, 1) if conv else h, spec.m_bits)
+        if bad:  # count what the quantized stage counts; values outside every window pass
+            _reject_non_finite(im2col(h, *geometry) if conv else h, spec)
+        h = b
+    image = h if conv else h.reshape(len(h), 1, 1, -1)
+    out = gemm.encoded_gemm(gemm.gather_codes(image, spec.m_bits, *geometry), layer.w,
+                            layer.fold)
+    if layer.fold is None:
+        out = (out.astype(np.float64) if spec.follows_bn
+               else gemm.scale_output(out, spec.m_bits, layer.w.bits, spec.r))
     if not conv:
         return out
+    nchw = (image.shape[0], image.shape[3], *image.shape[1:3])
     out = out.reshape(nchw[0], *gemm.patch_grid(nchw, *geometry), spec.out_features)
     return out if layer.fold is not None else out.transpose(0, 3, 1, 2)
 
@@ -572,18 +559,32 @@ def _spec_to_json(spec: LayerSpec) -> dict:
 
 
 def _spec_from_json(d: dict) -> LayerSpec:
+    """A layer spec from its header entry, with each value's type and range checked."""
     kind = d["kind"]
-    if kind == "dense":
-        return dense(d["in"], d["out"], d["M"], d["K"], d["follows_bn"], d["r"])
-    if kind == "conv2d":
-        return conv2d(d["in"], d["out"], *d["kernel"], stride=d["stride"],
-                      padding=d["padding"], m_bits=d["M"], k_bits=d["K"],
-                      follows_bn=d["follows_bn"], r=d["r"])
+    if kind in ("dense", "conv2d"):
+        if type(d["follows_bn"]) is not bool:
+            raise FormatError(f"'follows_bn' must be true or false, got {d['follows_bn']!r}")
+        m_bits, k_bits = (None if d[key] is None else _header_int(key, d[key], 1, quant.MAX_BITS)
+                          for key in ("M", "K"))
+        io = _header_int("in", d["in"], 1), _header_int("out", d["out"], 1)
+        common = {"m_bits": m_bits, "k_bits": k_bits, "follows_bn": d["follows_bn"],
+                  "r": _header_real("r", d["r"])}
+        if kind == "dense":
+            return dense(*io, **common)
+        kernel = d["kernel"]
+        if not (isinstance(kernel, list) and len(kernel) == 2):
+            raise FormatError(f"'kernel' must be a list of 2 ints, got {kernel!r}")
+        return conv2d(*io, *(_header_int("kernel", k, 1) for k in kernel),
+                      stride=_header_int("stride", d["stride"], 1),
+                      padding=_header_int("padding", d["padding"]), **common)
     if kind == "batchnorm":
-        return batchnorm(d["features"], d["eps"])
+        return batchnorm(_header_int("features", d["features"], 1),
+                         _header_real("eps", d["eps"], 0))
     if kind == "activation":
+        if not (isinstance(d["act"], str) and d["act"] in quant._ACTIVATIONS):
+            raise FormatError(f"unknown activation {d['act']!r}")
         return act_layer(d["act"])
-    raise StageError(f"unknown layer kind {kind!r}")
+    raise FormatError(f"unknown layer kind {kind!r}")
 
 
 def _planes_to_bytes(enc: gemm.EncodedMatrix) -> bytes:
@@ -651,10 +652,18 @@ _WEIGHT_FORMS = {"dense": ("float", "quantized", "encoded"),
 
 
 def _header_int(key: str, v, lo: int = 0, hi: int | None = None) -> int:
-    """An int value of a weight's header entry, in lo..hi; FormatError otherwise."""
+    """An int header value in lo..hi; FormatError otherwise."""
     if type(v) is not int or v < lo or (hi is not None and v > hi):
         bound = f"{lo}..{hi}" if hi is not None else f">= {lo}"
-        raise FormatError(f"weight {key!r} must be an int {bound}, got {v!r}")
+        raise FormatError(f"{key!r} must be an int {bound}, got {v!r}")
+    return v
+
+
+def _header_real(key: str, v, lo: float | None = None) -> float:
+    """A finite real header value, >= lo if given; FormatError otherwise."""
+    if type(v) not in (int, float) or not np.isfinite(v) or (lo is not None and v < lo):
+        bound = "" if lo is None else f" >= {lo}"
+        raise FormatError(f"{key!r} must be a finite number{bound}, got {v!r}")
     return v
 
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bitbranch import datasets
+from bitbranch import core, datasets
+from bitbranch.cli import main
 
 
 class TestGenerators:
@@ -45,6 +47,36 @@ class TestGridFormat:
         back_images, back_labels = datasets.load_grid(str(path))
         np.testing.assert_array_equal(back_images, images)
         np.testing.assert_array_equal(back_labels, labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncated_at_any_offset(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("cut") / "toy.grid"
+        datasets.save_grid(str(path), np.zeros((3, 2, 2, 2)), np.arange(3))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:data.draw(st.integers(len(datasets.GRID_MAGIC), len(blob) - 1))])
+        with pytest.raises(core.FormatError, match="truncated payload"):
+            datasets.load_grid(str(path))
+
+    @settings(max_examples=50, deadline=None)
+    @given(junk=st.binary(min_size=1, max_size=16))
+    def test_trailing_bytes(self, tmp_path_factory, junk):
+        path = tmp_path_factory.mktemp("junk") / "toy.grid"
+        datasets.save_grid(str(path), np.zeros((3, 2, 2, 2)), np.arange(3))
+        path.write_bytes(path.read_bytes() + junk)
+        with pytest.raises(core.FormatError, match=f"{len(junk)} bytes after the labels"):
+            datasets.load_grid(str(path))
+
+    @pytest.mark.parametrize("damage", ["cut", "junk"])
+    def test_cli_exit_2(self, tmp_path, capsys, damage):
+        path = tmp_path / "toy.grid"
+        datasets.save_grid(str(path), np.zeros((4, 1, 2, 2)), np.arange(4) % 2)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-5] if damage == "cut" else blob + b"\0\0\0")
+        argv = ["train", "--dataset", f"grid:{path}", "--arch", "mlp:4-2", "--epochs", "1",
+                "--out", str(tmp_path / "m.bbm")]
+        assert main(argv) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.grid"

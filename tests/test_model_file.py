@@ -208,6 +208,37 @@ class TestCorruptFiles:
         assert main(["inspect", "--model", str(path)]) == 2
         assert error in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layer,key,value,error", [
+        (0, "kernel", [3], "'kernel' must be a list of 2 ints, got [3]"),
+        (0, "kernel", 3, "'kernel' must be a list of 2 ints, got 3"),
+        (0, "kernel", [3, 0], "'kernel' must be an int >= 1, got 0"),
+        (0, "in", None, "'in' must be an int >= 1, got None"),
+        (0, "out", 4.0, "'out' must be an int >= 1, got 4.0"),
+        (0, "stride", 0, "'stride' must be an int >= 1, got 0"),
+        (0, "padding", -1, "'padding' must be an int >= 0, got -1"),
+        (0, "M", 9, "'M' must be an int 1..8, got 9"),
+        (0, "M", "2", "'M' must be an int 1..8, got '2'"),
+        (0, "K", True, "'K' must be an int 1..8, got True"),
+        (0, "r", "x", "'r' must be a finite number, got 'x'"),
+        (0, "r", float("nan"), "'r' must be a finite number, got nan"),
+        (0, "follows_bn", "yes", "'follows_bn' must be true or false, got 'yes'"),
+        (0, "kind", "pool", "unknown layer kind 'pool'"),
+        (1, "features", 4.0, "'features' must be an int >= 1, got 4.0"),
+        (1, "eps", -1.0, "'eps' must be a finite number >= 0, got -1.0"),
+        (2, "act", "relu", "unknown activation 'relu'"),
+    ])
+    def test_layer_spec_values(self, golden_files, tmp_path, capsys, layer, key, value, error):
+        blob = golden_files["decomposed"].read_bytes()
+        line = blob[len(nn.MODEL_MAGIC):len(blob) - len(payload_of(blob))]
+        header = json.loads(line)
+        header["layers"][layer][key] = value
+        path = tmp_path / "m.bbm"
+        path.write_bytes(nn.MODEL_MAGIC + json.dumps(header).encode() + b"\n" + payload_of(blob))
+        with pytest.raises(core.FormatError, match=re.escape(error)):
+            nn.load_model(str(path))
+        assert main(["inspect", "--model", str(path)]) == 2
+        assert error in capsys.readouterr().err
+
     def test_payload_shape_must_match_header(self, tmp_path):
         # a header that fits the spec over a float payload of another shape
         model = nn.ModelState("float", [nn.dense(3, 2)], [np.zeros((2, 3))])

@@ -234,14 +234,13 @@ class TestEncodePatches:
         x, kh, kw, stride, padding, bits = case
         patches = im2col_loop(x, kh, kw, stride, padding)
         np.testing.assert_array_equal(nn.im2col(x, kh, kw, stride, padding), patches)
-        # encode_patches orders each row (i, j, c), im2col (c, i, j)
+        # gather_codes orders each row (i, j, c), im2col (c, i, j)
         ijc = patches.reshape(len(patches), x.shape[1], kh, kw).transpose(0, 2, 3, 1)
         expect = gemm.encode_codes(quant.quantize_odd(ijc.reshape(len(patches), -1), bits).codes,
                                    bits)
-        got = gemm.encode_patches(x, bits, kh, kw, stride, padding)
-        if kernel == "numpy":
-            assert got is None  # conv2d_forward then encodes nn.im2col's patches
-            return
+        b, bad = gemm.quantize_bytes(x.transpose(0, 2, 3, 1), bits)
+        assert bad == 0 and b.dtype == np.uint8 and b.flags.c_contiguous
+        got = gemm.gather_codes(b, bits, kh, kw, stride, padding)
         assert (got.bits, got.rows, got.cols) == (expect.bits, expect.rows, expect.cols)
         np.testing.assert_array_equal(got.words, expect.words)
 
@@ -254,7 +253,7 @@ class TestEncodePatches:
                          k_bits=2)
         wq = quant.quantize_odd(core.make_rng(0).uniform(-1, 1, spec.weight_shape()), 2)
         we = gemm.encode_codes(wq.codes.reshape(2, -1), 2)
-        assert gemm.encode_patches(x, bits, kh, kw, stride, padding) is None
+        assert gemm.quantize_bytes(x, bits)[1] == np.count_nonzero(~np.isfinite(x))
         bad = int(np.count_nonzero(~np.isfinite(im2col_loop(x, kh, kw, stride, padding))))
         if bad == 0:  # every non-finite element lies outside all windows
             np.testing.assert_array_equal(nn.conv2d_forward(x, spec, we, "decomposed"),
@@ -498,9 +497,7 @@ class TestDecomposedStage:
         nn.model_forward(loaded, x)
         assert loaded._plan is not plan
 
-    def test_which_layers_fold(self):
-        if _native.library() is None:
-            pytest.skip("no C compiler: the plan folds nothing")
+    def test_which_layers_fold(self, kernel):
         rng = core.make_rng(6)
         bn = {"gamma": -np.ones(4), "beta": np.zeros(4), "mean": np.zeros(4), "var": np.ones(4)}
         specs = [nn.dense(5, 4, m_bits=2, k_bits=2), nn.batchnorm(4), nn.act_layer("htanh"),
