@@ -14,9 +14,9 @@ vendor BLAS time separately; encoding happens outside the timed region.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,31 +122,23 @@ def _median_ns(fn, repeats: int, warmup: int = 3) -> int:
 
 
 def bench_gemm(sizes, precisions, repeats: int = 11, seed: int = 0,
-               threads: int = 1, warmup: int = 3) -> list[dict]:
+               warmup: int = 3) -> list[dict]:
     """Time scalar float, BLAS float, and each (M, K) packed kernel.
 
     ``sizes`` is a list of (P, N, Q) triples and ``precisions`` a list of
     (M, K) pairs. Each packed configuration is checked once against the
-    integer code-matmul oracle before timing. ``threads`` > 1 splits the
-    left operand's rows into that many blocks, multiplied in parallel.
-    Rows use the schema kernel, M, K, P, N, Q, median_ns, speedup_vs_scalar;
-    median_ns is the median time of one call.
+    integer code-matmul oracle before timing. Rows use the schema kernel, M,
+    K, P, N, Q, median_ns, speedup_vs_scalar; median_ns is the median time
+    of one call.
     """
     if repeats <= 0:
         return []
     rng = core.make_rng(seed)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [row for size in sizes
-                for row in _bench_size(size, precisions, repeats, warmup, rng, threads, pool)]
+    return [row for size in sizes
+            for row in _bench_size(size, precisions, repeats, warmup, rng)]
 
 
-def _row_blocks(x: gemm.EncodedMatrix, blocks: int) -> list[gemm.EncodedMatrix]:
-    bounds = np.linspace(0, x.rows, min(blocks, max(x.rows, 1)) + 1, dtype=int).tolist()
-    return [gemm.EncodedMatrix(bits=x.bits, rows=hi - lo, cols=x.cols, words=x.words[lo:hi])
-            for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _bench_size(size, precisions, repeats, warmup, rng, threads, pool) -> list[dict]:
+def _bench_size(size, precisions, repeats, warmup, rng) -> list[dict]:
     p, n, q = size
     rows = []
     a = rng.uniform(-1, 1, size=(p, n))
@@ -158,24 +150,18 @@ def _bench_size(size, precisions, repeats, warmup, rng, threads, pool) -> list[d
     rows.append({"kernel": "blas_float", "M": 0, "K": 0, "P": p, "N": n,
                  "Q": q, "median_ns": blas_ns,
                  "speedup_vs_scalar": scalar_ns / max(blas_ns, 1)})
-    packed_label = "packed" if threads <= 1 else f"packed_t{threads}"
     kernels = []
     for (m_bits, k_bits) in precisions:
         xe = gemm.encode_matrix(a, m_bits)
         we = gemm.encode_matrix(b, k_bits)
-        if threads <= 1:
-            def kernel(xe=xe, we=we):
-                return gemm.encoded_gemm(xe, we)
-        else:
-            def kernel(blocks=_row_blocks(xe, threads), we=we):
-                return np.vstack(list(pool.map(lambda x: gemm.encoded_gemm(x, we), blocks)))
+        kernel = functools.partial(gemm.encoded_gemm, xe, we)
         oracle = gemm.decode_codes(xe) @ gemm.decode_codes(we).T
         if not np.array_equal(kernel(), oracle):
             raise AssertionError(f"packed kernel diverged at M={m_bits}, K={k_bits}")
         kernels.append(kernel)
     packed_times = _medians_ns(kernels, repeats, warmup)
     for (m_bits, k_bits), packed_ns in zip(precisions, packed_times):
-        rows.append({"kernel": packed_label, "M": m_bits, "K": k_bits, "P": p,
+        rows.append({"kernel": "packed", "M": m_bits, "K": k_bits, "P": p,
                      "N": n, "Q": q, "median_ns": packed_ns,
                      "speedup_vs_scalar": scalar_ns / max(packed_ns, 1)})
     return rows
@@ -198,7 +184,7 @@ def write_plot_data(rows: list[dict], path: str) -> None:
         fh.write("# M K speedup_vs_scalar\n")
         last_m = None
         for row in rows:
-            if not row["kernel"].startswith("packed"):
+            if row["kernel"] != "packed":
                 continue
             if last_m is not None and row["M"] != last_m:
                 fh.write("\n")

@@ -68,7 +68,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             key = key.strip().replace("-", "_")
             action = actions.get(key)
             if action is None or not hasattr(args, key):
-                raise ConfigError(f"config key {key!r} does not match any flag")
+                parser.error(f"config file {args.config}: key {key!r} does not match any flag")
             if getattr(args, key) != action.default:
                 continue  # flag explicitly set on the command line
             try:
@@ -156,18 +156,18 @@ def cmd_eval(args) -> int:
     _require_file(args.model)
     x, y = _load_dataset(args)
     model = nn.load_model(args.model)
-    acc = nn.accuracy(model, x, y, threads=args.threads)
-    print(f"accuracy[{model.stage}]: {acc:.4f}")
+    logits_a = nn.model_forward(model, x)
+    pred_a = np.argmax(logits_a, axis=1)
+    print(f"accuracy[{model.stage}]: {np.mean(pred_a == y):.4f}")
     if not args.model2:
         return 0
     _require_file(args.model2)
     other = nn.load_model(args.model2)
-    logits_a = nn.model_forward(model, x, threads=args.threads)
-    logits_b = nn.model_forward(other, x, threads=args.threads)
+    logits_b = nn.model_forward(other, x)
+    pred_b = np.argmax(logits_b, axis=1)
     max_diff = float(np.max(np.abs(logits_a - logits_b)))
-    same_class = bool(np.all(np.argmax(logits_a, 1) == np.argmax(logits_b, 1)))
-    ok = max_diff <= 1e-6 and same_class
-    print(f"accuracy[{other.stage}]: {nn.accuracy(other, x, y, threads=args.threads):.4f}")
+    ok = max_diff <= 1e-6 and bool(np.all(pred_a == pred_b))
+    print(f"accuracy[{other.stage}]: {np.mean(pred_b == y):.4f}")
     print(f"max logit diff: {max_diff:.3e}")
     print(f"equivalent: {'true' if ok else 'false'}")
     return 0 if ok else 1
@@ -176,8 +176,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     sizes = [tuple(int(v) for v in s.split("x")) for s in args.sizes.split(",")]
     precisions = [tuple(int(v) for v in s.split("x")) for s in args.precisions.split(",")]
-    rows = bench.bench_gemm(sizes, precisions, repeats=args.repeats,
-                            seed=args.seed, threads=args.threads)
+    rows = bench.bench_gemm(sizes, precisions, repeats=args.repeats, seed=args.seed)
     if args.out:
         bench.write_csv(rows, args.out)
     if args.plot_data:
@@ -224,23 +223,12 @@ def cmd_speedup_table(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bitbranch")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=positive_int, default=1,
-                       help="row blocks the decomposed model_forward splits the batch into, "
-                            "run in parallel (>= 1)")
         p.add_argument("--config", default="", help="key=value file mirroring flags")
         p.set_defaults(_parser=p)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import json
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +33,8 @@ from .core import ConfigError, DecompositionError, DomainError, FormatError, Sha
 MODEL_MAGIC = b"#bitbranch-model-v1\n"
 
 STAGES = ("float", "quantized", "decomposed")
+
+FLAVORS = ("qnn", "mbbn")
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def _check_input(x: np.ndarray, spec: LayerSpec) -> None:
 
 def dense_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
     if stage == "decomposed":
-        return _decomposed_step(spec, w)[1](np.asarray(x, dtype=np.float64))
+        return _decomposed_step(spec, w)(np.asarray(x, dtype=np.float64))
     _check_input(x, spec)
     return _gemm_stage(np.asarray(x, dtype=np.float64), spec, w, stage)
 
@@ -207,7 +208,7 @@ def conv2d_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
     decomposed stage gathers the same patches from code bytes.
     """
     if stage == "decomposed":
-        return _decomposed_step(spec, w)[1](np.asarray(x, dtype=np.float64))
+        return _decomposed_step(spec, w)(np.asarray(x, dtype=np.float64))
     _check_input(x, spec)
     x = np.asarray(x, dtype=np.float64)
     geometry = (*spec.kernel, spec.stride, spec.padding)
@@ -248,10 +249,8 @@ def model_forward(m: ModelState, x: np.ndarray, threads: int = 1) -> np.ndarray:
 
     A float mbbn model has no float reading: its branch masters only count
     through their signs, so it runs as its quantized form. The decomposed
-    stage runs its integer plan; ``threads`` > 1 splits its batch into that
-    many row blocks, which run the layers between two full-precision GEMMs
-    in parallel. Rows are independent there (batchnorm runs in inference
-    mode), so the output does not depend on ``threads``.
+    stage runs its integer plan. Every stage runs on the calling thread;
+    ``threads`` has no effect and is only checked to be >= 1.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -262,20 +261,17 @@ def model_forward(m: ModelState, x: np.ndarray, threads: int = 1) -> np.ndarray:
         for spec, w in zip(m.specs, m.weights):
             h = _layer_forward(h, spec, w, m.stage)
         return h
-    for rowwise, steps in _plan(m).segments:
-        if rowwise and threads > 1 and h.ndim and len(h) > 1:
-            h = _split_rows(steps, h, threads)
-        else:
-            h = _run_steps(steps, h)
+    for step in _plan(m).steps:
+        h = step(h)
     return h
 
 
-def predict(m: ModelState, x: np.ndarray, threads: int = 1) -> np.ndarray:
-    return np.argmax(model_forward(m, x, threads), axis=1)
+def predict(m: ModelState, x: np.ndarray) -> np.ndarray:
+    return np.argmax(model_forward(m, x), axis=1)
 
 
-def accuracy(m: ModelState, x: np.ndarray, y: np.ndarray, threads: int = 1) -> float:
-    return float(np.mean(predict(m, x, threads) == np.asarray(y)))
+def accuracy(m: ModelState, x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean(predict(m, x) == np.asarray(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +297,7 @@ _FOLDING_ACTS = ("htanh", "hrelu")
 class _Plan:
     specs: list[LayerSpec]
     weights: list  # the weights it was built from; held, so their ids stay unique
-    segments: list  # (rowwise, steps); a rowwise run of steps keeps batch rows independent
+    steps: list  # functions of the activation, run in order
 
 
 @dataclass(frozen=True)
@@ -385,25 +381,22 @@ def fold_thresholds(specs: list[LayerSpec], weights: list,
                                   specs[j].m_bits), j
 
 
-def _decomposed_step(spec: LayerSpec, w,
-                     fold: gemm.CodeThresholds | None = None) -> tuple[bool, object]:
-    """A dense or conv layer of the plan as (rowwise, step)."""
+def _decomposed_step(spec: LayerSpec, w, fold: gemm.CodeThresholds | None = None):
+    """A dense or conv layer of the plan as a step."""
     if isinstance(w, gemm.EncodedMatrix) and spec.m_bits is None:
         # full-precision activations: no planes to feed the bit kernel, so
         # run the dequantized codes exactly like the quantized stage
         w = _dequantized(w)
     if isinstance(w, np.ndarray):
-        # the same float GEMM as the quantized stage's; BLAS may round a
-        # row differently in a different block of rows, so no split here
-        return False, functools.partial(_layer_forward, spec=spec, w=w, stage="float")
+        return functools.partial(_layer_forward, spec=spec, w=w, stage="float")
     if not isinstance(w, gemm.EncodedMatrix):
         raise StageError("decomposed stage requires bit-plane weights")
     layer = _BitLayer(spec, _reduction_ijc(spec, w), fold)
-    return True, functools.partial(_bit_layer_forward, layer=layer)
+    return functools.partial(_bit_layer_forward, layer=layer)
 
 
 def _build_plan(m: ModelState) -> _Plan:
-    steps = []  # (rowwise, step)
+    steps = []
     i = 0
     while i < len(m.specs):
         spec, w = m.specs[i], m.weights[i]
@@ -412,16 +405,9 @@ def _build_plan(m: ModelState) -> _Plan:
             fold, nxt = fold_thresholds(m.specs, m.weights, i)
             steps.append(_decomposed_step(spec, w, fold))
         else:
-            steps.append((True, functools.partial(_layer_forward, spec=spec, w=w,
-                                                  stage="decomposed")))
+            steps.append(functools.partial(_layer_forward, spec=spec, w=w, stage="decomposed"))
         i = nxt
-    segments = []
-    for rowwise, step in steps:
-        if rowwise and segments and segments[-1][0]:
-            segments[-1][1].append(step)
-        else:
-            segments.append((rowwise, [step]))
-    return _Plan(list(m.specs), list(m.weights), segments)
+    return _Plan(list(m.specs), list(m.weights), steps)
 
 
 def _bit_layer_forward(h: np.ndarray, layer: _BitLayer) -> np.ndarray:
@@ -447,31 +433,6 @@ def _bit_layer_forward(h: np.ndarray, layer: _BitLayer) -> np.ndarray:
     nchw = (image.shape[0], image.shape[3], *image.shape[1:3])
     out = out.reshape(nchw[0], *gemm.patch_grid(nchw, *geometry), spec.out_features)
     return out if layer.fold is not None else out.transpose(0, 3, 1, 2)
-
-
-def _run_steps(steps: list, h: np.ndarray) -> np.ndarray:
-    for step in steps:
-        h = step(h)
-    return h
-
-
-@functools.cache
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """One long-lived pool per worker count."""
-    return ThreadPoolExecutor(max_workers=workers)
-
-
-def _split_rows(steps: list, h: np.ndarray, threads: int) -> np.ndarray:
-    """The steps over min(threads, rows) row blocks; the caller's thread runs the first."""
-    parts = np.array_split(h, min(threads, len(h)))
-    futures = [_pool(threads - 1).submit(_run_steps, steps, part) for part in parts[1:]]
-    try:
-        outs = [_run_steps(steps, parts[0])] + [f.result() for f in futures]
-    except DomainError:
-        outs = None  # a block counts only its own non-finite values
-    finally:
-        wait(futures)
-    return _run_steps(steps, h) if outs is None else np.concatenate(outs)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +690,9 @@ def _check_header(header) -> None:
     for key, kind in {"stage": str, "flavor": str, "layers": list, "weights": list}.items():
         if not isinstance(fields.get(key), kind):
             raise FormatError(f"header key {key!r} is missing or not a {kind.__name__}")
+    for key, known in (("stage", STAGES), ("flavor", FLAVORS)):
+        if header[key] not in known:
+            raise FormatError(f"unknown {key} {header[key]!r} in header (one of {known})")
     if len(header["weights"]) != len(header["layers"]):
         raise FormatError(f"{len(header['weights'])} weight entries for "
                           f"{len(header['layers'])} layers")

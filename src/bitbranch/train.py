@@ -140,11 +140,17 @@ def _fake_quant(x: np.ndarray, bits: int, t: float, grid: str = "odd"):
     return value, inside.astype(np.float64), np.where(inside, 0.0, np.sign(u))
 
 
+def _check_quantizer_input(h: np.ndarray, j: int) -> None:
+    """Raise DivergenceError on a non-finite activation: the quantizer would
+    turn it into a finite code, hiding it from the loss."""
+    if not np.all(np.isfinite(h)):
+        raise DivergenceError(f"non-finite activations enter the quantizer of dense layer {j}")
+
+
 def forward_qnn(model: nn.ModelState, x: np.ndarray, gs: GradState, cfg: TrainConfig):
     """Simulated quantized forward; returns logits and per-layer caches.
 
-    A non-finite activation entering a quantizer raises DivergenceError: the
-    quantizer would turn it into a finite code, hiding it from the loss.
+    A non-finite activation entering a quantizer raises DivergenceError.
     """
     layers = _dense_layers(model)
     h = np.asarray(x, dtype=np.float64)
@@ -152,9 +158,7 @@ def forward_qnn(model: nn.ModelState, x: np.ndarray, gs: GradState, cfg: TrainCo
     for j, (_, spec, act) in enumerate(layers):
         w = gs.params[f"w{j}"]
         if spec.m_bits is not None:
-            if not np.all(np.isfinite(h)):
-                raise DivergenceError(f"non-finite activations enter the quantizer of "
-                                      f"dense layer {j}")
+            _check_quantizer_input(h, j)
             ta = float(gs.params[f"ta{j}"])
             aq, a_mask, a_sat = _fake_quant(h, spec.m_bits, ta, cfg.grid)
         else:
@@ -228,13 +232,15 @@ def forward_mbbn(model: nn.ModelState, x: np.ndarray, gs: GradState, cfg: TrainC
     is computed in factored form: it equals the product of the odd input
     codes and the odd branch codes, exactly, and stays integer-valued in
     float64. This is the quantized stage's product, so the exported model
-    reproduces these logits.
+    reproduces these logits. A non-finite activation entering a quantizer
+    raises DivergenceError, as in ``forward_qnn``.
     """
     layers = _dense_layers(model)
     h = np.asarray(x, dtype=np.float64)
     caches = []
     for j, (_, spec, _) in enumerate(layers):
         m_bits, k_bits = spec.m_bits, spec.k_bits
+        _check_quantizer_input(h, j)
         recon_x = quant.quantize_odd(h, m_bits).codes.astype(np.float64)
         recon_w = quant.branch_codes(gs.params[f"w{j}"]).codes.astype(np.float64)
         zhat = recon_x @ recon_w.T

@@ -71,11 +71,6 @@ class TestBenchHarness:
         body = [l for l in dat_path.read_text().splitlines() if l and not l.startswith("#")]
         assert body[0].startswith("1 1 ")
 
-    def test_thread_count_recorded_in_kernel_label(self):
-        rows = bench.bench_gemm([(8, 128, 8)], [(1, 1)], repeats=3, threads=2)
-        labels = {r["kernel"] for r in rows}
-        assert "packed_t2" in labels
-
     def test_scalar_baseline_matches_blas(self):
         rng = core.make_rng(0)
         a = rng.uniform(-1, 1, (3, 50))

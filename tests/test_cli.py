@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bitbranch import cli, core, nn, train
+from bitbranch import cli, core, datasets, nn, train
 from bitbranch.cli import main
 
 
@@ -58,6 +58,24 @@ class TestDecomposeEval:
         out = capsys.readouterr().out
         assert rc == 0
         assert "equivalent: true" in out
+
+    def test_eval_runs_each_model_once(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "f.bbm"
+        float_model = make_float_model(src)
+        x, y = datasets.make_moons(200, noise=0.1, seed=0)
+        expect = f"accuracy[float]: {nn.accuracy(float_model, x, y):.4f}\n"
+        real_forward = nn.model_forward
+        stages = []
+
+        def counting_forward(m, *args, **kwargs):
+            stages.append(m.stage)
+            return real_forward(m, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "model_forward", counting_forward)
+        assert main(["eval", "--model", str(src), "--model2", str(src), "--n", "200"]) == 0
+        assert stages == ["float", "float"]
+        assert capsys.readouterr().out == (expect * 2 + "max logit diff: 0.000e+00\n"
+                                           "equivalent: true\n")
 
     def test_mbbn_checkpoint_pipeline(self, tmp_path, capsys):
         ckpt, q, d = tmp_path / "m.bbm", tmp_path / "q.bbm", tmp_path / "d.bbm"
@@ -201,6 +219,20 @@ class TestTrainCmd:
         assert gs.step == 3
         assert all(np.all(np.isfinite(p)) for p in gs.params.values())
 
+    def test_mbbn_nan_pixel_diverges(self, tmp_path, capsys):
+        path = tmp_path / "nan.grid"
+        images = core.make_rng(0).uniform(-1, 1, (16, 1, 2, 2))
+        images[5, 0, 1, 0] = np.nan
+        datasets.save_grid(str(path), images, np.arange(16) % 2)
+        out = tmp_path / "nan.bbm"
+        rc = main(["train", "--alg", "mbbn", "--dataset", f"grid:{path}", "--arch", "mlp:4-2",
+                   "--epochs", "1", "--out", str(out)])
+        assert rc == 1
+        assert "non-finite activations" in capsys.readouterr().err
+        model, gs = train.load_checkpoint(str(out))
+        assert model.flavor == "mbbn"
+        assert all(np.all(np.isfinite(p)) for p in gs.params.values())
+
     def test_config_file_fills_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epochs=2\nn=64\narch=mlp:2-4-2\n")
@@ -213,19 +245,27 @@ class TestTrainCmd:
 
 
 class TestConfigFile:
-    @pytest.mark.parametrize("verb,line", [("train", "threads=0"), ("eval", "threads=0"),
-                                           ("train", "alg=foo")])
+    @pytest.mark.parametrize("verb,line", [("eval", "n=x"), ("train", "alg=foo")])
     def test_bad_value_exits_2(self, tmp_path, capsys, verb, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         model = tmp_path / "f.bbm"
         make_float_model(model)
         argv = {"train": ["train", "--epochs", "1", "--n", "64", "--out", str(tmp_path / "t.bbm")],
-                "eval": ["eval", "--model", str(model), "--n", "64"]}[verb]
+                "eval": ["eval", "--model", str(model)]}[verb]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--config", str(cfg)])
         assert exc.value.code == 2
         assert f"argument --{line.split('=')[0]}" in capsys.readouterr().err
+
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("threads=2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--epochs", "1", "--n", "64", "--out", str(tmp_path / "t.bbm"),
+                  "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "key 'threads' does not match any flag" in capsys.readouterr().err
 
     def test_value_goes_through_flag_type(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

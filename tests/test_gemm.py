@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bitbranch import core, gemm, nn, quant
+from bitbranch import core, gemm, quant
 
 
 def codes_matmul_oracle(xc, wc):
@@ -101,15 +101,6 @@ class TestEncodedGemm:
         top = gemm.encoded_gemm(gemm.encode_matrix(x[:2], 3), we)
         bottom = gemm.encoded_gemm(gemm.encode_matrix(x[2:], 3), we)
         np.testing.assert_array_equal(whole, np.vstack([top, bottom]))
-
-    def test_threaded_identical(self):
-        # model_forward's threads split the batch; each block is a plain GEMM
-        rng = core.make_rng(3)
-        model = nn.decompose_model(nn.quantize_model(
-            nn.init_mlp([100, 5], rng, m_bits=2, k_bits=2, quantize_input=True)))
-        x = rng.uniform(-1, 1, (16, 100))
-        np.testing.assert_array_equal(nn.model_forward(model, x),
-                                      nn.model_forward(model, x, threads=4))
 
     def test_reduction_mismatch(self):
         xe = gemm.encode_matrix(np.zeros((2, 8)), 1)

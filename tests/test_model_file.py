@@ -167,8 +167,10 @@ class TestCorruptFiles:
         (lambda h: {**h, "layers": [{k: v for k, v in h["layers"][0].items() if k != "in"}]
                     + h["layers"][1:]}, "lacks the key 'in'"),
         (lambda h: {**h, "weights": [{}] + h["weights"][1:]}, "lacks the key 'form'"),
+        (lambda h: {**h, "stage": "bogus"}, "unknown stage 'bogus'"),
+        (lambda h: {**h, "flavor": "zzz"}, "unknown flavor 'zzz'"),
     ], ids=["empty", "not_object", "layers_mistyped", "weights_count", "layer_key",
-            "weight_key"])
+            "weight_key", "stage_value", "flavor_value"])
     def test_header_schema(self, golden_files, tmp_path, capsys, edit, error):
         blob = golden_files["decomposed"].read_bytes()
         line = blob[len(nn.MODEL_MAGIC):len(blob) - len(payload_of(blob))]

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from bitbranch import _native, bitops, cli, core, gemm, nn, quant
+from bitbranch import _native, bitops, core, gemm, nn, quant
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -88,7 +89,7 @@ class TestNativeGemm:
         np.testing.assert_array_equal(gemm.encoded_gemm(xe, we), expect)
 
     def test_threaded_row_split(self, kernel):
-        # the batch split of model_forward, over 2-5 blocks of a 37-row batch
+        # model_forward keeps its threads keyword, which must not change the output
         rng = core.make_rng(3)
         model = nn.decompose_model(nn.quantize_model(
             nn.init_mlp([200, 40, 30, 5], rng, m_bits=3, k_bits=2)))
@@ -96,6 +97,14 @@ class TestNativeGemm:
         one = nn.model_forward(model, x)
         for threads in (2, 3, 5):
             np.testing.assert_array_equal(nn.model_forward(model, x, threads=threads), one)
+
+    def test_forward_starts_no_thread(self, kernel):
+        rng = core.make_rng(4)
+        model = nn.decompose_model(nn.quantize_model(
+            nn.init_mlp([30, 20, 4], rng, m_bits=2, k_bits=2, quantize_input=True)))
+        before = threading.active_count()
+        nn.model_forward(model, rng.uniform(-1, 1, (9, 30)), threads=6)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, threads):
@@ -448,14 +457,13 @@ class TestDecomposedStage:
                                       nn.model_forward(quantized, x))
 
     @settings(max_examples=200, **FIXTURE_OK)
-    @given(case=random_models(), threads=st.sampled_from([1, 2, 3]))
-    def test_random_architectures_agree(self, kernel, case, threads):
-        # batches of 1-3 rows: the split also meets fewer rows than threads
+    @given(case=random_models())
+    def test_random_architectures_agree(self, kernel, case):
         model, x = case
         quantized = nn.quantize_model(model)
         decomposed = nn.decompose_model(quantized)
         with np.errstate(over="ignore"):  # sigmoid of a large raw accumulator
-            np.testing.assert_array_equal(nn.model_forward(decomposed, x, threads=threads),
+            np.testing.assert_array_equal(nn.model_forward(decomposed, x),
                                           nn.model_forward(quantized, x))
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -471,7 +479,7 @@ class TestDecomposedStage:
         x[1, 0, 6, 2] = x[3, 1, 4, 6] = np.nan
         np.testing.assert_array_equal(nn.model_forward(decomposed, x, threads=threads),
                                       nn.model_forward(quantized, x))
-        x[0, 1, 2, 2] = x[3, 0, 0, 0] = np.inf  # inside windows, in two row blocks
+        x[0, 1, 2, 2] = x[3, 0, 0, 0] = np.inf  # inside windows, in two images
         with pytest.raises(core.DomainError) as expect:
             nn.model_forward(quantized, x)
         assert "2 non-finite values" in str(expect.value)
@@ -514,11 +522,10 @@ class TestDecomposedStage:
         x = rng.uniform(-1, 1, (6, 5))
         np.testing.assert_array_equal(nn.model_forward(decomposed, x),
                                       nn.model_forward(quantized, x))
-        layers = [step.keywords["layer"] for _, steps in decomposed._plan.segments
-                  for step in steps if "layer" in step.keywords]
+        layers = [step.keywords["layer"] for step in decomposed._plan.steps
+                  if "layer" in step.keywords]
         assert [layer.fold is not None for layer in layers] == [True, False, False, True,
                                                                  False]
-        assert [s for s, _ in decomposed._plan.segments] == [True, False, True]
 
     def test_loaded_planes_have_zero_pad_bits(self, tmp_path):
         rng = core.make_rng(3)
@@ -573,11 +580,3 @@ class TestLibrary:
         assert cache.stat().st_mode & 0o777 == 0o700
         assert [p.suffix for p in cache.iterdir()] == [".so"]
 
-
-class TestThreadsFlag:
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_non_positive_is_usage_error(self, tmp_path, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["eval", "--model", str(tmp_path / "m.bbm"), "--threads", value])
-        assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err

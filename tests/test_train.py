@@ -189,6 +189,13 @@ class TestAlg1:
                                      cfg, gs)
         assert loss == pytest.approx(math.log(3))
 
+    def test_nan_batch_raises(self):
+        model, cfg, gs = self.make_mbbn()
+        x = core.make_rng(1).uniform(-1, 1, (4, 4))
+        x[1, 2] = np.nan
+        with pytest.raises(core.DivergenceError, match="non-finite activations"):
+            train.train_step_alg1(model, (x, np.array([0, 1, 2, 0])), cfg, gs)
+
     def test_branch_sum_equals_encoded_gemm(self):
         # the float branch accumulation and the packed kernel share the
         # same algebra and must agree exactly
