@@ -6,7 +6,7 @@
  *
  * Activations travel between the kernels as code bytes
  * b = (code + 2^M - 1) / 2, whose bit m is digit plane m: bb_quantize writes
- * them from floats, bb_gemm_codes from accumulators, and bb_gather packs
+ * them from floats, bb_gemm from popcount sums, and bb_gather packs
  * them into the rows of the next GEMM.
  *
  * Build with -ffp-contract=off and without fast-math: quantize_line, the one
@@ -20,90 +20,109 @@
 #include <stdlib.h>
 #include <string.h>
 
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#if defined(__AVX512BW__)
+#include <immintrin.h>
+#elif defined(__BYTE_ORDER__) && __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
 #error "the byte-gather in pack_word assumes a little-endian host"
 #endif
 
-/* Columns of acc summed in registers at a time. */
-#define Q_BLOCK 32
+/* Rows and outputs of one register tile. The tile's sums stay in registers
+ * when its trip counts are constants: TILE_Q outputs of uint64 popcounts are
+ * two 512-bit vectors, and each row reuses the weight words loaded for the
+ * tile. */
+#define TILE_P 4
+#define TILE_Q 16
 
-/* s[t] = sum 2^(m+k) popcount(x_m ^ w_k) for len rows of w from b on. */
+/* s[r][t] = sum 2^(m+k) popcount(x_m ^ w_k) of row r of x (rows of
+ * x_stride words from x on) and output t of wt (columns q_pad apart). */
 static inline __attribute__((always_inline)) void
-block_sums(int64_t *restrict s, int len, const uint64_t *restrict xp,
-           const uint64_t *restrict b, int64_t w_rows, int x_bits, int w_bits,
-           int64_t n_words)
+tile_sums(int64_t s[TILE_P][TILE_Q], int rows, const uint64_t *restrict x, int64_t x_stride,
+          const uint64_t *restrict wt, int64_t q_pad, int x_bits, int w_bits,
+          int64_t n_words)
 {
-    for (int t = 0; t < len; t++)
-        s[t] = 0;
-    for (int m = 0; m < x_bits; m++) {
-        for (int k = 0; k < w_bits; k++) {
+    for (int r = 0; r < rows; r++)
+        for (int t = 0; t < TILE_Q; t++)
+            s[r][t] = 0;
+    for (int m = 0; m < x_bits; m++)
+        for (int k = 0; k < w_bits; k++)
             for (int64_t j = 0; j < n_words; j++) {
-                const uint64_t a = xp[m * n_words + j];
-                const uint64_t *bj = b + (k * n_words + j) * w_rows;
-                for (int t = 0; t < len; t++)
-                    s[t] += (int64_t)__builtin_popcountll(a ^ bj[t]) << (m + k);
+                const uint64_t *wj = wt + (k * n_words + j) * q_pad;
+                uint64_t a[TILE_P];
+                for (int r = 0; r < rows; r++)
+                    a[r] = x[r * x_stride + m * n_words + j];
+                /* t outside r: the vectorizer runs over t, not over j */
+                for (int t = 0; t < TILE_Q; t++)
+                    for (int r = 0; r < rows; r++)
+                        s[r][t] += (int64_t)__builtin_popcountll(a[r] ^ wj[t]) << (m + k);
             }
-        }
-    }
 }
 
-/* The product of all rows of x with all w_rows rows of w. w comes
- * transposed, wt[k][j][q], so the inner loop runs over q.
- * dot(x_m, w_k) = n - 2 * popcount(x_m ^ w_k): zero pad bits cancel in the
- * XOR, so no NOT and no tail mask. Summing 2^(m+k) * dot over the planes:
- * acc = n (2^M - 1)(2^K - 1) - 2 * sum 2^(m+k) popcount(x_m ^ w_k).
- * Without th the accumulators go to acc[p][q]. With th, output q's code
- * byte goes to codes[p][q]: the number of k < levels with
- * sign[q] * acc >= th[k][q]. */
+/* One row's tile sums s to its len outputs from column q0 on, at
+ * acc[at + t] without th: acc = full - 2 s. With th, the code bytes go to
+ * codes[at + t]: the number of levels k with s <= th[k][q], XOR flip[q]. */
 static inline __attribute__((always_inline)) void
-gemm_rows(const uint64_t *restrict x, const uint64_t *restrict wt, int64_t rows,
-          int64_t w_rows, int x_bits, int w_bits, int64_t n_words, int64_t n,
-          const int64_t *restrict th, const int64_t *restrict sign, int levels,
+tile_out(const int64_t *restrict s, int len, int64_t q0, int64_t at, int64_t full,
+         const int64_t *restrict th, const uint8_t *restrict flip, int levels, int64_t q_pad,
+         int64_t *restrict acc, uint8_t *restrict codes)
+{
+    if (th == NULL) {
+        for (int t = 0; t < len; t++) /* s <= full: no overflow */
+            acc[at + t] = full - s[t] - s[t];
+        return;
+    }
+    /* 32-bit counts narrow to bytes in a few vector ops; 64-bit ones do not */
+    int32_t n[TILE_Q] = {0};
+    for (int k = 0; k < levels; k++)
+        for (int t = 0; t < TILE_Q; t++)
+            n[t] += s[t] <= th[k * q_pad + q0 + t];
+    for (int t = 0; t < len; t++)
+        codes[at + t] = (uint8_t)n[t] ^ flip[q0 + t];
+}
+
+/* The product of rows (TILE_P or 1) rows of x, from row p0 on, with all
+ * w_rows outputs of w. w comes transposed and zero-padded, wt[k][j][q] for
+ * q < q_pad, a multiple of TILE_Q, so every tile is whole; the padded
+ * outputs are computed and dropped.
+ * dot(x_m, w_k) = n - 2 * popcount(x_m ^ w_k): zero pad bits cancel in the
+ * XOR, so no NOT and no tail mask. Summing 2^(m+k) * dot over the planes,
+ * acc = full - 2 s with full = n (2^M - 1)(2^K - 1) and s the tile sum.
+ * Since full is fixed, sign * acc >= t is a bound on s, which Python turns
+ * into th and flip once per weight. */
+static inline __attribute__((always_inline)) void
+gemm_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *restrict wt,
+          int64_t w_rows, int64_t q_pad, int x_bits, int w_bits, int64_t n_words,
+          int64_t full, const int64_t *restrict th, const uint8_t *restrict flip, int levels,
           int64_t *restrict acc, uint8_t *restrict codes)
 {
-    const int64_t full = n * ((INT64_C(1) << x_bits) - 1) * ((INT64_C(1) << w_bits) - 1);
-    for (int64_t p = 0; p < rows; p++) {
-        const uint64_t *xp = x + p * x_bits * n_words;
-        for (int64_t q0 = 0; q0 < w_rows; q0 += Q_BLOCK) {
-            int64_t s[Q_BLOCK];
-            int len = w_rows - q0 < Q_BLOCK ? (int)(w_rows - q0) : Q_BLOCK;
-            /* constant trip counts keep s in registers */
-            if (len == Q_BLOCK)
-                block_sums(s, Q_BLOCK, xp, wt + q0, w_rows, x_bits, w_bits, n_words);
+    const int64_t x_stride = x_bits * n_words;
+    for (int64_t q0 = 0; q0 < w_rows; q0 += TILE_Q) {
+        int64_t s[TILE_P][TILE_Q];
+        tile_sums(s, rows, x + p0 * x_stride, x_stride, wt + q0, q_pad, x_bits, w_bits,
+                  n_words);
+        for (int r = 0; r < rows; r++) {
+            const int64_t at = (p0 + r) * w_rows + q0;
+            /* a constant len for whole tiles keeps the stores vectorized */
+            if (w_rows - q0 >= TILE_Q)
+                tile_out(s[r], TILE_Q, q0, at, full, th, flip, levels, q_pad, acc, codes);
             else
-                block_sums(s, len, xp, wt + q0, w_rows, x_bits, w_bits, n_words);
-            if (th == NULL) {
-                for (int t = 0; t < len; t++) /* s[t] <= full: no overflow */
-                    acc[p * w_rows + q0 + t] = full - s[t] - s[t];
-                continue;
-            }
-            int64_t v[Q_BLOCK];
-            uint8_t b[Q_BLOCK];
-            for (int t = 0; t < len; t++) {
-                v[t] = sign[q0 + t] * (full - s[t] - s[t]);
-                b[t] = 0;
-            }
-            for (int k = 0; k < levels; k++) {
-                const int64_t *tk = th + k * w_rows + q0;
-                for (int t = 0; t < len; t++)
-                    b[t] += v[t] >= tk[t];
-            }
-            memcpy(codes + p * w_rows + q0, b, (size_t)len);
+                tile_out(s[r], (int)(w_rows - q0), q0, at, full, th, flip, levels, q_pad, acc,
+                         codes);
         }
     }
 }
 
-void bb_gemm(const uint64_t *x, const uint64_t *wt, int64_t *acc, int64_t rows,
-             int64_t w_rows, int x_bits, int w_bits, int64_t n_words, int64_t n)
+void bb_gemm(const uint64_t *x, const uint64_t *wt, int64_t rows, int64_t w_rows,
+             int64_t q_pad, int x_bits, int w_bits, int64_t n_words, int64_t n,
+             const int64_t *th, const uint8_t *flip, int levels, int64_t *acc, uint8_t *codes)
 {
-    gemm_rows(x, wt, rows, w_rows, x_bits, w_bits, n_words, n, NULL, NULL, 0, acc, NULL);
-}
-
-void bb_gemm_codes(const uint64_t *x, const uint64_t *wt, const int64_t *th,
-                   const int64_t *sign, int levels, uint8_t *codes, int64_t rows,
-                   int64_t w_rows, int x_bits, int w_bits, int64_t n_words, int64_t n)
-{
-    gemm_rows(x, wt, rows, w_rows, x_bits, w_bits, n_words, n, th, sign, levels, NULL, codes);
+    const int64_t full = n * ((INT64_C(1) << x_bits) - 1) * ((INT64_C(1) << w_bits) - 1);
+    int64_t p = 0;
+    for (; p + TILE_P <= rows; p += TILE_P)
+        gemm_tile(TILE_P, p, x, wt, w_rows, q_pad, x_bits, w_bits, n_words, full, th, flip,
+                  levels, acc, codes);
+    for (; p < rows; p++)
+        gemm_tile(1, p, x, wt, w_rows, q_pad, x_bits, w_bits, n_words, full, th, flip, levels,
+                  acc, codes);
 }
 
 /* quant.quantize_odd of n values as code bytes. 0.0 (code -1) gives
@@ -135,10 +154,19 @@ int64_t bb_quantize(const double *x, int64_t n, int bits, double edge_snap, uint
     return quantize_line(x, n, bits, edge_snap, b);
 }
 
-/* Pack 64 bytes into one word of each of the bits planes, out[m * n_words].
- * Bit m of 8 bytes gathers into 8 adjacent bits: byte i of the masked word
- * lands on bit 56 + i of the product. Pad columns must hold the byte 0, which
- * has every bit clear, so the pad bits come out zero. */
+/* Pack 64 bytes into one word of each of the bits planes, out[m * n_words]:
+ * bit i of plane m is bit m of byte i. Pad columns must hold the byte 0,
+ * which has every bit clear, so the pad bits come out zero. */
+#if defined(__AVX512BW__)
+static inline void pack_word(const uint8_t *b, int bits, int64_t n_words, uint64_t *out)
+{
+    const __m512i v = _mm512_loadu_si512(b);
+    for (int m = 0; m < bits; m++)
+        out[m * n_words] = _mm512_test_epi8_mask(v, _mm512_set1_epi8((char)(1 << m)));
+}
+#else
+/* Bit m of 8 bytes gathers into 8 adjacent bits: byte i of the masked word
+ * lands on bit 56 + i of the product. */
 static inline void pack_word(const uint8_t *b, int bits, int64_t n_words, uint64_t *out)
 {
     for (int m = 0; m < bits; m++) {
@@ -152,13 +180,15 @@ static inline void pack_word(const uint8_t *b, int bits, int64_t n_words, uint64
         out[m * n_words] = plane;
     }
 }
+#endif
 
 /* The conv patch rows of a channels-last image of code bytes,
  * src[batch][height][width][channels]; a dense input is a 1 x 1 image.
  * Row (b, oh, ow) holds its kh * kw * channels bytes in (i, j, c) order, so
- * each kernel row is one run of kw * channels bytes, copied from src where
- * the window lies inside the image and filled with the byte of 0.0 in the
- * padding. Returns 0, or -1 if the row buffer cannot be allocated. */
+ * each kernel row is one run of kw * channels bytes: a window wholly inside
+ * the image is kh copies from src; at the border the columns outside the
+ * image are filled with the byte of 0.0. Returns 0, or -1 if the row buffer
+ * cannot be allocated. */
 int bb_gather(const uint8_t *src, int64_t batch, int64_t height, int64_t width,
               int64_t channels, int64_t kh, int64_t kw, int64_t stride, int64_t padding,
               int bits, double edge_snap, uint64_t *words)
@@ -175,30 +205,39 @@ int bb_gather(const uint8_t *src, int64_t batch, int64_t height, int64_t width,
     quantize_line(&zero, 1, bits, edge_snap, &pad);
     uint64_t *out = words;
     for (int64_t b = 0; b < batch; b++)
-        for (int64_t i = 0; i < oh; i++)
+        for (int64_t i = 0; i < oh; i++) {
+            const int64_t y0 = i * stride - padding;
+            const int rows_inside = y0 >= 0 && y0 + kh <= height;
             for (int64_t j = 0; j < ow; j++) {
                 const int64_t x0 = j * stride - padding;
-                /* window columns lo..hi-1 lie inside the image */
-                const int64_t lo = x0 < 0 ? (-x0 < kw ? -x0 : kw) : 0;
-                const int64_t hi = width - x0 < kw ? (width - x0 > lo ? width - x0 : lo) : kw;
-                for (int64_t u = 0; u < kh; u++) {
-                    uint8_t *dst = row + u * run;
-                    const int64_t y = i * stride + u - padding;
-                    if (y < 0 || y >= height) {
-                        memset(dst, pad, (size_t)run);
-                        continue;
+                const int64_t top = ((b * height + y0) * width + x0) * channels;
+                if (rows_inside && x0 >= 0 && x0 + kw <= width) {
+                    for (int64_t u = 0; u < kh; u++)
+                        memcpy(row + u * run, src + top + u * width * channels, (size_t)run);
+                } else {
+                    /* window columns lo..hi-1 lie inside the image */
+                    const int64_t lo = x0 < 0 ? (-x0 < kw ? -x0 : kw) : 0;
+                    const int64_t hi =
+                        width - x0 < kw ? (width - x0 > lo ? width - x0 : lo) : kw;
+                    for (int64_t u = 0; u < kh; u++) {
+                        uint8_t *dst = row + u * run;
+                        const int64_t y = y0 + u;
+                        if (y < 0 || y >= height) {
+                            memset(dst, pad, (size_t)run);
+                            continue;
+                        }
+                        memset(dst, pad, (size_t)(lo * channels));
+                        if (hi > lo)
+                            memcpy(dst + lo * channels, src + top + (u * width + lo) * channels,
+                                   (size_t)((hi - lo) * channels));
+                        memset(dst + hi * channels, pad, (size_t)((kw - hi) * channels));
                     }
-                    memset(dst, pad, (size_t)(lo * channels));
-                    if (hi > lo)
-                        memcpy(dst + lo * channels,
-                               src + ((b * height + y) * width + x0 + lo) * channels,
-                               (size_t)((hi - lo) * channels));
-                    memset(dst + hi * channels, pad, (size_t)((kw - hi) * channels));
                 }
                 for (int64_t k = 0; k < n_words; k++)
                     pack_word(row + 64 * k, bits, n_words, out + k);
                 out += bits * n_words;
             }
+        }
     free(row);
     return 0;
 }

@@ -21,8 +21,6 @@ import threading
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 SOURCE = Path(__file__).with_name("_native.c")
 # no fast-math, and no FMA contraction: the encoder must reproduce
 # quant.quantize_odd's float operations exactly
@@ -73,23 +71,16 @@ def _build() -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     lib = ctypes.CDLL(str(lib_path))
-    words = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
-    out_words = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS,WRITEABLE")
-    i64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    code_bytes = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-    out_bytes = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
-    i64, cint, double = ctypes.c_int64, ctypes.c_int, ctypes.c_double
-    shape = [i64, i64, cint, cint, i64, i64]  # rows, w_rows, x_bits, w_bits, n_words, n
-    lib.bb_gemm.argtypes = [words, words,
-                            np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE"),
-                            *shape]
+    # arrays go in as addresses: ndpointer's own checks cost about 10 us a call,
+    # so the callers in gemm check dtype, shape and contiguity instead
+    ptr, i64, cint, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double
+    # x, wt, rows, w_rows, q_pad, x_bits, w_bits, n_words, n, th, flip, levels, acc, codes
+    lib.bb_gemm.argtypes = [ptr, ptr, i64, i64, i64, cint, cint, i64, i64, ptr, ptr, cint, ptr,
+                            ptr]
     lib.bb_gemm.restype = None
-    lib.bb_gemm_codes.argtypes = [words, words, i64s, i64s, cint, out_bytes, *shape]
-    lib.bb_gemm_codes.restype = None
-    lib.bb_quantize.argtypes = [np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-                                i64, cint, double, out_bytes]
+    lib.bb_quantize.argtypes = [ptr, i64, cint, double, ptr]
     lib.bb_quantize.restype = i64
-    lib.bb_gather.argtypes = [code_bytes, *[i64] * 8, cint, double, out_words]
+    lib.bb_gather.argtypes = [ptr, *[i64] * 8, cint, double, ptr]
     lib.bb_gather.restype = cint
     return lib
 

@@ -63,7 +63,7 @@ def quantize_bytes(x: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
     lib = _native.library()
     if lib is not None:
         b = np.empty(x.shape, dtype=np.uint8)
-        return b, lib.bb_quantize(x, x.size, bits, quant._EDGE_SNAP, b)
+        return b, lib.bb_quantize(x.ctypes.data, x.size, bits, quant._EDGE_SNAP, b.ctypes.data)
     finite = np.isfinite(x)
     b = (quant.quantize_odd(np.where(finite, x, 0.0), bits).codes + (1 << bits) - 1) >> 1
     return b.astype(np.uint8), x.size - int(np.count_nonzero(finite))
@@ -123,8 +123,8 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
         ijc = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3).reshape(rows, cols)
         return encode_codes(2 * ijc.astype(np.int64) - ((1 << bits) - 1), bits)
     words = np.empty((rows, bits, bitops.word_count(cols)), dtype=np.uint64)
-    if lib.bb_gather(b, batch, h, w, c, kh, kw, stride, padding, bits, quant._EDGE_SNAP,
-                     words):
+    if lib.bb_gather(b.ctypes.data, batch, h, w, c, kh, kw, stride, padding, bits,
+                     quant._EDGE_SNAP, words.ctypes.data):
         raise MemoryError("no memory for a patch row")
     return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
 
@@ -212,39 +212,101 @@ def bisect_thresholds(real: Callable[[np.ndarray], np.ndarray], limit: int, chan
     return CodeThresholds(bits=bits, t=hi, sign=sign)
 
 
+# Outputs per register tile of the C GEMM; a prepared weight pads its outputs to a multiple.
+TILE_Q = 16
+
+
+@dataclass(frozen=True)
+class GemmWeight(EncodedMatrix):
+    """A right operand with its epilogue, laid out once for both kernels.
+
+    The C kernel reads the planes transposed, wt[k, j, q], with the outputs
+    zero-padded to a multiple of ``TILE_Q``, and compares the popcount sum s
+    itself: acc = full - 2 s with full = N (2^M - 1)(2^K - 1), and output q's
+    code byte is the number of levels with s <= s_max[level, q], XOR flip[q].
+    """
+
+    x_bits: int  # M of the left operands it meets
+    fold: CodeThresholds | None  # t and sign C-contiguous int64
+    wt: np.ndarray  # uint64 (K, words_per_row, Q padded)
+    s_max: np.ndarray | None  # int64 (2^bits - 1, Q padded)
+    flip: np.ndarray | None  # uint8 (Q padded,): 0 where sign is +1, 2^bits - 1 where -1
+
+
+def _half_floor(a, b):
+    """floor((a + b) / 2) of int64 values without forming a + b."""
+    return (a >> 1) + (b >> 1) + (a & b & 1)
+
+
+def prepare_weight(w: EncodedMatrix, x_bits: int,
+                   fold: CodeThresholds | None = None) -> GemmWeight:
+    """Check w and ``fold`` and lay them out for ``encoded_gemm`` with M = x_bits.
+
+    With sign +1, sign * acc >= t holds iff s <= floor((full - t) / 2); with
+    sign -1 it holds iff s >= ceil((full + t) / 2), so the count of levels
+    that hold is 2^bits - 1 minus the count with s <= ceil((full + t) / 2) - 1,
+    which is that count XOR 2^bits - 1. Thresholds outside [-full - 1,
+    full + 1] act like those ends and are clipped to them first.
+    """
+    quant._check_bits(x_bits)
+    full = w.cols * ((1 << x_bits) - 1) * ((1 << w.bits) - 1)
+    if full > _ACC_LIMIT:
+        raise ShapeError(f"accumulator could overflow int64: N={w.cols}, "
+                         f"M={x_bits}, K={w.bits}")
+    _check_operand(w, "right")
+    q_pad = -(-w.rows // TILE_Q) * TILE_Q
+    wt = np.zeros((w.bits, w.words_per_row, q_pad), dtype=np.uint64)
+    wt[:, :, :w.rows] = w.words.transpose(1, 2, 0)
+    layout = dict(bits=w.bits, rows=w.rows, cols=w.cols, words=w.words, x_bits=x_bits, wt=wt)
+    if fold is None:
+        return GemmWeight(**layout, fold=None, s_max=None, flip=None)
+    quant._check_bits(fold.bits)
+    t = np.ascontiguousarray(fold.t, dtype=np.int64)
+    sign = np.ascontiguousarray(fold.sign, dtype=np.int64)
+    if (t.shape, sign.shape) != (((1 << fold.bits) - 1, w.rows), (w.rows,)):
+        raise ShapeError(f"thresholds {t.shape} and signs {sign.shape} do not fit "
+                         f"{w.rows} outputs of {fold.bits} bits")
+    if not np.all(np.abs(sign) == 1):
+        raise DomainError("threshold signs must be +1 or -1")
+    clipped = np.clip(t, -full - 1, full + 1)
+    s_max = np.zeros((len(t), q_pad), dtype=np.int64)
+    s_max[:, :w.rows] = np.where(sign > 0, _half_floor(full, -clipped),
+                                 _half_floor(full, clipped - 1))
+    flip = np.zeros(q_pad, dtype=np.uint8)
+    flip[:w.rows] = np.where(sign > 0, 0, len(t))
+    return GemmWeight(**layout, fold=CodeThresholds(fold.bits, t, sign), s_max=s_max, flip=flip)
+
+
 def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix,
                  fold: CodeThresholds | None = None) -> np.ndarray:
     """Exact integer accumulator of the decomposed product, shape (P, Q).
 
     With ``fold`` the epilogue turns each accumulator into the next layer's
-    code byte instead, and the result is uint8 (P, Q), channels-last.
+    code byte instead, and the result is uint8 (P, Q), channels-last. A w
+    from ``prepare_weight`` carries its own fold; any other w is prepared
+    for this call.
     """
+    if not isinstance(w, GemmWeight):
+        w = prepare_weight(w, x.bits, fold)
+    elif fold is not None:
+        raise ShapeError("a prepared weight carries its own thresholds")
     if x.cols != w.cols:
         raise ShapeError(f"reduction lengths differ: {x.cols} vs {w.cols}")
-    worst = x.cols * ((1 << x.bits) - 1) * ((1 << w.bits) - 1)
-    if worst > _ACC_LIMIT:
-        raise ShapeError(f"accumulator could overflow int64: N={x.cols}, "
-                         f"M={x.bits}, K={w.bits}")
+    if x.bits != w.x_bits:
+        raise ShapeError(f"the weight was prepared for M={w.x_bits}, not M={x.bits}")
     _check_operand(x, "left")
-    _check_operand(w, "right")
-    if fold is not None and (fold.t.shape, fold.sign.shape) != (((1 << fold.bits) - 1, w.rows),
-                                                                (w.rows,)):
-        raise ShapeError(f"thresholds {fold.t.shape} and signs {fold.sign.shape} do not fit "
-                         f"{w.rows} outputs of {fold.bits} bits")
+    fold = w.fold
     lib = _native.library()
     if lib is None:
         acc = np.empty((x.rows, w.rows), dtype=np.int64)
         _gemm_rows(x, w, 0, x.rows, acc)
         return acc if fold is None else fold.codes(acc)
-    wt = np.ascontiguousarray(w.words.transpose(1, 2, 0))  # [plane][word][row]
-    shape = (x.rows, w.rows, x.bits, w.bits, x.words_per_row, x.cols)
-    if fold is None:
-        acc = np.empty((x.rows, w.rows), dtype=np.int64)
-        lib.bb_gemm(x.words, wt, acc, *shape)
-        return acc
-    codes = np.empty((x.rows, w.rows), dtype=np.uint8)
-    lib.bb_gemm_codes(x.words, wt, fold.t, fold.sign, len(fold.t), codes, *shape)
-    return codes
+    out = np.empty((x.rows, w.rows), dtype=np.int64 if fold is None else np.uint8)
+    epilogue = ((None, None, 0, out.ctypes.data, None) if fold is None else
+                (w.s_max.ctypes.data, w.flip.ctypes.data, len(fold.t), None, out.ctypes.data))
+    lib.bb_gemm(x.words.ctypes.data, w.wt.ctypes.data, x.rows, w.rows, w.wt.shape[2], x.bits,
+                w.bits, x.words_per_row, x.cols, *epilogue)
+    return out
 
 
 def scale_output(acc: np.ndarray, m_bits: int, k_bits: int, r: float = 1.0) -> np.ndarray:

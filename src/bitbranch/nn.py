@@ -303,8 +303,9 @@ class _Plan:
 @dataclass(frozen=True)
 class _BitLayer:
     spec: LayerSpec
-    w: gemm.EncodedMatrix  # the model's weight codes, reduction in (i, j, c) order
-    fold: gemm.CodeThresholds | None  # epilogue to the next bit layer's code bytes
+    # the model's weight codes, reduction in (i, j, c) order, with the
+    # epilogue to the next bit layer's code bytes as its fold, if any
+    weight: gemm.GemmWeight
 
 
 def _plan(m: ModelState) -> _Plan:
@@ -391,7 +392,7 @@ def _decomposed_step(spec: LayerSpec, w, fold: gemm.CodeThresholds | None = None
         return functools.partial(_layer_forward, spec=spec, w=w, stage="float")
     if not isinstance(w, gemm.EncodedMatrix):
         raise StageError("decomposed stage requires bit-plane weights")
-    layer = _BitLayer(spec, _reduction_ijc(spec, w), fold)
+    layer = _BitLayer(spec, gemm.prepare_weight(_reduction_ijc(spec, w), spec.m_bits, fold))
     return functools.partial(_bit_layer_forward, layer=layer)
 
 
@@ -422,17 +423,17 @@ def _bit_layer_forward(h: np.ndarray, layer: _BitLayer) -> np.ndarray:
         if bad:  # count what the quantized stage counts; values outside every window pass
             _reject_non_finite(im2col(h, *geometry) if conv else h, spec)
         h = b
-    image = h if conv else h.reshape(len(h), 1, 1, -1)
-    out = gemm.encoded_gemm(gemm.gather_codes(image, spec.m_bits, *geometry), layer.w,
-                            layer.fold)
-    if layer.fold is None:
+    image = h if conv else h.reshape(len(h), 1, 1, h.shape[1])
+    fold = layer.weight.fold
+    out = gemm.encoded_gemm(gemm.gather_codes(image, spec.m_bits, *geometry), layer.weight)
+    if fold is None:
         out = (out.astype(np.float64) if spec.follows_bn
-               else gemm.scale_output(out, spec.m_bits, layer.w.bits, spec.r))
+               else gemm.scale_output(out, spec.m_bits, layer.weight.bits, spec.r))
     if not conv:
         return out
     nchw = (image.shape[0], image.shape[3], *image.shape[1:3])
     out = out.reshape(nchw[0], *gemm.patch_grid(nchw, *geometry), spec.out_features)
-    return out if layer.fold is not None else out.transpose(0, 3, 1, 2)
+    return out if fold is not None else out.transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------

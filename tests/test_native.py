@@ -1,5 +1,6 @@
 """The native kernels against their numpy oracles, the fallback, and the checks at the C boundary."""
 
+import platform
 import subprocess
 import sys
 import threading
@@ -392,20 +393,55 @@ class TestFold:
         with pytest.raises(core.ShapeError, match="thresholds"):
             gemm.encoded_gemm(xe, we, fold)
 
+    def test_prepared_weight_checks(self, kernel):
+        xe = gemm.encode_codes(np.ones((2, 5), dtype=np.int64), 1)
+        we = gemm.encode_codes(np.ones((4, 5), dtype=np.int64), 1)
+        t = np.zeros((3, 4), dtype=np.int64)
+        with pytest.raises(core.DomainError, match="signs"):
+            gemm.prepare_weight(we, 1, gemm.CodeThresholds(2, t, np.array([1, 0, -1, 1])))
+        fold = gemm.CodeThresholds(2, t, np.array([1, -1, -1, 1]))
+        prepared = gemm.prepare_weight(we, 1, fold)
+        np.testing.assert_array_equal(gemm.encoded_gemm(xe, prepared),
+                                      gemm.encoded_gemm(xe, we, fold))
+        with pytest.raises(core.ShapeError, match="its own thresholds"):
+            gemm.encoded_gemm(xe, prepared, fold)
+        with pytest.raises(core.ShapeError, match="prepared for M=2"):
+            gemm.encoded_gemm(xe, gemm.prepare_weight(we, 2))
+
+    # p and q fall on both sides of the C kernel's 4 x 16 tile edges; thresholds
+    # reach bisect_thresholds' sentinels -limit - 1 and limit + 1
     @settings(max_examples=60, **FIXTURE_OK)
-    @given(p=st.integers(1, 9), q=st.integers(1, 70), n=st.sampled_from([1, 27, 64, 130]),
-           m_bits=st.integers(1, 3), k_bits=st.integers(1, 3), bits=st.integers(1, 8),
-           seed=st.integers(0, 2**32 - 1))
+    @given(p=st.integers(1, 9), q=st.integers(1, 70),
+           n=st.sampled_from([1, 27, 64, 130, 784]), m_bits=st.integers(1, 8),
+           k_bits=st.integers(1, 8), bits=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_gemm_epilogue_matches_numpy(self, kernel, p, q, n, m_bits, k_bits, bits, seed):
         rng = np.random.default_rng(seed)
         xc = random_odd_codes(rng, (p, n), m_bits)
         wc = random_odd_codes(rng, (q, n), k_bits)
         limit = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
-        t = np.sort(rng.integers(-limit, limit + 2, ((1 << bits) - 1, q)), axis=0)
+        t = np.sort(rng.integers(-limit - 1, limit + 2, ((1 << bits) - 1, q)), axis=0)
         fold = gemm.CodeThresholds(bits=bits, t=t, sign=rng.choice([-1, 1], q))
         got = gemm.encoded_gemm(gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits),
                                 fold)
         assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, fold.codes(xc @ wc.T))
+
+
+    @pytest.mark.parametrize("layout", ["int32", "fortran", "strided"])
+    def test_threshold_layouts(self, kernel, layout):
+        rng = core.make_rng(11)
+        xc, wc = random_odd_codes(rng, (6, 40), 2), random_odd_codes(rng, (7, 40), 2)
+        limit = 40 * 3 * 3
+        t = np.sort(rng.integers(-limit - 1, limit + 2, (3, 7)), axis=0)
+        sign = rng.choice([-1, 1], 7)
+        if layout == "int32":
+            t, sign = t.astype(np.int32), sign.astype(np.int32)
+        elif layout == "fortran":
+            t = np.asfortranarray(t)
+        else:
+            t, sign = np.repeat(t, 2, axis=1)[:, ::2], np.repeat(sign, 2)[::2]
+        fold = gemm.CodeThresholds(bits=2, t=t, sign=sign)
+        got = gemm.encoded_gemm(gemm.encode_codes(xc, 2), gemm.encode_codes(wc, 2), fold)
         np.testing.assert_array_equal(got, fold.codes(xc @ wc.T))
 
 
@@ -455,6 +491,23 @@ class TestDecomposedStage:
         x = rng.uniform(-1.5, 1.5, (2, 3, 7, 7))
         np.testing.assert_array_equal(nn.model_forward(decomposed, x, threads=2),
                                       nn.model_forward(quantized, x))
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_empty_batch_every_stage(self, kernel, conv):
+        rng = core.make_rng(8)
+        if conv:
+            specs = [nn.conv2d(3, 4, 3, 3, padding=1, m_bits=2, k_bits=2), nn.act_layer("htanh"),
+                     nn.conv2d(4, 5, 3, 3, stride=2, m_bits=2, k_bits=2)]
+            weights = [rng.uniform(-1, 1, s.weight_shape()) if s.weight_shape() else None
+                       for s in specs]
+            model, x, expect = nn.ModelState("float", specs, weights), np.zeros((0, 3, 7, 7)), \
+                (0, 5, 3, 3)
+        else:
+            model = nn.init_mlp([6, 5, 4, 3], rng, m_bits=2, k_bits=2, quantize_input=True)
+            x, expect = np.zeros((0, 6)), (0, 3)
+        quantized = nn.quantize_model(model)
+        for m in (model, quantized, nn.decompose_model(quantized)):
+            assert nn.model_forward(m, x).shape == expect, m.stage
 
     @settings(max_examples=200, **FIXTURE_OK)
     @given(case=random_models())
@@ -524,7 +577,7 @@ class TestDecomposedStage:
                                       nn.model_forward(quantized, x))
         layers = [step.keywords["layer"] for step in decomposed._plan.steps
                   if "layer" in step.keywords]
-        assert [layer.fold is not None for layer in layers] == [True, False, False, True,
+        assert [layer.weight.fold is not None for layer in layers] == [True, False, False, True,
                                                                  False]
 
     def test_loaded_planes_have_zero_pad_bits(self, tmp_path):
@@ -580,3 +633,28 @@ class TestLibrary:
         assert cache.stat().st_mode & 0o777 == 0o700
         assert [p.suffix for p in cache.iterdir()] == [".so"]
 
+
+@pytest.fixture
+def portable_pack(monkeypatch, tmp_path, fresh_library):
+    """The library built without AVX-512BW, so pack_word takes its portable branch."""
+    if _native.library() is None:
+        pytest.skip("no C compiler: the native kernels are not built")
+    monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + ("-mno-avx512bw",))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _native._load.cache_clear()
+    assert _native.library() is not None
+    assert len(list((tmp_path / "bitbranch").glob("*.so"))) == 1
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="-mno-avx512bw is an x86 flag")
+@settings(max_examples=100, **FIXTURE_OK)
+@given(case=conv_inputs())
+def test_portable_pack_word_matches_numpy(portable_pack, case):
+    x, kh, kw, stride, padding, bits = case
+    b = gemm.quantize_bytes(x.transpose(0, 2, 3, 1), bits)[0]
+    got = gemm.gather_codes(b, bits, kh, kw, stride, padding)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "library", lambda: None)
+        expect = gemm.gather_codes(b, bits, kh, kw, stride, padding)
+    np.testing.assert_array_equal(got.words, expect.words)
