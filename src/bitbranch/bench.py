@@ -84,8 +84,11 @@ def scalar_gemm(a: np.ndarray, b_t: np.ndarray) -> list:
 # one timed sample lasts at least this long
 _SAMPLE_NS = 1_000_000
 
+# untimed calls of each function before its samples
+_WARMUP = 3
 
-def _medians_ns(fns, repeats: int, warmup: int = 3) -> list[int]:
+
+def _medians_ns(fns, repeats: int) -> list[int]:
     """Median time per call of each function over ``repeats`` samples.
 
     A sample calls the functions in turn, one call each and starting one
@@ -96,7 +99,7 @@ def _medians_ns(fns, repeats: int, warmup: int = 3) -> list[int]:
     and the medians drop the calls that an interrupt or a page fault hit.
     """
     fastest = [None] * len(fns)
-    for _ in range(max(warmup, 1)):
+    for _ in range(_WARMUP):
         for i, fn in enumerate(fns):
             t0 = time.perf_counter_ns()
             fn()
@@ -117,36 +120,36 @@ def _medians_ns(fns, repeats: int, warmup: int = 3) -> list[int]:
     return [int(np.median(t)) for t in times]
 
 
-def _median_ns(fn, repeats: int, warmup: int = 3) -> int:
-    return _medians_ns([fn], repeats, warmup)[0]
+def _median_ns(fn, repeats: int) -> int:
+    return _medians_ns([fn], repeats)[0]
 
 
-def bench_gemm(sizes, precisions, repeats: int = 11, seed: int = 0,
-               warmup: int = 3) -> list[dict]:
+def bench_gemm(sizes, precisions, repeats: int = 11, seed: int = 0) -> list[dict]:
     """Time scalar float, BLAS float, and each (M, K) packed kernel.
 
     ``sizes`` is a list of (P, N, Q) triples and ``precisions`` a list of
     (M, K) pairs. Each packed configuration is checked once against the
     integer code-matmul oracle before timing. Rows use the schema kernel, M,
     K, P, N, Q, median_ns, speedup_vs_scalar; median_ns is the median time
-    of one call.
+    of one call. The packed weight is prepared for the kernel once, outside
+    the timed calls, as a model's plan prepares it.
     """
     if repeats <= 0:
         return []
     rng = core.make_rng(seed)
     return [row for size in sizes
-            for row in _bench_size(size, precisions, repeats, warmup, rng)]
+            for row in _bench_size(size, precisions, repeats, rng)]
 
 
-def _bench_size(size, precisions, repeats, warmup, rng) -> list[dict]:
+def _bench_size(size, precisions, repeats, rng) -> list[dict]:
     p, n, q = size
     rows = []
     a = rng.uniform(-1, 1, size=(p, n))
     b = rng.uniform(-1, 1, size=(q, n))
-    scalar_ns = _median_ns(lambda: scalar_gemm(a, b), repeats, warmup)
+    scalar_ns = _median_ns(lambda: scalar_gemm(a, b), repeats)
     rows.append({"kernel": "scalar_float", "M": 0, "K": 0, "P": p, "N": n,
                  "Q": q, "median_ns": scalar_ns, "speedup_vs_scalar": 1.0})
-    blas_ns = _median_ns(lambda: a @ b.T, repeats, warmup)
+    blas_ns = _median_ns(lambda: a @ b.T, repeats)
     rows.append({"kernel": "blas_float", "M": 0, "K": 0, "P": p, "N": n,
                  "Q": q, "median_ns": blas_ns,
                  "speedup_vs_scalar": scalar_ns / max(blas_ns, 1)})
@@ -154,12 +157,12 @@ def _bench_size(size, precisions, repeats, warmup, rng) -> list[dict]:
     for (m_bits, k_bits) in precisions:
         xe = gemm.encode_matrix(a, m_bits)
         we = gemm.encode_matrix(b, k_bits)
-        kernel = functools.partial(gemm.encoded_gemm, xe, we)
+        kernel = functools.partial(gemm.encoded_gemm, xe, gemm.prepare_weight(we, m_bits))
         oracle = gemm.decode_codes(xe) @ gemm.decode_codes(we).T
         if not np.array_equal(kernel(), oracle):
             raise AssertionError(f"packed kernel diverged at M={m_bits}, K={k_bits}")
         kernels.append(kernel)
-    packed_times = _medians_ns(kernels, repeats, warmup)
+    packed_times = _medians_ns(kernels, repeats)
     for (m_bits, k_bits), packed_ns in zip(precisions, packed_times):
         rows.append({"kernel": "packed", "M": m_bits, "K": k_bits, "P": p,
                      "N": n, "Q": q, "median_ns": packed_ns,

@@ -19,11 +19,6 @@ def word_count(n: int) -> int:
     return (n + WORD_BITS - 1) // WORD_BITS
 
 
-def _tail_mask(n_valid: int) -> np.uint64:
-    r = n_valid % WORD_BITS
-    return np.uint64((1 << r) - 1) if r else np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
 def pack(digits) -> np.ndarray:
     """Pack {-1,+1} digits along the last axis into uint64 words.
 
@@ -52,13 +47,10 @@ def unpack(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def xnor_popcount_words(a_words: np.ndarray, b_words: np.ndarray, n_valid: int) -> np.ndarray:
-    """Exact {-1,+1} dot products 2*popcount(xnor) - N over the trailing word axis.
+    """Exact {-1,+1} dot products N - 2*popcount(xor) over the trailing word axis.
 
     Operands broadcast against each other; the caller guarantees both carry
-    zero pad bits. xnor turns those into ones, so the final word is masked
-    back to N valid bits before counting. Returns int64 dot products.
+    zero pad bits, which cancel in the xor. Returns int64 dot products.
     """
-    x = ~(a_words ^ b_words)
-    x[..., -1] &= _tail_mask(n_valid)
-    matches = np.bitwise_count(x).sum(axis=-1).astype(np.int64)
-    return 2 * matches - n_valid
+    mismatches = np.bitwise_count(a_words ^ b_words).sum(axis=-1).astype(np.int64)
+    return n_valid - 2 * mismatches

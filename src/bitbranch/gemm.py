@@ -129,31 +129,6 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
     return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
 
 
-def decode_codes(enc: EncodedMatrix) -> np.ndarray:
-    """Recover the odd code grid: code = 2 * sum_m 2^m * bit_m - (2^M - 1)."""
-    raw = np.ascontiguousarray(enc.words, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(raw, axis=2, count=enc.cols, bitorder="little")
-    # sum_m 2^m * bit_m <= 255 at 8 bits, so it fits the uint8 the bits come in
-    b = np.einsum("m,rmc->rc", np.left_shift(1, np.arange(enc.bits, dtype=np.uint8)), bits)
-    return 2 * b.astype(np.int64) - ((1 << enc.bits) - 1)
-
-
-def _gemm_rows(x: EncodedMatrix, w: EncodedMatrix, row_lo: int, row_hi: int,
-               acc: np.ndarray) -> None:
-    """numpy kernel: acc[row_lo:row_hi] of the product."""
-    n = x.cols
-    out = acc[row_lo:row_hi]
-    out[:] = 0
-    # m-major then k; the order is irrelevant to the exact result but fixed
-    # for reproducible timing.
-    for m in range(x.bits):
-        a = x.words[row_lo:row_hi, m, :]  # (p, nw)
-        for k in range(w.bits):
-            b = w.words[:, k, :]  # (Q, nw)
-            dots = bitops.xnor_popcount_words(a[:, None, :], b[None, :, :], n)
-            out += (1 << (m + k)) * dots
-
-
 def _check_operand(enc: EncodedMatrix, name: str) -> None:
     """The kernels index words by (rows, bits, cols); a mismatch must not reach them."""
     expect = (enc.rows, enc.bits, bitops.word_count(enc.cols))
@@ -162,6 +137,30 @@ def _check_operand(enc: EncodedMatrix, name: str) -> None:
             and words.shape == expect and words.flags.c_contiguous):
         raise ShapeError(f"{name} operand needs C-contiguous uint64 words of shape {expect}, "
                          f"got {getattr(words, 'dtype', None)} {getattr(words, 'shape', None)}")
+
+
+def decode_codes(enc: EncodedMatrix) -> np.ndarray:
+    """Recover the odd code grid: code = 2 * sum_m 2^m * bit_m - (2^M - 1)."""
+    _check_operand(enc, "decoded")
+    raw = np.ascontiguousarray(enc.words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=2, count=enc.cols, bitorder="little")
+    # sum_m 2^m * bit_m <= 255 at 8 bits, so it fits the uint8 the bits come in
+    b = np.einsum("m,rmc->rc", np.left_shift(1, np.arange(enc.bits, dtype=np.uint8)), bits)
+    return 2 * b.astype(np.int64) - ((1 << enc.bits) - 1)
+
+
+def _gemm_rows(x: EncodedMatrix, w: EncodedMatrix) -> np.ndarray:
+    """numpy kernel: the int64 (P, Q) product."""
+    acc = np.zeros((x.rows, w.rows), dtype=np.int64)
+    # m-major then k; the order is irrelevant to the exact result but fixed
+    # for reproducible timing.
+    for m in range(x.bits):
+        a = x.words[:, m, :]  # (P, nw)
+        for k in range(w.bits):
+            b = w.words[:, k, :]  # (Q, nw)
+            acc += (1 << (m + k)) * bitops.xnor_popcount_words(a[:, None, :], b[None, :, :],
+                                                                x.cols)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -277,19 +276,15 @@ def prepare_weight(w: EncodedMatrix, x_bits: int,
     return GemmWeight(**layout, fold=CodeThresholds(fold.bits, t, sign), s_max=s_max, flip=flip)
 
 
-def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix,
-                 fold: CodeThresholds | None = None) -> np.ndarray:
+def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix) -> np.ndarray:
     """Exact integer accumulator of the decomposed product, shape (P, Q).
 
-    With ``fold`` the epilogue turns each accumulator into the next layer's
-    code byte instead, and the result is uint8 (P, Q), channels-last. A w
-    from ``prepare_weight`` carries its own fold; any other w is prepared
-    for this call.
+    A w from ``prepare_weight`` with a fold turns each accumulator into the
+    next layer's code byte instead, and the result is uint8 (P, Q),
+    channels-last. Any other w is prepared for this call, without a fold.
     """
     if not isinstance(w, GemmWeight):
-        w = prepare_weight(w, x.bits, fold)
-    elif fold is not None:
-        raise ShapeError("a prepared weight carries its own thresholds")
+        w = prepare_weight(w, x.bits)
     if x.cols != w.cols:
         raise ShapeError(f"reduction lengths differ: {x.cols} vs {w.cols}")
     if x.bits != w.x_bits:
@@ -298,8 +293,7 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix,
     fold = w.fold
     lib = _native.library()
     if lib is None:
-        acc = np.empty((x.rows, w.rows), dtype=np.int64)
-        _gemm_rows(x, w, 0, x.rows, acc)
+        acc = _gemm_rows(x, w)
         return acc if fold is None else fold.codes(acc)
     out = np.empty((x.rows, w.rows), dtype=np.int64 if fold is None else np.uint8)
     epilogue = ((None, None, 0, out.ctypes.data, None) if fold is None else

@@ -10,8 +10,8 @@ and lives in exactly one stage:
                   runs on the xnor/popcount kernel and is value-identical
                   to the quantized stage. A model's first forward compiles
                   it into an integer plan (see below), the one decomposed
-                  forward; ``dense_forward`` and ``conv2d_forward`` run a
-                  single layer's step of it.
+                  forward; ``dense_forward`` and ``conv2d_forward`` run the
+                  plan of a one-layer model.
 
 Convolution is lowered to patch extraction followed by the same GEMM as
 dense layers: im2col of the activation in the float and quantized stages,
@@ -132,6 +132,14 @@ def _dequantized(w: gemm.EncodedMatrix) -> np.ndarray:
     return gemm.decode_codes(w).astype(np.float64) * (1.0 / ((1 << w.bits) - 1))
 
 
+def _acc_output(acc: np.ndarray, spec: LayerSpec, k_bits: int) -> np.ndarray:
+    """A quantized layer's output from its integer accumulator: raw under
+    ``follows_bn``, whose batchnorm absorbs the scale, else in real units."""
+    if spec.follows_bn:
+        return np.asarray(acc, dtype=np.float64)
+    return gemm.scale_output(acc, spec.m_bits, k_bits, spec.r)
+
+
 def _reject_non_finite(x2d: np.ndarray, spec: LayerSpec) -> None:
     """The quantizer's input rows must be finite; both stages raise this error."""
     bad = x2d.size - int(np.count_nonzero(np.isfinite(x2d)))
@@ -163,9 +171,7 @@ def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
             return core.matmul_f(x2d, wt.T)
         xq = quant.quantize_odd(x2d, spec.m_bits)
         acc = core.matmul_f(xq.codes.astype(np.float64), w_codes.T.astype(np.float64))
-        if spec.follows_bn:
-            return acc
-        return gemm.scale_output(acc, spec.m_bits, w.bits, spec.r)
+        return _acc_output(acc, spec, w.bits)
 
     raise StageError(f"unknown stage {stage!r}")
 
@@ -179,7 +185,7 @@ def _check_input(x: np.ndarray, spec: LayerSpec) -> None:
 
 def dense_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
     if stage == "decomposed":
-        return _decomposed_step(spec, w)(np.asarray(x, dtype=np.float64))
+        return model_forward(ModelState(stage, [spec], [w]), x)
     _check_input(x, spec)
     return _gemm_stage(np.asarray(x, dtype=np.float64), spec, w, stage)
 
@@ -208,7 +214,7 @@ def conv2d_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
     decomposed stage gathers the same patches from code bytes.
     """
     if stage == "decomposed":
-        return _decomposed_step(spec, w)(np.asarray(x, dtype=np.float64))
+        return model_forward(ModelState(stage, [spec], [w]), x)
     _check_input(x, spec)
     x = np.asarray(x, dtype=np.float64)
     geometry = (*spec.kernel, spec.stride, spec.padding)
@@ -300,14 +306,6 @@ class _Plan:
     steps: list  # functions of the activation, run in order
 
 
-@dataclass(frozen=True)
-class _BitLayer:
-    spec: LayerSpec
-    # the model's weight codes, reduction in (i, j, c) order, with the
-    # epilogue to the next bit layer's code bytes as its fold, if any
-    weight: gemm.GemmWeight
-
-
 def _plan(m: ModelState) -> _Plan:
     """The model's plan, rebuilt if its layers changed."""
     p = m._plan
@@ -318,12 +316,10 @@ def _plan(m: ModelState) -> _Plan:
 
 
 def _bit_layer_ok(spec: LayerSpec, w) -> bool:
-    """Well-formed bit-plane weights on a layer with quantized inputs."""
+    """Bit-plane weights that fit a layer with quantized inputs (words checked later)."""
     return (spec.kind in ("dense", "conv2d") and isinstance(w, gemm.EncodedMatrix)
             and type(spec.m_bits) is int and 1 <= spec.m_bits <= quant.MAX_BITS
-            and (w.rows, w.cols) == (spec.out_features, spec.reduction_len())
-            and isinstance(w.words, np.ndarray) and w.words.dtype == np.uint64
-            and w.words.shape == (w.rows, w.bits, bitops.word_count(w.cols)))
+            and (w.rows, w.cols) == (spec.out_features, spec.reduction_len()))
 
 
 def _reduction_ijc(spec: LayerSpec, w: gemm.EncodedMatrix) -> gemm.EncodedMatrix:
@@ -364,13 +360,9 @@ def fold_thresholds(specs: list[LayerSpec], weights: list,
         return None, i + 1
 
     def values(acc: np.ndarray) -> list[np.ndarray]:
-        h = (acc.astype(np.float64) if spec.follows_bn
-             else gemm.scale_output(acc, spec.m_bits, w.bits, spec.r))
-        out = [h]
+        out = [_acc_output(acc, spec, w.bits)]
         for s, p in chain:
-            h = (batchnorm_forward(h, p["gamma"], p["beta"], p["mean"], p["var"], s.eps)
-                 if s.kind == "batchnorm" else quant.activation(h, s.act))
-            out.append(h)
+            out.append(_layer_forward(out[-1], s, p, "quantized"))
         return out
 
     limit = spec.reduction_len() * ((1 << spec.m_bits) - 1) * ((1 << w.bits) - 1)
@@ -382,39 +374,38 @@ def fold_thresholds(specs: list[LayerSpec], weights: list,
                                   specs[j].m_bits), j
 
 
-def _decomposed_step(spec: LayerSpec, w, fold: gemm.CodeThresholds | None = None):
-    """A dense or conv layer of the plan as a step."""
-    if isinstance(w, gemm.EncodedMatrix) and spec.m_bits is None:
-        # full-precision activations: no planes to feed the bit kernel, so
-        # run the dequantized codes exactly like the quantized stage
-        w = _dequantized(w)
-    if isinstance(w, np.ndarray):
-        return functools.partial(_layer_forward, spec=spec, w=w, stage="float")
-    if not isinstance(w, gemm.EncodedMatrix):
-        raise StageError("decomposed stage requires bit-plane weights")
-    layer = _BitLayer(spec, gemm.prepare_weight(_reduction_ijc(spec, w), spec.m_bits, fold))
-    return functools.partial(_bit_layer_forward, layer=layer)
-
-
 def _build_plan(m: ModelState) -> _Plan:
+    """The model's layers as steps. A bit layer's step holds its weight
+    prepared for the GEMM, a conv's reduction in (i, j, c) order, with the
+    epilogue to the next bit layer's code bytes if the chain folds."""
     steps = []
     i = 0
     while i < len(m.specs):
         spec, w = m.specs[i], m.weights[i]
         nxt = i + 1
-        if spec.kind in ("dense", "conv2d"):
-            fold, nxt = fold_thresholds(m.specs, m.weights, i)
-            steps.append(_decomposed_step(spec, w, fold))
+        if spec.kind not in ("dense", "conv2d"):
+            step = functools.partial(_layer_forward, spec=spec, w=w, stage="decomposed")
         else:
-            steps.append(functools.partial(_layer_forward, spec=spec, w=w, stage="decomposed"))
+            if isinstance(w, gemm.EncodedMatrix) and spec.m_bits is None:
+                # full-precision activations: no planes to feed the bit kernel, so
+                # run the dequantized codes exactly like the quantized stage
+                w = _dequantized(w)
+            if isinstance(w, np.ndarray):
+                step = functools.partial(_layer_forward, spec=spec, w=w, stage="float")
+            elif isinstance(w, gemm.EncodedMatrix):
+                fold, nxt = fold_thresholds(m.specs, m.weights, i)
+                weight = gemm.prepare_weight(_reduction_ijc(spec, w), spec.m_bits, fold)
+                step = functools.partial(_bit_layer_forward, spec=spec, weight=weight)
+            else:
+                raise StageError("decomposed stage requires bit-plane weights")
+        steps.append(step)
         i = nxt
     return _Plan(list(m.specs), list(m.weights), steps)
 
 
-def _bit_layer_forward(h: np.ndarray, layer: _BitLayer) -> np.ndarray:
+def _bit_layer_forward(h: np.ndarray, spec: LayerSpec, weight: gemm.GemmWeight) -> np.ndarray:
     """A bit layer of the plan on its float input, or on the code bytes of a
     folded layer: uint8 (B, N) for dense, (B, H, W, C) for conv."""
-    spec = layer.spec
     conv = spec.kind == "conv2d"
     geometry = (*spec.kernel, spec.stride, spec.padding) if conv else (1, 1, 1, 0)
     if h.dtype != np.uint8:
@@ -424,16 +415,14 @@ def _bit_layer_forward(h: np.ndarray, layer: _BitLayer) -> np.ndarray:
             _reject_non_finite(im2col(h, *geometry) if conv else h, spec)
         h = b
     image = h if conv else h.reshape(len(h), 1, 1, h.shape[1])
-    fold = layer.weight.fold
-    out = gemm.encoded_gemm(gemm.gather_codes(image, spec.m_bits, *geometry), layer.weight)
-    if fold is None:
-        out = (out.astype(np.float64) if spec.follows_bn
-               else gemm.scale_output(out, spec.m_bits, layer.weight.bits, spec.r))
+    out = gemm.encoded_gemm(gemm.gather_codes(image, spec.m_bits, *geometry), weight)
+    if weight.fold is None:
+        out = _acc_output(out, spec, weight.bits)
     if not conv:
         return out
     nchw = (image.shape[0], image.shape[3], *image.shape[1:3])
     out = out.reshape(nchw[0], *gemm.patch_grid(nchw, *geometry), spec.out_features)
-    return out if fold is not None else out.transpose(0, 3, 1, 2)
+    return out if weight.fold is not None else out.transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------

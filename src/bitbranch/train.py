@@ -128,16 +128,15 @@ def _fake_quant(x: np.ndarray, bits: int, t: float, grid: str = "odd"):
     """
     u = x / t
     inside = np.abs(u) <= 1.0
+    sat_sign = np.where(inside, 0.0, np.sign(u))
     if grid == "odd":
         q = quant.quantize_odd(u, bits)
         value = q.codes.astype(np.float64) * (q.d * t)
-        return value, inside.astype(np.float64), np.where(inside, 0.0, np.sign(u))
-    if bits == 1:
-        value = np.where(x >= 0, t, -t)
-        return value, inside.astype(np.float64), np.sign(u)
-    qmax = (1 << (bits - 1)) - 1
-    value = core.round_half_away(np.clip(u, -1.0, 1.0) * qmax) * (t / qmax)
-    return value, inside.astype(np.float64), np.where(inside, 0.0, np.sign(u))
+    else:
+        value = quant.dequantize(quant.quantize_linear(x, bits, t))
+        if bits == 1:
+            sat_sign = np.sign(u)
+    return value, inside.astype(np.float64), sat_sign
 
 
 def _check_quantizer_input(h: np.ndarray, j: int) -> None:

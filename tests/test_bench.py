@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bitbranch import bench, core
+from bitbranch import bench, core, gemm
 
 
 class TestSpeedupModel:
@@ -70,6 +70,20 @@ class TestBenchHarness:
         bench.write_plot_data(rows, str(dat_path))
         body = [l for l in dat_path.read_text().splitlines() if l and not l.startswith("#")]
         assert body[0].startswith("1 1 ")
+
+    def test_weight_prepared_once_per_precision(self, monkeypatch):
+        # the timed packed calls get a prepared weight, as a model's plan does
+        prepared = []
+        real = gemm.prepare_weight
+
+        def counting(w, x_bits, *args):
+            prepared.append((x_bits, w.bits))
+            return real(w, x_bits, *args)
+
+        monkeypatch.setattr(gemm, "prepare_weight", counting)
+        rows = bench.bench_gemm([(2, 128, 2)], [(1, 1), (2, 3)], repeats=2)
+        assert [r["kernel"] for r in rows].count("packed") == 2
+        assert prepared == [(1, 1), (2, 3)]
 
     def test_scalar_baseline_matches_blas(self):
         rng = core.make_rng(0)

@@ -1,5 +1,6 @@
 """The native kernels against their numpy oracles, the fallback, and the checks at the C boundary."""
 
+import dataclasses
 import platform
 import subprocess
 import sys
@@ -37,12 +38,6 @@ def fresh_library():
 
 def random_odd_codes(rng, shape, bits):
     return rng.integers(0, 1 << bits, size=shape) * 2 - ((1 << bits) - 1)
-
-
-def numpy_gemm(x, w):
-    acc = np.empty((x.rows, w.rows), dtype=np.int64)
-    gemm._gemm_rows(x, w, 0, x.rows, acc)
-    return acc
 
 
 def decode_codes_loop(enc):
@@ -86,7 +81,7 @@ class TestNativeGemm:
         wc = random_odd_codes(rng, (q, n), k_bits)
         xe, we = gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits)
         expect = xc @ wc.T
-        np.testing.assert_array_equal(numpy_gemm(xe, we), expect)
+        np.testing.assert_array_equal(gemm._gemm_rows(xe, we), expect)
         np.testing.assert_array_equal(gemm.encoded_gemm(xe, we), expect)
 
     def test_threaded_row_split(self, kernel):
@@ -386,12 +381,11 @@ class TestFold:
 
     @pytest.mark.parametrize("t_rows,t_cols,signs", [(3, 3, 4), (3, 4, 3), (1, 4, 4)])
     def test_threshold_shapes_checked(self, kernel, t_rows, t_cols, signs):
-        xe = gemm.encode_codes(np.ones((2, 5), dtype=np.int64), 1)
         we = gemm.encode_codes(np.ones((4, 5), dtype=np.int64), 1)
         fold = gemm.CodeThresholds(bits=2, t=np.zeros((t_rows, t_cols), dtype=np.int64),
                                    sign=np.ones(signs, dtype=np.int64))
         with pytest.raises(core.ShapeError, match="thresholds"):
-            gemm.encoded_gemm(xe, we, fold)
+            gemm.prepare_weight(we, 1, fold)
 
     def test_prepared_weight_checks(self, kernel):
         xe = gemm.encode_codes(np.ones((2, 5), dtype=np.int64), 1)
@@ -402,9 +396,7 @@ class TestFold:
         fold = gemm.CodeThresholds(2, t, np.array([1, -1, -1, 1]))
         prepared = gemm.prepare_weight(we, 1, fold)
         np.testing.assert_array_equal(gemm.encoded_gemm(xe, prepared),
-                                      gemm.encoded_gemm(xe, we, fold))
-        with pytest.raises(core.ShapeError, match="its own thresholds"):
-            gemm.encoded_gemm(xe, prepared, fold)
+                                      fold.codes(gemm.encoded_gemm(xe, we)))
         with pytest.raises(core.ShapeError, match="prepared for M=2"):
             gemm.encoded_gemm(xe, gemm.prepare_weight(we, 2))
 
@@ -421,8 +413,8 @@ class TestFold:
         limit = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
         t = np.sort(rng.integers(-limit - 1, limit + 2, ((1 << bits) - 1, q)), axis=0)
         fold = gemm.CodeThresholds(bits=bits, t=t, sign=rng.choice([-1, 1], q))
-        got = gemm.encoded_gemm(gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits),
-                                fold)
+        got = gemm.encoded_gemm(gemm.encode_codes(xc, m_bits),
+                                gemm.prepare_weight(gemm.encode_codes(wc, k_bits), m_bits, fold))
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, fold.codes(xc @ wc.T))
 
@@ -441,7 +433,8 @@ class TestFold:
         else:
             t, sign = np.repeat(t, 2, axis=1)[:, ::2], np.repeat(sign, 2)[::2]
         fold = gemm.CodeThresholds(bits=2, t=t, sign=sign)
-        got = gemm.encoded_gemm(gemm.encode_codes(xc, 2), gemm.encode_codes(wc, 2), fold)
+        got = gemm.encoded_gemm(gemm.encode_codes(xc, 2),
+                                gemm.prepare_weight(gemm.encode_codes(wc, 2), 2, fold))
         np.testing.assert_array_equal(got, fold.codes(xc @ wc.T))
 
 
@@ -539,6 +532,32 @@ class TestDecomposedStage:
         with pytest.raises(core.DomainError, match=str(expect.value)):
             nn.model_forward(decomposed, x, threads=threads)
 
+    @pytest.mark.parametrize("bad", ["cut", "int64", "fortran"])
+    @pytest.mark.parametrize("layer", ["dense", "conv", "full_precision"])
+    def test_malformed_words_rejected(self, kernel, layer, bad):
+        # the first layer reduces over 72 columns, two words per plane, and
+        # would fold into the second; decoding a conv or full-precision
+        # weight's words checks them as the GEMM does
+        rng = core.make_rng(12)
+        if layer == "conv":
+            specs = [nn.conv2d(8, 3, 3, 3, m_bits=2, k_bits=2), nn.act_layer("htanh"),
+                     nn.conv2d(3, 2, 1, 1, m_bits=2, k_bits=2)]
+            x = rng.uniform(-1, 1, (2, 8, 4, 4))
+        else:
+            m_bits = None if layer == "full_precision" else 2
+            specs = [nn.dense(72, 3, m_bits=m_bits, k_bits=2), nn.act_layer("htanh"),
+                     nn.dense(3, 2, m_bits=2, k_bits=2)]
+            x = rng.uniform(-1, 1, (2, 72))
+        weights = [rng.uniform(-1, 1, s.weight_shape()) if s.weight_shape() else None
+                   for s in specs]
+        decomposed = nn.decompose_model(nn.quantize_model(nn.ModelState("float", specs, weights)))
+        w = decomposed.weights[0]
+        words = {"cut": w.words[:, :, :1].copy(), "int64": w.words.astype(np.int64),
+                 "fortran": np.asfortranarray(w.words)}[bad]
+        decomposed.weights[0] = dataclasses.replace(w, words=words)
+        with pytest.raises(core.ShapeError, match="uint64 words of shape"):
+            nn.model_forward(decomposed, x)
+
     def test_plan_built_by_first_forward_only(self, tmp_path):
         rng = core.make_rng(5)
         model = nn.init_mlp([12, 8, 3], rng, m_bits=2, k_bits=2, quantize_input=True)
@@ -575,10 +594,10 @@ class TestDecomposedStage:
         x = rng.uniform(-1, 1, (6, 5))
         np.testing.assert_array_equal(nn.model_forward(decomposed, x),
                                       nn.model_forward(quantized, x))
-        layers = [step.keywords["layer"] for step in decomposed._plan.steps
-                  if "layer" in step.keywords]
-        assert [layer.weight.fold is not None for layer in layers] == [True, False, False, True,
-                                                                 False]
+        weights = [step.keywords["weight"] for step in decomposed._plan.steps
+                   if "weight" in step.keywords]
+        assert [weight.fold is not None for weight in weights] == [True, False, False, True,
+                                                                   False]
 
     def test_loaded_planes_have_zero_pad_bits(self, tmp_path):
         rng = core.make_rng(3)
