@@ -9,7 +9,7 @@
  * them from floats, bb_gemm from popcount sums, and bb_gather packs
  * them into the rows of the next GEMM.
  *
- * Build with -ffp-contract=off and without fast-math: quantize_line, the one
+ * Build with -ffp-contract=off and without fast-math: bb_quantize, the one
  * quantizer, must repeat quant.quantize_odd operation for operation, and a
  * fused multiply-add would move values across cell edges.
  * -fno-trapping-math changes no value; it lets the compiler turn the
@@ -86,8 +86,8 @@ tile_out(const int64_t *restrict s, int len, int64_t q0, int64_t at, int64_t ful
  * dot(x_m, w_k) = n - 2 * popcount(x_m ^ w_k): zero pad bits cancel in the
  * XOR, so no NOT and no tail mask. Summing 2^(m+k) * dot over the planes,
  * acc = full - 2 s with full = n (2^M - 1)(2^K - 1) and s the tile sum.
- * Since full is fixed, sign * acc >= t is a bound on s, which Python turns
- * into th and flip once per weight. */
+ * The threshold epilogue compares s itself: gemm.bisect_thresholds finds th
+ * and flip on s, so they reach the kernel as they are, zero-padded. */
 static inline __attribute__((always_inline)) void
 gemm_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *restrict wt,
           int64_t w_rows, int64_t q_pad, int x_bits, int w_bits, int64_t n_words,
@@ -125,11 +125,10 @@ void bb_gemm(const uint64_t *x, const uint64_t *wt, int64_t rows, int64_t w_rows
                   acc, codes);
 }
 
-/* quant.quantize_odd of n values as code bytes. 0.0 (code -1) gives
- * (2^M - 1) / 2. Non-finite values are encoded as 0.0 and counted; the
+/* quant.quantize_odd of n values as code bytes, in one pass that keeps the
+ * vector loop long. Non-finite values are encoded as 0.0 and counted; the
  * count is returned. */
-static inline int64_t quantize_line(const double *x, int64_t n, int bits, double edge_snap,
-                                    uint8_t *b)
+int64_t bb_quantize(const double *x, int64_t n, int bits, double edge_snap, uint8_t *b)
 {
     const int levels = (1 << bits) - 1;
     int64_t bad = 0;
@@ -146,12 +145,6 @@ static inline int64_t quantize_line(const double *x, int64_t n, int bits, double
         b[t] = (uint8_t)(((xc > 0.0 ? code : -code) + levels) >> 1);
     }
     return bad;
-}
-
-/* One pass over all n values keeps the quantizer's vector loop long. */
-int64_t bb_quantize(const double *x, int64_t n, int bits, double edge_snap, uint8_t *b)
-{
-    return quantize_line(x, n, bits, edge_snap, b);
 }
 
 /* Pack 64 bytes into one word of each of the bits planes, out[m * n_words]:
@@ -187,11 +180,12 @@ static inline void pack_word(const uint8_t *b, int bits, int64_t n_words, uint64
  * Row (b, oh, ow) holds its kh * kw * channels bytes in (i, j, c) order, so
  * each kernel row is one run of kw * channels bytes: a window wholly inside
  * the image is kh copies from src; at the border the columns outside the
- * image are filled with the byte of 0.0. Returns 0, or -1 if the row buffer
- * cannot be allocated. */
+ * image are filled with pad, the byte of code -1, which 0.0 quantizes to and
+ * gemm.gather_codes passes in. Returns 0, or -1 if the row buffer cannot be
+ * allocated. */
 int bb_gather(const uint8_t *src, int64_t batch, int64_t height, int64_t width,
               int64_t channels, int64_t kh, int64_t kw, int64_t stride, int64_t padding,
-              int bits, double edge_snap, uint64_t *words)
+              int bits, int pad, uint64_t *words)
 {
     const int64_t oh = (height + 2 * padding - kh) / stride + 1;
     const int64_t ow = (width + 2 * padding - kw) / stride + 1;
@@ -200,9 +194,6 @@ int bb_gather(const uint8_t *src, int64_t batch, int64_t height, int64_t width,
     uint8_t *row = calloc((size_t)n_words + 1, 64);
     if (row == NULL)
         return -1;
-    const double zero = 0.0;
-    uint8_t pad;
-    quantize_line(&zero, 1, bits, edge_snap, &pad);
     uint64_t *out = words;
     for (int64_t b = 0; b < batch; b++)
         for (int64_t i = 0; i < oh; i++) {

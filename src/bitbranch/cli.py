@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import bench, datasets, nn, train
+from . import bench, datasets, nn, quant, train
 from .core import ConfigError, DivergenceError, StageError
 
 
@@ -30,6 +30,46 @@ def _parse_arch(arch: str) -> list[int]:
     if kind != "mlp" or not dims:
         raise ConfigError(f"unsupported arch {arch!r} (expected mlp:d0-d1-...-dk)")
     return [int(d) for d in dims.split("-")]
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type: an int in lo..hi, or >= lo without hi."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an int, got {text!r}") from None
+        if v < lo or (hi is not None and v > hi):
+            bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {v}")
+        return v
+    return parse
+
+
+def _int_tuples(count: int, lo: int, hi: int | None = None):
+    """An argparse type: a comma-separated list of ``count`` ints joined by 'x'."""
+    item = _int_in(lo, hi)
+
+    def parse(text: str) -> list[tuple[int, ...]]:
+        out = []
+        for part in text.split(","):
+            values = part.split("x")
+            if len(values) != count:
+                raise argparse.ArgumentTypeError(f"{part!r} is not {count} ints joined by 'x'")
+            out.append(tuple(item(v) for v in values))
+        return out
+    return parse
+
+
+def _fraction(text: str) -> float:
+    """An argparse type: a real strictly between 0 and 1."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < v < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
+    return v
 
 
 def _load_dataset(args) -> tuple[np.ndarray, np.ndarray]:
@@ -174,9 +214,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [tuple(int(v) for v in s.split("x")) for s in args.sizes.split(",")]
-    precisions = [tuple(int(v) for v in s.split("x")) for s in args.precisions.split(",")]
-    rows = bench.bench_gemm(sizes, precisions, repeats=args.repeats, seed=args.seed)
+    rows = bench.bench_gemm(args.sizes, args.precisions, repeats=args.repeats, seed=args.seed)
     if args.out:
         bench.write_csv(rows, args.out)
     if args.plot_data:
@@ -257,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--grid", choices=["odd", "linear"], default="odd",
                    help="simulated-quantizer grid for qnn training")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--epochs", type=_int_in(0), default=100)
+    p.add_argument("--batch-size", type=_int_in(1), default=64)
     p.add_argument("--n", type=int, default=512, help="dataset size")
     p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--val-frac", type=float, default=0.25)
+    p.add_argument("--val-frac", type=_fraction, default=0.25)
     p.add_argument("--progressive-from", type=int, default=0,
                    help="start bits for progressive fine-tuning down to --K")
     p.add_argument("--out", required=True, help="checkpoint path")
@@ -279,9 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="micro-benchmark the packed kernel")
-    p.add_argument("--sizes", default="1x8192x1")
-    p.add_argument("--precisions", default="1x1,2x2,3x3")
-    p.add_argument("--repeats", type=int, default=11)
+    # parsed defaults: _apply_config takes a value equal to the default as not given
+    p.add_argument("--sizes", type=_int_tuples(3, 1), default=[(1, 8192, 1)],
+                   help="PxNxQ[,PxNxQ...]")
+    p.add_argument("--precisions", type=_int_tuples(2, 1, quant.MAX_BITS),
+                   default=[(1, 1), (2, 2), (3, 3)], help="MxK[,MxK...]")
+    p.add_argument("--repeats", type=_int_in(1), default=11)
     p.add_argument("--out", default="")
     p.add_argument("--plot-data", default="")
     common(p)

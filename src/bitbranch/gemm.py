@@ -114,17 +114,18 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
     batch, h, w, c = b.shape
     oh, ow = patch_grid((batch, c, h, w), kh, kw, stride, padding)
     rows, cols = batch * oh * ow, c * kh * kw
+    # the byte of code -1, which quantize_odd gives 0.0
+    pad = (1 << (bits - 1)) - 1
     lib = _native.library()
     if lib is None:
-        pad = quantize_bytes(np.zeros(1), bits)[0][0]
         b = np.pad(b, ((0, 0), (padding, padding), (padding, padding), (0, 0)),
                    constant_values=pad)
         windows = np.lib.stride_tricks.sliding_window_view(b, (kh, kw), axis=(1, 2))
         ijc = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3).reshape(rows, cols)
         return encode_codes(2 * ijc.astype(np.int64) - ((1 << bits) - 1), bits)
     words = np.empty((rows, bits, bitops.word_count(cols)), dtype=np.uint64)
-    if lib.bb_gather(b.ctypes.data, batch, h, w, c, kh, kw, stride, padding, bits,
-                     quant._EDGE_SNAP, words.ctypes.data):
+    if lib.bb_gather(b.ctypes.data, batch, h, w, c, kh, kw, stride, padding, bits, pad,
+                     words.ctypes.data):
         raise MemoryError("no memory for a patch row")
     return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
 
@@ -149,66 +150,62 @@ def decode_codes(enc: EncodedMatrix) -> np.ndarray:
     return 2 * b.astype(np.int64) - ((1 << enc.bits) - 1)
 
 
-def _gemm_rows(x: EncodedMatrix, w: EncodedMatrix) -> np.ndarray:
-    """numpy kernel: the int64 (P, Q) product."""
-    acc = np.zeros((x.rows, w.rows), dtype=np.int64)
-    # m-major then k; the order is irrelevant to the exact result but fixed
-    # for reproducible timing.
-    for m in range(x.bits):
-        a = x.words[:, m, :]  # (P, nw)
-        for k in range(w.bits):
-            b = w.words[:, k, :]  # (Q, nw)
-            acc += (1 << (m + k)) * bitops.xnor_popcount_words(a[:, None, :], b[None, :, :],
-                                                                x.cols)
-    return acc
+def _full(cols: int, x_bits: int, w_bits: int) -> int:
+    """The accumulator's range N (2^M - 1)(2^K - 1); acc = full - 2 s."""
+    full = cols * ((1 << x_bits) - 1) * ((1 << w_bits) - 1)
+    if full > _ACC_LIMIT:
+        raise ShapeError(f"accumulator could overflow int64: N={cols}, M={x_bits}, K={w_bits}")
+    return full
 
 
 @dataclass(frozen=True)
 class CodeThresholds:
-    """A GEMM epilogue that maps each accumulator to a code byte of ``bits`` bits.
+    """A GEMM epilogue that maps each popcount sum s to a code byte of ``bits`` bits.
 
-    Output q's byte is the number of k with sign[q] * acc >= t[k, q]; it
-    stands for a function of acc that is monotone on every output.
+    With acc = full - 2 s, s = sum 2^(m+k) popcount(x_m ^ w_k) >= 0. Output
+    q's byte is the number of levels with s <= s_max[level, q], XOR flip[q];
+    it stands for a function of s that is monotone on every output.
     """
 
     bits: int
-    t: np.ndarray  # int64 (2^bits - 1, Q), C-contiguous, ascending down each column
-    sign: np.ndarray  # int64 (Q,) of +1 and -1
+    s_max: np.ndarray  # int64 (2^bits - 1, Q)
+    flip: np.ndarray  # uint8 (Q,): 2^bits - 1 where the byte rises with s, else 0
 
-    def codes(self, acc: np.ndarray) -> np.ndarray:
-        """The epilogue in numpy: code bytes of an int64 (P, Q) accumulator."""
-        v = np.asarray(acc, dtype=np.int64) * self.sign
-        return np.count_nonzero(v[:, None, :] >= self.t, axis=1).astype(np.uint8)
+    def codes(self, s: np.ndarray) -> np.ndarray:
+        """The epilogue in numpy: code bytes of an int64 (P, Q) array of popcount sums."""
+        n = np.count_nonzero(np.asarray(s, dtype=np.int64)[:, None, :] <= self.s_max, axis=1)
+        return n.astype(np.uint8) ^ self.flip
 
 
-def bisect_thresholds(real: Callable[[np.ndarray], np.ndarray], limit: int, channels: int,
+def bisect_thresholds(real: Callable[[np.ndarray], np.ndarray], full: int, channels: int,
                       bits: int) -> CodeThresholds:
-    """The thresholds of acc -> quantize_odd(real(acc), bits) over |acc| <= limit.
+    """The epilogue of s -> quantize_odd(real(full - 2 s), bits) over 0 <= s <= full.
 
     ``real`` maps an int64 (n, channels) array of accumulators to the values
     the next layer quantizes, and must be monotone in acc on each channel.
-    The direction comes from the two ends of the range; each threshold is
-    the least acc whose code byte reaches its level, found by bisection, so
-    a layer costs O(2^bits log limit) evaluations of ``real``.
+    The direction comes from the two ends of the range. For each level, "the
+    byte reaches it" XOR "the byte rises with s" holds on a prefix of s,
+    whose last s is found by bisection, so a layer costs
+    O(2^bits log full) evaluations of ``real``.
     """
     levels = (1 << bits) - 1
 
-    def byte(acc):
-        return (quant.quantize_odd(real(acc), bits).codes + levels) >> 1
+    def byte(s):
+        return (quant.quantize_odd(real(full - 2 * s), bits).codes + levels) >> 1
 
-    ends = byte(np.repeat(np.array([[-limit], [limit]], dtype=np.int64), channels, axis=1))
-    sign = np.where(ends[1] >= ends[0], 1, -1).astype(np.int64)
+    ends = byte(np.repeat(np.array([[0], [full]], dtype=np.int64), channels, axis=1))
+    rises = ends[1] > ends[0]
     level = np.arange(1, levels + 1)[:, None]
-    # byte(sign * lo) < level <= byte(sign * hi), with -limit - 1 and
-    # limit + 1 standing for codes below and above every level
-    lo = np.full((levels, channels), -limit - 1, dtype=np.int64)
-    hi = np.full((levels, channels), limit + 1, dtype=np.int64)
+    # the test holds at lo and fails at hi, with -1 and full + 1 standing
+    # for a prefix that is empty and one that is everything
+    lo = np.full((levels, channels), -1, dtype=np.int64)
+    hi = np.full((levels, channels), full + 1, dtype=np.int64)
     while np.any(unsettled := hi - lo > 1):
         mid = lo + (hi - lo) // 2
-        up = byte(sign * mid) >= level
-        hi = np.where(unsettled & up, mid, hi)
-        lo = np.where(unsettled & ~up, mid, lo)
-    return CodeThresholds(bits=bits, t=hi, sign=sign)
+        holds = (byte(mid) >= level) != rises
+        lo = np.where(unsettled & holds, mid, lo)
+        hi = np.where(unsettled & ~holds, mid, hi)
+    return CodeThresholds(bits, lo, np.where(rises, levels, 0).astype(np.uint8))
 
 
 # Outputs per register tile of the C GEMM; a prepared weight pads its outputs to a multiple.
@@ -216,68 +213,65 @@ TILE_Q = 16
 
 
 @dataclass(frozen=True)
-class GemmWeight(EncodedMatrix):
+class GemmWeight:
     """A right operand with its epilogue, laid out once for both kernels.
 
-    The C kernel reads the planes transposed, wt[k, j, q], with the outputs
-    zero-padded to a multiple of ``TILE_Q``, and compares the popcount sum s
-    itself: acc = full - 2 s with full = N (2^M - 1)(2^K - 1), and output q's
-    code byte is the number of levels with s <= s_max[level, q], XOR flip[q].
+    The planes are stored transposed, wt[k, j, q], with the outputs
+    zero-padded to a multiple of ``TILE_Q``; ``fold``'s tables are padded
+    alike. Both kernels compute the popcount sums of every padded output
+    and drop the padding.
     """
 
+    bits: int
+    rows: int
+    cols: int
     x_bits: int  # M of the left operands it meets
-    fold: CodeThresholds | None  # t and sign C-contiguous int64
     wt: np.ndarray  # uint64 (K, words_per_row, Q padded)
-    s_max: np.ndarray | None  # int64 (2^bits - 1, Q padded)
-    flip: np.ndarray | None  # uint8 (Q padded,): 0 where sign is +1, 2^bits - 1 where -1
+    fold: CodeThresholds | None  # s_max int64 and flip uint8, C-contiguous, Q padded
 
 
-def _half_floor(a, b):
-    """floor((a + b) / 2) of int64 values without forming a + b."""
-    return (a >> 1) + (b >> 1) + (a & b & 1)
+def _padded(a: np.ndarray, q_pad: int, dtype) -> np.ndarray:
+    out = np.zeros(a.shape[:-1] + (q_pad,), dtype=dtype)
+    out[..., :a.shape[-1]] = a
+    return out
 
 
 def prepare_weight(w: EncodedMatrix, x_bits: int,
                    fold: CodeThresholds | None = None) -> GemmWeight:
-    """Check w and ``fold`` and lay them out for ``encoded_gemm`` with M = x_bits.
-
-    With sign +1, sign * acc >= t holds iff s <= floor((full - t) / 2); with
-    sign -1 it holds iff s >= ceil((full + t) / 2), so the count of levels
-    that hold is 2^bits - 1 minus the count with s <= ceil((full + t) / 2) - 1,
-    which is that count XOR 2^bits - 1. Thresholds outside [-full - 1,
-    full + 1] act like those ends and are clipped to them first.
-    """
+    """Check w and ``fold`` and lay them out for ``encoded_gemm`` with M = x_bits."""
     quant._check_bits(x_bits)
-    full = w.cols * ((1 << x_bits) - 1) * ((1 << w.bits) - 1)
-    if full > _ACC_LIMIT:
-        raise ShapeError(f"accumulator could overflow int64: N={w.cols}, "
-                         f"M={x_bits}, K={w.bits}")
+    _full(w.cols, x_bits, w.bits)
     _check_operand(w, "right")
     q_pad = -(-w.rows // TILE_Q) * TILE_Q
-    wt = np.zeros((w.bits, w.words_per_row, q_pad), dtype=np.uint64)
-    wt[:, :, :w.rows] = w.words.transpose(1, 2, 0)
-    layout = dict(bits=w.bits, rows=w.rows, cols=w.cols, words=w.words, x_bits=x_bits, wt=wt)
-    if fold is None:
-        return GemmWeight(**layout, fold=None, s_max=None, flip=None)
-    quant._check_bits(fold.bits)
-    t = np.ascontiguousarray(fold.t, dtype=np.int64)
-    sign = np.ascontiguousarray(fold.sign, dtype=np.int64)
-    if (t.shape, sign.shape) != (((1 << fold.bits) - 1, w.rows), (w.rows,)):
-        raise ShapeError(f"thresholds {t.shape} and signs {sign.shape} do not fit "
-                         f"{w.rows} outputs of {fold.bits} bits")
-    if not np.all(np.abs(sign) == 1):
-        raise DomainError("threshold signs must be +1 or -1")
-    clipped = np.clip(t, -full - 1, full + 1)
-    s_max = np.zeros((len(t), q_pad), dtype=np.int64)
-    s_max[:, :w.rows] = np.where(sign > 0, _half_floor(full, -clipped),
-                                 _half_floor(full, clipped - 1))
-    flip = np.zeros(q_pad, dtype=np.uint8)
-    flip[:w.rows] = np.where(sign > 0, 0, len(t))
-    return GemmWeight(**layout, fold=CodeThresholds(fold.bits, t, sign), s_max=s_max, flip=flip)
+    wt = _padded(w.words.transpose(1, 2, 0), q_pad, np.uint64)
+    if fold is not None:
+        quant._check_bits(fold.bits)
+        levels = (1 << fold.bits) - 1
+        s_max, flip = np.asarray(fold.s_max), np.asarray(fold.flip)
+        if (s_max.shape, flip.shape) != ((levels, w.rows), (w.rows,)):
+            raise ShapeError(f"thresholds {s_max.shape} and flips {flip.shape} do not fit "
+                             f"{w.rows} outputs of {fold.bits} bits")
+        if not np.all((flip == 0) | (flip == levels)):
+            raise DomainError(f"threshold flips must be 0 or {levels}")
+        fold = CodeThresholds(fold.bits, _padded(s_max, q_pad, np.int64),
+                              _padded(flip, q_pad, np.uint8))
+    return GemmWeight(bits=w.bits, rows=w.rows, cols=w.cols, x_bits=x_bits, wt=wt, fold=fold)
 
 
-def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix) -> np.ndarray:
-    """Exact integer accumulator of the decomposed product, shape (P, Q).
+def _gemm_rows(x: EncodedMatrix, w: GemmWeight) -> np.ndarray:
+    """numpy kernel: the int64 accumulator of x and every padded output of w, (P, Q padded)."""
+    acc = np.zeros((x.rows, w.wt.shape[2]), dtype=np.int64)
+    # m-major then k; the order is irrelevant to the exact result but fixed
+    # for reproducible timing.
+    for m in range(x.bits):
+        a = x.words[:, None, m, :]  # (P, 1, nw)
+        for k in range(w.bits):
+            acc += (1 << (m + k)) * bitops.xnor_popcount_words(a, w.wt[k].T, x.cols)
+    return acc
+
+
+def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight) -> np.ndarray:
+    """Exact integer accumulator of the decomposed product, C-contiguous (P, Q).
 
     A w from ``prepare_weight`` with a fold turns each accumulator into the
     next layer's code byte instead, and the result is uint8 (P, Q),
@@ -293,11 +287,14 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix) -> np.ndarray:
     fold = w.fold
     lib = _native.library()
     if lib is None:
-        acc = _gemm_rows(x, w)
-        return acc if fold is None else fold.codes(acc)
+        out = _gemm_rows(x, w)
+        if fold is not None:
+            out = fold.codes((_full(x.cols, x.bits, w.bits) - out) >> 1)
+        return np.ascontiguousarray(out[:, :w.rows])
     out = np.empty((x.rows, w.rows), dtype=np.int64 if fold is None else np.uint8)
     epilogue = ((None, None, 0, out.ctypes.data, None) if fold is None else
-                (w.s_max.ctypes.data, w.flip.ctypes.data, len(fold.t), None, out.ctypes.data))
+                (fold.s_max.ctypes.data, fold.flip.ctypes.data, len(fold.s_max), None,
+                 out.ctypes.data))
     lib.bb_gemm(x.words.ctypes.data, w.wt.ctypes.data, x.rows, w.rows, w.wt.shape[2], x.bits,
                 w.bits, x.words_per_row, x.cols, *epilogue)
     return out

@@ -8,10 +8,10 @@ and lives in exactly one stage:
                   quantized on the fly at each dense/conv input.
 * ``decomposed``  weights are packed {-1,+1} bit planes; the forward pass
                   runs on the xnor/popcount kernel and is value-identical
-                  to the quantized stage. A model's first forward compiles
-                  it into an integer plan (see below), the one decomposed
-                  forward; ``dense_forward`` and ``conv2d_forward`` run the
-                  plan of a one-layer model.
+                  to the quantized stage. It runs only in ``model_forward``:
+                  a model's first forward compiles it into an integer plan
+                  (see below), and ``dense_forward``/``conv2d_forward`` take
+                  the float and quantized stages only.
 
 Convolution is lowered to patch extraction followed by the same GEMM as
 dense layers: im2col of the activation in the float and quantized stages,
@@ -173,7 +173,8 @@ def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
         acc = core.matmul_f(xq.codes.astype(np.float64), w_codes.T.astype(np.float64))
         return _acc_output(acc, spec, w.bits)
 
-    raise StageError(f"unknown stage {stage!r}")
+    raise StageError(f"stage {stage!r} has no per-layer forward; float and quantized do, and "
+                     "the decomposed stage runs in model_forward")
 
 
 def _check_input(x: np.ndarray, spec: LayerSpec) -> None:
@@ -184,8 +185,6 @@ def _check_input(x: np.ndarray, spec: LayerSpec) -> None:
 
 
 def dense_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
-    if stage == "decomposed":
-        return model_forward(ModelState(stage, [spec], [w]), x)
     _check_input(x, spec)
     return _gemm_stage(np.asarray(x, dtype=np.float64), spec, w, stage)
 
@@ -208,13 +207,11 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0) -
 def conv2d_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
     """Convolution as im2col + the stage GEMM.
 
-    In quantized/decomposed stages the patch matrix (padding zeros
-    included) is what gets quantized: the odd grid has no zero, so padded
-    positions land on the nearest odd level like any other value. The
-    decomposed stage gathers the same patches from code bytes.
+    In the quantized stage the patch matrix (padding zeros included) is
+    what gets quantized: the odd grid has no zero, so padded positions land
+    on the nearest odd level like any other value. The decomposed stage's
+    plan gathers the same patches from code bytes.
     """
-    if stage == "decomposed":
-        return model_forward(ModelState(stage, [spec], [w]), x)
     _check_input(x, spec)
     x = np.asarray(x, dtype=np.float64)
     geometry = (*spec.kernel, spec.stride, spec.padding)
@@ -339,7 +336,7 @@ def _chain_folds(spec: LayerSpec, w, channels: int) -> bool:
 
 def fold_thresholds(specs: list[LayerSpec], weights: list,
                     i: int) -> tuple[gemm.CodeThresholds | None, int]:
-    """Thresholds from bit layer i's accumulator to the next bit layer's code bytes.
+    """The epilogue from bit layer i's popcount sums to the next bit layer's code bytes.
 
     Returns them with that layer's index, or (None, i + 1) when the layers
     do not fold: layer i and the next weighted layer must be bit layers of
@@ -347,7 +344,7 @@ def fold_thresholds(specs: list[LayerSpec], weights: list,
     intermediate value finite at both ends of the accumulator range (which
     also rules out var + eps <= 0). Each channel's map from acc to the code
     is then monotone, and its thresholds are those of the quantized stage's
-    own float code, evaluated on the integers.
+    own float code, evaluated on every popcount sum the GEMM can produce.
     """
     spec, w = specs[i], weights[i]
     j = i + 1
@@ -365,12 +362,12 @@ def fold_thresholds(specs: list[LayerSpec], weights: list,
             out.append(_layer_forward(out[-1], s, p, "quantized"))
         return out
 
-    limit = spec.reduction_len() * ((1 << spec.m_bits) - 1) * ((1 << w.bits) - 1)
+    full = gemm._full(spec.reduction_len(), spec.m_bits, w.bits)
     with np.errstate(all="ignore"):
-        ends = values(np.array([[-limit], [limit]], dtype=np.int64))
+        ends = values(np.array([[-full], [full]], dtype=np.int64))
     if not all(np.all(np.isfinite(v)) for v in ends):
         return None, i + 1
-    return gemm.bisect_thresholds(lambda acc: values(acc)[-1], limit, spec.out_features,
+    return gemm.bisect_thresholds(lambda acc: values(acc)[-1], full, spec.out_features,
                                   specs[j].m_bits), j
 
 

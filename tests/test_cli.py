@@ -283,6 +283,43 @@ class TestConfigFile:
         assert nn.load_model(str(out)).flavor == "mbbn"
 
 
+class TestCountFlags:
+    """Sizes, precisions and counts out of range exit 2 before any work."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--sizes", "1x2"), ("--sizes", "0x8x1"), ("--sizes", "1x8x1,2x-1x2"),
+        ("--precisions", "1x1x1"), ("--precisions", "9x1"), ("--precisions", "2x0"),
+        ("--repeats", "0"), ("--batch-size", "0"), ("--batch-size", "-4"), ("--epochs", "-1"),
+        ("--val-frac", "0"), ("--val-frac", "1.5"), ("--val-frac", "nan")])
+    @pytest.mark.parametrize("via", ["argv", "config"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, flag, value, via):
+        out = tmp_path / "t.bbm"
+        argv = (["bench"] if flag in ("--sizes", "--precisions", "--repeats")
+                else ["train", "--n", "64", "--out", str(out)])
+        if via == "argv":
+            argv += [flag, value]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{flag[2:]}={value}\n")
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_sizes_and_precisions_from_config(self, tmp_path, capsys):
+        # the parsed defaults must compare equal to themselves, or the config is ignored
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("sizes=2x64x3\nprecisions=2x1\nrepeats=1\n")
+        assert main(["bench", "--config", str(cfg)]) == 0
+        rows = [line.split(",")[:6] for line in capsys.readouterr().out.splitlines()]
+        assert rows == [["scalar_float", "0", "0", "2", "64", "3"],
+                        ["blas_float", "0", "0", "2", "64", "3"],
+                        ["packed", "2", "1", "2", "64", "3"]]
+
+
 class TestInspectAndTable:
     def test_inspect_echoes_mixed_precisions(self, tmp_path, capsys):
         specs = [nn.dense(4, 8, m_bits=8, k_bits=7), nn.act_layer("htanh"),

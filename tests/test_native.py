@@ -81,7 +81,8 @@ class TestNativeGemm:
         wc = random_odd_codes(rng, (q, n), k_bits)
         xe, we = gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits)
         expect = xc @ wc.T
-        np.testing.assert_array_equal(gemm._gemm_rows(xe, we), expect)
+        rows = gemm._gemm_rows(xe, gemm.prepare_weight(we, m_bits))
+        np.testing.assert_array_equal(rows[:, :q], expect)
         np.testing.assert_array_equal(gemm.encoded_gemm(xe, we), expect)
 
     def test_threaded_row_split(self, kernel):
@@ -233,6 +234,11 @@ def conv_inputs(draw, special=()):
 
 
 class TestEncodePatches:
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_pad_byte_is_the_byte_of_zero(self, kernel, bits):
+        # gather_codes pads with this byte without running the quantizer
+        assert gemm.quantize_bytes(np.zeros(1), bits)[0][0] == (1 << (bits - 1)) - 1
+
     @settings(max_examples=300, **FIXTURE_OK)
     @given(case=conv_inputs())
     def test_words_equal_encoded_patch_matrix(self, kernel, case):
@@ -260,12 +266,13 @@ class TestEncodePatches:
         we = gemm.encode_codes(wq.codes.reshape(2, -1), 2)
         assert gemm.quantize_bytes(x, bits)[1] == np.count_nonzero(~np.isfinite(x))
         bad = int(np.count_nonzero(~np.isfinite(im2col_loop(x, kh, kw, stride, padding))))
+        decomposed = nn.ModelState("decomposed", [spec], [we])
         if bad == 0:  # every non-finite element lies outside all windows
-            np.testing.assert_array_equal(nn.conv2d_forward(x, spec, we, "decomposed"),
+            np.testing.assert_array_equal(nn.model_forward(decomposed, x),
                                           nn.conv2d_forward(x, spec, wq, "quantized"))
             return
         with pytest.raises(core.DomainError, match=f"layer input: {bad} non-finite values"):
-            nn.conv2d_forward(x, spec, we, "decomposed")
+            nn.model_forward(decomposed, x)
 
 
 @st.composite
@@ -318,6 +325,21 @@ def random_models(draw):
     return nn.ModelState("float", specs, weights), x.reshape(shape)
 
 
+def quantized_code(specs, weights, acc):
+    """The oracle of a fold: the quantized stage's float code of each
+    accumulator, through specs[0]'s output and the chain up to the last layer."""
+    spec = specs[0]
+    h = (acc.astype(np.float64) if spec.follows_bn
+         else gemm.scale_output(acc, spec.m_bits, weights[0].bits, spec.r))
+    for s, p in zip(specs[1:-1], weights[1:-1]):
+        if s.kind == "batchnorm":
+            h = nn.batchnorm_forward(h, p["gamma"], p["beta"], p["mean"], p["var"], s.eps)
+        else:
+            h = quant.activation(h, s.act)
+    bits = specs[-1].m_bits
+    return (quant.quantize_odd(h, bits).codes + (1 << bits) - 1) >> 1
+
+
 class TestFold:
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 40), m_bits=st.integers(1, 3), k_bits=st.integers(1, 3),
@@ -347,17 +369,28 @@ class TestFold:
         weights.append(gemm.encode_codes(random_odd_codes(rng, (2, channels), 2), 2))
         fold, nxt = nn.fold_thresholds(specs, weights, 0)
         assert nxt == len(specs) - 1 and fold is not None
-        # the oracle: the quantized stage's float code on every reachable acc
-        acc = np.repeat(np.arange(-limit, limit + 1)[:, None], channels, axis=1)
-        h = acc.astype(np.float64) if follows_bn else gemm.scale_output(acc, m_bits, k_bits, r)
-        if bn:
-            p = weights[1]
-            h = nn.batchnorm_forward(h, p["gamma"], p["beta"], p["mean"], p["var"])
-        if act:
-            h = quant.activation(h, act)
-        levels = (1 << next_bits) - 1
-        table = (quant.quantize_odd(h, next_bits).codes + levels) >> 1
-        np.testing.assert_array_equal(fold.codes(acc), table)
+        # every popcount sum the GEMM can produce, s in [0, limit]
+        s = np.repeat(np.arange(limit + 1)[:, None], channels, axis=1)
+        np.testing.assert_array_equal(fold.codes(s), quantized_code(specs, weights, limit - 2 * s))
+
+    def test_large_range_fold(self):
+        # dense 784->4 at M = K = 8: full is about 5.1e7, far past an exhaustive table
+        rng = core.make_rng(13)
+        full = 784 * 255 * 255
+        specs = [nn.dense(784, 4, 8, 8), nn.batchnorm(4), nn.act_layer("htanh"),
+                 nn.dense(4, 2, m_bits=8, k_bits=2)]
+        weights = [gemm.encode_codes(random_odd_codes(rng, (4, 784), 8), 8),
+                   {"gamma": np.array([1.3, -0.7, 0.0, 2.1]), "beta": rng.uniform(-0.5, 0.5, 4),
+                    "mean": rng.uniform(-50, 50, 4), "var": rng.uniform(0.5, 2, 4) * 200.0 ** 2},
+                   None, gemm.encode_codes(random_odd_codes(rng, (2, 4), 2), 2)]
+        fold, nxt = nn.fold_thresholds(specs, weights, 0)
+        assert nxt == 3 and fold is not None
+        # each threshold and its neighbours, random sums and both ends, per channel
+        near = (fold.s_max[:, None, :] + np.array([-1, 0, 1])[:, None]).reshape(-1, 4)
+        s = np.concatenate([near, rng.integers(0, full + 1, (100_000, 4)),
+                            np.array([[0] * 4, [full] * 4])])
+        s = np.clip(s, 0, full)
+        np.testing.assert_array_equal(fold.codes(s), quantized_code(specs, weights, full - 2 * s))
 
     @pytest.mark.parametrize("chain", ["zero_var", "tanh", "logits", "float_next"])
     def test_chains_that_do_not_fold(self, chain):
@@ -379,63 +412,66 @@ class TestFold:
             np.testing.assert_array_equal(nn.model_forward(decomposed, x),
                                           nn.model_forward(quantized, x))
 
-    @pytest.mark.parametrize("t_rows,t_cols,signs", [(3, 3, 4), (3, 4, 3), (1, 4, 4)])
-    def test_threshold_shapes_checked(self, kernel, t_rows, t_cols, signs):
+    @pytest.mark.parametrize("t_rows,t_cols,flips", [(3, 3, 4), (3, 4, 3), (1, 4, 4)])
+    def test_threshold_shapes_checked(self, kernel, t_rows, t_cols, flips):
         we = gemm.encode_codes(np.ones((4, 5), dtype=np.int64), 1)
-        fold = gemm.CodeThresholds(bits=2, t=np.zeros((t_rows, t_cols), dtype=np.int64),
-                                   sign=np.ones(signs, dtype=np.int64))
+        fold = gemm.CodeThresholds(bits=2, s_max=np.zeros((t_rows, t_cols), dtype=np.int64),
+                                   flip=np.zeros(flips, dtype=np.uint8))
         with pytest.raises(core.ShapeError, match="thresholds"):
             gemm.prepare_weight(we, 1, fold)
 
     def test_prepared_weight_checks(self, kernel):
         xe = gemm.encode_codes(np.ones((2, 5), dtype=np.int64), 1)
         we = gemm.encode_codes(np.ones((4, 5), dtype=np.int64), 1)
-        t = np.zeros((3, 4), dtype=np.int64)
-        with pytest.raises(core.DomainError, match="signs"):
-            gemm.prepare_weight(we, 1, gemm.CodeThresholds(2, t, np.array([1, 0, -1, 1])))
-        fold = gemm.CodeThresholds(2, t, np.array([1, -1, -1, 1]))
+        s_max = np.array([[0, 2, 5, 7]] * 3)
+        for flip in ([0, 1, 3, 0], [0, 3, 3, -1], [0, 3, 3, 255]):
+            with pytest.raises(core.DomainError, match="flips"):
+                gemm.prepare_weight(we, 1, gemm.CodeThresholds(2, s_max, np.array(flip)))
+        fold = gemm.CodeThresholds(2, s_max, np.array([0, 3, 3, 0], dtype=np.uint8))
         prepared = gemm.prepare_weight(we, 1, fold)
-        np.testing.assert_array_equal(gemm.encoded_gemm(xe, prepared),
-                                      fold.codes(gemm.encoded_gemm(xe, we)))
+        s = (5 - gemm.encoded_gemm(xe, we)) >> 1
+        np.testing.assert_array_equal(gemm.encoded_gemm(xe, prepared), fold.codes(s))
         with pytest.raises(core.ShapeError, match="prepared for M=2"):
             gemm.encoded_gemm(xe, gemm.prepare_weight(we, 2))
 
-    # p and q fall on both sides of the C kernel's 4 x 16 tile edges; thresholds
-    # reach bisect_thresholds' sentinels -limit - 1 and limit + 1
+    # p and q fall on both sides of the C kernel's 4 x 16 tile edges, n on
+    # both sides of a word edge; thresholds reach past bisect_thresholds'
+    # sentinels -1 and full
     @settings(max_examples=60, **FIXTURE_OK)
     @given(p=st.integers(1, 9), q=st.integers(1, 70),
-           n=st.sampled_from([1, 27, 64, 130, 784]), m_bits=st.integers(1, 8),
+           n=st.sampled_from([1, 27, 63, 64, 65, 130, 784]), m_bits=st.integers(1, 8),
            k_bits=st.integers(1, 8), bits=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_gemm_epilogue_matches_numpy(self, kernel, p, q, n, m_bits, k_bits, bits, seed):
         rng = np.random.default_rng(seed)
         xc = random_odd_codes(rng, (p, n), m_bits)
         wc = random_odd_codes(rng, (q, n), k_bits)
-        limit = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
-        t = np.sort(rng.integers(-limit - 1, limit + 2, ((1 << bits) - 1, q)), axis=0)
-        fold = gemm.CodeThresholds(bits=bits, t=t, sign=rng.choice([-1, 1], q))
+        full = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+        levels = (1 << bits) - 1
+        s_max = np.sort(rng.integers(-2, full + 2, (levels, q)), axis=0)
+        fold = gemm.CodeThresholds(bits=bits, s_max=s_max, flip=rng.choice([0, levels], q))
         got = gemm.encoded_gemm(gemm.encode_codes(xc, m_bits),
                                 gemm.prepare_weight(gemm.encode_codes(wc, k_bits), m_bits, fold))
-        assert got.dtype == np.uint8
-        np.testing.assert_array_equal(got, fold.codes(xc @ wc.T))
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, fold.codes((full - xc @ wc.T) >> 1))
 
 
     @pytest.mark.parametrize("layout", ["int32", "fortran", "strided"])
     def test_threshold_layouts(self, kernel, layout):
         rng = core.make_rng(11)
         xc, wc = random_odd_codes(rng, (6, 40), 2), random_odd_codes(rng, (7, 40), 2)
-        limit = 40 * 3 * 3
-        t = np.sort(rng.integers(-limit - 1, limit + 2, (3, 7)), axis=0)
-        sign = rng.choice([-1, 1], 7)
+        full = 40 * 3 * 3
+        s_max = np.sort(rng.integers(-1, full + 1, (3, 7)), axis=0)
+        flip = rng.choice([0, 3], 7)
         if layout == "int32":
-            t, sign = t.astype(np.int32), sign.astype(np.int32)
+            s_max, flip = s_max.astype(np.int32), flip.astype(np.int32)
         elif layout == "fortran":
-            t = np.asfortranarray(t)
+            s_max = np.asfortranarray(s_max)
         else:
-            t, sign = np.repeat(t, 2, axis=1)[:, ::2], np.repeat(sign, 2)[::2]
-        fold = gemm.CodeThresholds(bits=2, t=t, sign=sign)
+            s_max, flip = np.repeat(s_max, 2, axis=1)[:, ::2], np.repeat(flip, 2)[::2]
+        fold = gemm.CodeThresholds(bits=2, s_max=s_max, flip=flip)
         got = gemm.encoded_gemm(gemm.encode_codes(xc, 2),
                                 gemm.prepare_weight(gemm.encode_codes(wc, 2), 2, fold))
-        np.testing.assert_array_equal(got, fold.codes(xc @ wc.T))
+        np.testing.assert_array_equal(got, fold.codes((full - xc @ wc.T) >> 1))
 
 
 class TestDecodeCodes:
@@ -458,7 +494,7 @@ class TestDecomposedStage:
         x = rng.uniform(-1, 1, (5, 4))
         x[2, 1] = bad
         with pytest.raises(core.DomainError, match="dense 4->3 layer"):
-            nn.dense_forward(x, spec, we, "decomposed")
+            nn.model_forward(nn.ModelState("decomposed", [spec], [we]), x)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_conv2d_non_finite_names_layer(self, kernel, bad):
@@ -469,7 +505,7 @@ class TestDecomposedStage:
         x = rng.uniform(-1, 1, (1, 2, 5, 5))
         x[0, 1, 4, 4] = bad
         with pytest.raises(core.DomainError, match="conv2d 2->3 3x3 layer"):
-            nn.conv2d_forward(x, spec, we, "decomposed")
+            nn.model_forward(nn.ModelState("decomposed", [spec], [we]), x)
 
     def test_stages_agree(self, kernel):
         rng = core.make_rng(2)

@@ -49,7 +49,7 @@ class TestDenseForward:
         wq = quant.quantize_odd(w, 2)
         we = gemm.encode_codes(wq.codes, 2)
         yq = nn.dense_forward(x, spec, wq, "quantized")
-        yd = nn.dense_forward(x, spec, we, "decomposed")
+        yd = nn.model_forward(nn.ModelState("decomposed", [spec], [we]), x)
         np.testing.assert_allclose(yq, yd, atol=1e-6)
 
     def test_four_branch_two_bit_scale(self):
@@ -58,7 +58,7 @@ class TestDenseForward:
         x = np.array([[1 / 3, -1.0]])
         w = np.array([[1.0, -1 / 3]])
         we = gemm.encode_codes(quant.quantize_odd(w, 2).codes, 2)
-        y = nn.dense_forward(x, spec, we, "decomposed")
+        y = nn.model_forward(nn.ModelState("decomposed", [spec], [we]), x)
         # codes (1, -3) . (3, -1) = 6, scaled by 1/9
         assert y[0, 0] == pytest.approx(6 / 9)
 
@@ -110,7 +110,7 @@ class TestConv2dForward:
         w = rng.uniform(-1, 1, (3, 2, 3, 3))
         wq = quant.quantize_odd(w, 3)
         we = gemm.encode_codes(wq.codes.reshape(3, -1), 3)
-        got = nn.conv2d_forward(x, spec, we, "decomposed")
+        got = nn.model_forward(nn.ModelState("decomposed", [spec], [we]), x)
         xq_val = quant.dequantize(quant.quantize_odd(x, 3))
         wq_val = quant.dequantize(wq)
         np.testing.assert_allclose(got, naive_conv2d(xq_val, wq_val), atol=1e-10)
@@ -123,13 +123,25 @@ class TestConv2dForward:
         wq = quant.quantize_odd(w, 2)
         we = gemm.encode_codes(wq.codes.reshape(2, -1), 2)
         yq = nn.conv2d_forward(x, spec, wq, "quantized")
-        yd = nn.conv2d_forward(x, spec, we, "decomposed")
+        yd = nn.model_forward(nn.ModelState("decomposed", [spec], [we]), x)
         np.testing.assert_allclose(yq, yd, atol=1e-6)
 
     def test_bad_geometry(self):
         spec = nn.conv2d(1, 1, 7, 7)
         with pytest.raises(core.ShapeError):
             nn.conv2d_forward(np.zeros((1, 1, 4, 4)), spec, np.zeros((1, 1, 7, 7)), "float")
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv2d"])
+def test_no_per_layer_decomposed_forward(kind):
+    if kind == "dense":
+        spec, x, forward = nn.dense(4, 3, m_bits=2, k_bits=2), np.zeros((2, 4)), nn.dense_forward
+    else:
+        spec, x = nn.conv2d(2, 3, 3, 3, m_bits=2, k_bits=2), np.zeros((1, 2, 4, 4))
+        forward = nn.conv2d_forward
+    we = gemm.encode_codes(np.ones((3, spec.reduction_len()), dtype=np.int64), 2)
+    with pytest.raises(core.StageError, match="model_forward"):
+        forward(x, spec, we, "decomposed")
 
 
 class TestBatchnorm:
