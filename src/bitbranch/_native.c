@@ -26,15 +26,104 @@
 #error "the byte-gather in pack_word assumes a little-endian host"
 #endif
 
-/* Rows and outputs of one register tile. The tile's sums stay in registers
- * when its trip counts are constants: TILE_Q outputs of uint64 popcounts are
- * two 512-bit vectors, and each row reuses the weight words loaded for the
- * tile. */
-#define TILE_P 4
+/* Outputs of one register tile: TILE_Q uint64 popcount sums are two 512-bit
+ * vectors. Each of a tile's TILE_P rows reuses the weight words loaded for
+ * it. gemm_tile has two builds, picked at compile time like pack_word:
+ * AVX-512 intrinsics where the CPU has VPOPCNTDQ, BW and VL, else portable
+ * C, the only one that runs on other hosts (x86-64-v2 and -v4 included). */
 #define TILE_Q 16
 
+#if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512BW__) && defined(__AVX512VL__)
+/* 8 rows: the 16 per-pair sums fill half of the 32 zmm registers. Against
+ * 4 rows it was faster on most shapes of BENCH_12.json (up to 1.13x in its
+ * longest run) and never more than 4% slower. */
+#define TILE_P 8
+
+/* The product of rows (TILE_P or 1) rows of x, from row p0 on, with all
+ * w_rows outputs of w, as the portable gemm_tile below defines it. Each
+ * row's TILE_Q sums live in two zmm registers. Per plane pair (m, k) the
+ * plain popcounts are summed over the words and shifted by m + k once, not
+ * once per word. Written with intrinsics because GCC 12 vectorizes the
+ * portable tile at 256 bits and spills its sums to the stack on every word.
+ * The epilogues store whole tiles under a mask of the len outputs that
+ * exist, so a partial tile needs no scalar tail. */
+static inline __attribute__((always_inline)) void
+gemm_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *restrict wt,
+          int64_t w_rows, int64_t q_pad, int x_bits, int w_bits, int64_t n_words,
+          int64_t full, const int64_t *restrict th, const uint8_t *restrict flip, int levels,
+          int64_t *restrict acc, uint8_t *restrict codes)
+{
+    const int64_t x_stride = x_bits * n_words;
+    const uint64_t *xp = x + p0 * x_stride;
+    for (int64_t q0 = 0; q0 < w_rows; q0 += TILE_Q) {
+        __m512i s[TILE_P][2];
+        for (int r = 0; r < rows; r++)
+            s[r][0] = s[r][1] = _mm512_setzero_si512();
+        for (int m = 0; m < x_bits; m++)
+            for (int k = 0; k < w_bits; k++) {
+                const uint64_t *xm = xp + m * n_words;
+                const uint64_t *wk = wt + k * n_words * q_pad + q0;
+                __m512i c[TILE_P][2];
+                for (int r = 0; r < rows; r++)
+                    c[r][0] = c[r][1] = _mm512_setzero_si512();
+                for (int64_t j = 0; j < n_words; j++) {
+                    const __m512i w0 = _mm512_loadu_si512(wk + j * q_pad);
+                    const __m512i w1 = _mm512_loadu_si512(wk + j * q_pad + 8);
+                    for (int r = 0; r < rows; r++) {
+                        const __m512i a = _mm512_set1_epi64((long long)xm[r * x_stride + j]);
+                        c[r][0] = _mm512_add_epi64(
+                            c[r][0], _mm512_popcnt_epi64(_mm512_xor_si512(a, w0)));
+                        c[r][1] = _mm512_add_epi64(
+                            c[r][1], _mm512_popcnt_epi64(_mm512_xor_si512(a, w1)));
+                    }
+                }
+                const __m128i shift = _mm_cvtsi32_si128(m + k);
+                for (int r = 0; r < rows; r++)
+                    for (int h = 0; h < 2; h++)
+                        s[r][h] = _mm512_add_epi64(s[r][h], _mm512_sll_epi64(c[r][h], shift));
+            }
+        const int len = w_rows - q0 < TILE_Q ? (int)(w_rows - q0) : TILE_Q;
+        const __mmask16 keep = (__mmask16)((1u << len) - 1);
+        if (th == NULL) {
+            const __m512i f = _mm512_set1_epi64(full);
+            for (int r = 0; r < rows; r++) { /* s <= full: no overflow */
+                int64_t *out = acc + (p0 + r) * w_rows + q0;
+                _mm512_mask_storeu_epi64(out, (__mmask8)keep,
+                                         _mm512_sub_epi64(f, _mm512_add_epi64(s[r][0], s[r][0])));
+                _mm512_mask_storeu_epi64(out + 8, (__mmask8)(keep >> 8),
+                                         _mm512_sub_epi64(f, _mm512_add_epi64(s[r][1], s[r][1])));
+            }
+            continue;
+        }
+        /* byte counters: levels <= 255, so the count never wraps */
+        const __m128i minus_one = _mm_set1_epi8(-1);
+        __m128i n[TILE_P];
+        for (int r = 0; r < rows; r++)
+            n[r] = _mm_setzero_si128();
+        for (int l = 0; l < levels; l++) {
+            const __m512i t0 = _mm512_loadu_si512(th + l * q_pad + q0);
+            const __m512i t1 = _mm512_loadu_si512(th + l * q_pad + q0 + 8);
+            for (int r = 0; r < rows; r++) {
+                const __mmask16 le = (__mmask16)(_mm512_cmple_epi64_mask(s[r][0], t0) |
+                                                 (_mm512_cmple_epi64_mask(s[r][1], t1) << 8));
+                n[r] = _mm_mask_sub_epi8(n[r], le, n[r], minus_one);
+            }
+        }
+        const __m128i fl = _mm_loadu_si128((const __m128i *)(flip + q0));
+        for (int r = 0; r < rows; r++)
+            _mm_mask_storeu_epi8(codes + (p0 + r) * w_rows + q0, keep, _mm_xor_si128(n[r], fl));
+    }
+}
+#else
+/* The portable tile: plain C with constant trip counts, which -O3
+ * vectorizes over the TILE_Q outputs. It is slower than the tile above
+ * where both build: with AVX-512, GCC 12 uses 256-bit vectors, reloads the
+ * strides and stores s back to the stack on every word. */
+#define TILE_P 4
+
 /* s[r][t] = sum 2^(m+k) popcount(x_m ^ w_k) of row r of x (rows of
- * x_stride words from x on) and output t of wt (columns q_pad apart). */
+ * x_stride words from x on) and output t of wt (columns q_pad apart),
+ * shifted into s word by word. */
 static inline __attribute__((always_inline)) void
 tile_sums(int64_t s[TILE_P][TILE_Q], int rows, const uint64_t *restrict x, int64_t x_stride,
           const uint64_t *restrict wt, int64_t q_pad, int x_bits, int w_bits,
@@ -110,6 +199,7 @@ gemm_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *rest
         }
     }
 }
+#endif
 
 void bb_gemm(const uint64_t *x, const uint64_t *wt, int64_t rows, int64_t w_rows,
              int64_t q_pad, int x_bits, int w_bits, int64_t n_words, int64_t n,

@@ -149,7 +149,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_train(args) -> int:
     x, y = _load_dataset(args)
-    (xt, yt), (xv, yv) = datasets.split(x, y, args.val_frac, seed=args.seed)
+    try:
+        (xt, yt), (xv, yv) = datasets.split(x, y, args.val_frac, seed=args.seed)
+    except ConfigError as exc:
+        args._parser.error(f"--n and --val-frac: {exc}")
     dims = _parse_arch(args.arch)
     if dims[0] != x.shape[1]:
         raise ConfigError(f"arch input dim {dims[0]} != dataset features {x.shape[1]}")

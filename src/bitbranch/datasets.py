@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .core import FormatError, make_rng, require_bytes
+from .core import ConfigError, FormatError, make_rng, require_bytes
 
 GRID_MAGIC = b"#bitbranch-grid-v1\n"
 
@@ -64,11 +64,14 @@ GENERATORS = {"moons": make_moons, "spirals": make_spirals, "blobs": make_blobs}
 
 
 def split(x: np.ndarray, y: np.ndarray, val_frac: float = 0.25, seed: int = 0):
-    """Deterministic train/validation split."""
+    """Deterministic train/validation split; ConfigError if either side is empty."""
     rng = make_rng(seed ^ 0x5EED)
     n = len(x)
     order = rng.permutation(n)
     n_val = int(round(n * val_frac))
+    if not 0 < n_val < n:
+        raise ConfigError(f"a validation fraction of {val_frac} leaves {n_val} of {n} rows "
+                          f"for validation and {n - n_val} for training; each needs one")
     val, tr = order[:n_val], order[n_val:]
     return (x[tr], y[tr]), (x[val], y[val])
 

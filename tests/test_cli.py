@@ -309,6 +309,18 @@ class TestCountFlags:
         assert f"argument {flag}" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("val_frac,empty", [("0.001", "0 of 64 rows for validation"),
+                                                ("0.999", "0 for training")])
+    def test_split_with_an_empty_side_exits_2(self, tmp_path, capsys, val_frac, empty):
+        out = tmp_path / "t.bbm"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--n", "64", "--val-frac", val_frac, "--epochs", "1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--n and --val-frac" in captured.err and empty in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_sizes_and_precisions_from_config(self, tmp_path, capsys):
         # the parsed defaults must compare equal to themselves, or the config is ignored
         cfg = tmp_path / "bench.cfg"

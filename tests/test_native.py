@@ -72,7 +72,7 @@ def edge_values(bits):
 class TestNativeGemm:
     @settings(max_examples=60, deadline=None)
     @given(p=st.integers(1, 12), q=st.integers(1, 70),
-           n=st.sampled_from([1, 63, 64, 65, 127, 128, 784]),
+           n=st.sampled_from([1, 27, 63, 64, 65, 127, 128, 784]),
            m_bits=st.integers(1, 8), k_bits=st.integers(1, 8),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_numpy_kernel_and_code_matmul(self, p, q, n, m_bits, k_bits, seed):
@@ -231,6 +231,29 @@ def conv_inputs(draw, special=()):
     else:
         x = x.reshape(b, c, h, w)
     return x, kh, kw, stride, padding, bits
+
+
+@st.composite
+def gemm_cases(draw):
+    """(xc, wc, m_bits, k_bits, fold): p and q on both sides of the C tiles'
+    row edges (8 and 4) and output edges (16), n on both sides of a word
+    edge; thresholds reach past bisect_thresholds' sentinels -1 and full, and
+    at 8 fold bits the epilogue counts 255 levels."""
+    p = draw(st.integers(1, 9))
+    q = draw(st.sampled_from([1, 15, 16, 17, 33, 70]) | st.integers(1, 70))
+    n = draw(st.sampled_from([1, 27, 63, 64, 65, 130, 784]))
+    m_bits, k_bits, bits = (draw(st.integers(1, 8)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xc = random_odd_codes(rng, (p, n), m_bits)
+    wc = random_odd_codes(rng, (q, n), k_bits)
+    full = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+    levels = (1 << bits) - 1
+    s_max = np.sort(rng.integers(-2, full + 2, (levels, q)), axis=0)
+    # outputs whose every level holds (s <= full) or none does
+    s_max[:, rng.random(q) < 0.2] = full
+    s_max[:, rng.random(q) < 0.1] = -1
+    fold = gemm.CodeThresholds(bits=bits, s_max=s_max, flip=rng.choice([0, levels], q))
+    return xc, wc, m_bits, k_bits, fold
 
 
 class TestEncodePatches:
@@ -434,26 +457,15 @@ class TestFold:
         with pytest.raises(core.ShapeError, match="prepared for M=2"):
             gemm.encoded_gemm(xe, gemm.prepare_weight(we, 2))
 
-    # p and q fall on both sides of the C kernel's 4 x 16 tile edges, n on
-    # both sides of a word edge; thresholds reach past bisect_thresholds'
-    # sentinels -1 and full
     @settings(max_examples=60, **FIXTURE_OK)
-    @given(p=st.integers(1, 9), q=st.integers(1, 70),
-           n=st.sampled_from([1, 27, 63, 64, 65, 130, 784]), m_bits=st.integers(1, 8),
-           k_bits=st.integers(1, 8), bits=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_gemm_epilogue_matches_numpy(self, kernel, p, q, n, m_bits, k_bits, bits, seed):
-        rng = np.random.default_rng(seed)
-        xc = random_odd_codes(rng, (p, n), m_bits)
-        wc = random_odd_codes(rng, (q, n), k_bits)
-        full = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
-        levels = (1 << bits) - 1
-        s_max = np.sort(rng.integers(-2, full + 2, (levels, q)), axis=0)
-        fold = gemm.CodeThresholds(bits=bits, s_max=s_max, flip=rng.choice([0, levels], q))
+    @given(case=gemm_cases())
+    def test_gemm_epilogue_matches_numpy(self, kernel, case):
+        xc, wc, m_bits, k_bits, fold = case
+        full = xc.shape[1] * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
         got = gemm.encoded_gemm(gemm.encode_codes(xc, m_bits),
                                 gemm.prepare_weight(gemm.encode_codes(wc, k_bits), m_bits, fold))
         assert got.dtype == np.uint8 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, fold.codes((full - xc @ wc.T) >> 1))
-
 
     @pytest.mark.parametrize("layout", ["int32", "fortran", "strided"])
     def test_threshold_layouts(self, kernel, layout):
@@ -689,20 +701,25 @@ class TestLibrary:
         assert [p.suffix for p in cache.iterdir()] == [".so"]
 
 
-@pytest.fixture
-def portable_pack(monkeypatch, tmp_path, fresh_library):
-    """The library built without AVX-512BW, so pack_word takes its portable branch."""
+@pytest.fixture(params=["-mno-avx512bw", "-mno-avx512vpopcntdq"],
+                ids=["no_avx512bw", "no_avx512vpopcntdq"])
+def portable_pack(request, monkeypatch, tmp_path, fresh_library):
+    """The library built without AVX-512BW or without VPOPCNTDQ, so gemm_tile
+    takes its portable branch, and without BW pack_word does too."""
     if _native.library() is None:
         pytest.skip("no C compiler: the native kernels are not built")
-    monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + ("-mno-avx512bw",))
+    monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + (request.param,))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     _native._load.cache_clear()
     assert _native.library() is not None
     assert len(list((tmp_path / "bitbranch").glob("*.so"))) == 1
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="-mno-avx512bw is an x86 flag")
+X86_ONLY = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                              reason="-mno-avx512bw and -mno-avx512vpopcntdq are x86 flags")
+
+
+@X86_ONLY
 @settings(max_examples=100, **FIXTURE_OK)
 @given(case=conv_inputs())
 def test_portable_pack_word_matches_numpy(portable_pack, case):
@@ -713,3 +730,17 @@ def test_portable_pack_word_matches_numpy(portable_pack, case):
         mp.setattr(_native, "library", lambda: None)
         expect = gemm.gather_codes(b, bits, kh, kw, stride, padding)
     np.testing.assert_array_equal(got.words, expect.words)
+
+
+@X86_ONLY
+@settings(max_examples=60, **FIXTURE_OK)
+@given(case=gemm_cases())
+def test_portable_gemm_matches_numpy(portable_pack, case):
+    xc, wc, m_bits, k_bits, fold = case
+    xe, we = gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits)
+    full = xc.shape[1] * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+    plain = gemm.prepare_weight(we, m_bits)
+    rows = gemm._gemm_rows(xe, plain)[:, :len(wc)]
+    np.testing.assert_array_equal(gemm.encoded_gemm(xe, plain), rows)
+    np.testing.assert_array_equal(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits, fold)),
+                                  fold.codes((full - rows) >> 1))
