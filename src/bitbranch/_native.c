@@ -267,18 +267,16 @@ static inline void pack_word(const uint8_t *b, int bits, int64_t n_words, uint64
 
 /* The conv patch rows of a channels-last image of code bytes,
  * src[batch][height][width][channels]; a dense input is a 1 x 1 image.
- * Row (b, oh, ow) holds its kh * kw * channels bytes in (i, j, c) order, so
- * each kernel row is one run of kw * channels bytes: a window wholly inside
- * the image is kh copies from src; at the border the columns outside the
- * image are filled with pad, the byte of code -1, which 0.0 quantizes to and
- * gemm.gather_codes passes in. Returns 0, or -1 if the row buffer cannot be
+ * gemm.gather_codes pads the image before calling in, so every window lies
+ * inside it. Row (b, oh, ow) holds its kh * kw * channels bytes in (i, j, c)
+ * order, so each kernel row is one run of kw * channels bytes and a window
+ * is kh copies from src. Returns 0, or -1 if the row buffer cannot be
  * allocated. */
 int bb_gather(const uint8_t *src, int64_t batch, int64_t height, int64_t width,
-              int64_t channels, int64_t kh, int64_t kw, int64_t stride, int64_t padding,
-              int bits, int pad, uint64_t *words)
+              int64_t channels, int64_t kh, int64_t kw, int64_t stride, int bits,
+              uint64_t *words)
 {
-    const int64_t oh = (height + 2 * padding - kh) / stride + 1;
-    const int64_t ow = (width + 2 * padding - kw) / stride + 1;
+    const int64_t oh = (height - kh) / stride + 1, ow = (width - kw) / stride + 1;
     const int64_t run = kw * channels, n_words = (kh * run + 63) / 64;
     /* whole words long; the bytes past the last column stay 0 */
     uint8_t *row = calloc((size_t)n_words + 1, 64);
@@ -286,39 +284,16 @@ int bb_gather(const uint8_t *src, int64_t batch, int64_t height, int64_t width,
         return -1;
     uint64_t *out = words;
     for (int64_t b = 0; b < batch; b++)
-        for (int64_t i = 0; i < oh; i++) {
-            const int64_t y0 = i * stride - padding;
-            const int rows_inside = y0 >= 0 && y0 + kh <= height;
+        for (int64_t i = 0; i < oh; i++)
             for (int64_t j = 0; j < ow; j++) {
-                const int64_t x0 = j * stride - padding;
-                const int64_t top = ((b * height + y0) * width + x0) * channels;
-                if (rows_inside && x0 >= 0 && x0 + kw <= width) {
-                    for (int64_t u = 0; u < kh; u++)
-                        memcpy(row + u * run, src + top + u * width * channels, (size_t)run);
-                } else {
-                    /* window columns lo..hi-1 lie inside the image */
-                    const int64_t lo = x0 < 0 ? (-x0 < kw ? -x0 : kw) : 0;
-                    const int64_t hi =
-                        width - x0 < kw ? (width - x0 > lo ? width - x0 : lo) : kw;
-                    for (int64_t u = 0; u < kh; u++) {
-                        uint8_t *dst = row + u * run;
-                        const int64_t y = y0 + u;
-                        if (y < 0 || y >= height) {
-                            memset(dst, pad, (size_t)run);
-                            continue;
-                        }
-                        memset(dst, pad, (size_t)(lo * channels));
-                        if (hi > lo)
-                            memcpy(dst + lo * channels, src + top + (u * width + lo) * channels,
-                                   (size_t)((hi - lo) * channels));
-                        memset(dst + hi * channels, pad, (size_t)((kw - hi) * channels));
-                    }
-                }
+                const uint8_t *top = src + ((b * height + i * stride) * width + j * stride) *
+                                               channels;
+                for (int64_t u = 0; u < kh; u++)
+                    memcpy(row + u * run, top + u * width * channels, (size_t)run);
                 for (int64_t k = 0; k < n_words; k++)
                     pack_word(row + 64 * k, bits, n_words, out + k);
                 out += bits * n_words;
             }
-        }
     free(row);
     return 0;
 }

@@ -80,7 +80,7 @@ def _build() -> ctypes.CDLL:
     lib.bb_gemm.restype = None
     lib.bb_quantize.argtypes = [ptr, i64, cint, double, ptr]
     lib.bb_quantize.restype = i64
-    lib.bb_gather.argtypes = [ptr, *[i64] * 8, cint, cint, ptr]
+    lib.bb_gather.argtypes = [ptr, *[i64] * 7, cint, ptr]
     lib.bb_gather.restype = cint
     return lib
 

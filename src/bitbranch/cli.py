@@ -10,6 +10,7 @@ files and logs. Exit codes: 0 success, 1 failed check or divergence,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -27,7 +28,7 @@ def _format_ratio(ratio: float) -> str:
 
 def _parse_arch(arch: str) -> list[int]:
     kind, _, dims = arch.partition(":")
-    if kind != "mlp" or not dims:
+    if kind != "mlp":
         raise ConfigError(f"unsupported arch {arch!r} (expected mlp:d0-d1-...-dk)")
     return [int(d) for d in dims.split("-")]
 
@@ -61,15 +62,34 @@ def _int_tuples(count: int, lo: int, hi: int | None = None):
     return parse
 
 
-def _fraction(text: str) -> float:
-    """An argparse type: a real strictly between 0 and 1."""
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
-    return v
+def _arch(text: str) -> str:
+    """An argparse type: an mlp arch has at least two dims, each >= 1; other
+    kinds are left to _parse_arch."""
+    kind, _, dims = text.partition(":")
+    if kind == "mlp":
+        parts = dims.split("-")
+        if len(parts) < 2:
+            raise argparse.ArgumentTypeError(f"an mlp needs at least 2 dims, got {text!r}")
+        for d in parts:
+            _int_in(1)(d)
+    return text
+
+
+def _real(ok, bound: str):
+    """An argparse type: a finite real for which ``ok`` holds."""
+    def parse(text: str) -> float:
+        try:
+            v = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not (math.isfinite(v) and ok(v)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return v
+    return parse
+
+
+_fraction = _real(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
+_noise = _real(lambda v: v >= 0, "finite and >= 0")
 
 
 def _load_dataset(args) -> tuple[np.ndarray, np.ndarray]:
@@ -148,6 +168,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if 0 < args.progressive_from < args.K:
+        args._parser.error(f"argument --progressive-from: must be 0 or >= --K ({args.K}), "
+                           f"got {args.progressive_from}")
     x, y = _load_dataset(args)
     try:
         (xt, yt), (xv, yv) = datasets.split(x, y, args.val_frac, seed=args.seed)
@@ -276,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", help="float model -> quantized-stage model")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--M", type=_int_in(1, quant.MAX_BITS), required=True)
+    p.add_argument("--K", type=_int_in(1, quant.MAX_BITS), required=True)
     p.add_argument("--grid", choices=["odd", "linear"], default="odd")
     common(p)
     p.set_defaults(fn=cmd_quantize)
@@ -290,20 +313,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a toy network")
     p.add_argument("--dataset", default="moons", help="moons|spirals|blobs|grid:PATH")
-    p.add_argument("--arch", default="mlp:2-16-16-2")
+    p.add_argument("--arch", type=_arch, default="mlp:2-16-16-2")
     p.add_argument("--alg", choices=["qnn", "mbbn"], default="qnn")
-    p.add_argument("--M", type=int, default=2, help="activation bits (0 = float)")
-    p.add_argument("--K", type=int, default=2, help="weight bits (0 = float)")
+    p.add_argument("--M", type=_int_in(0, quant.MAX_BITS), default=2,
+                   help="activation bits (0 = float)")
+    p.add_argument("--K", type=_int_in(0, quant.MAX_BITS), default=2,
+                   help="weight bits (0 = float)")
     p.add_argument("--optimizer", choices=["auto", "sgd", "adam"], default="auto")
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", type=_real(lambda v: v > 0, "finite and > 0"), default=None)
     p.add_argument("--grid", choices=["odd", "linear"], default="odd",
                    help="simulated-quantizer grid for qnn training")
     p.add_argument("--epochs", type=_int_in(0), default=100)
     p.add_argument("--batch-size", type=_int_in(1), default=64)
-    p.add_argument("--n", type=int, default=512, help="dataset size")
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--n", type=_int_in(1), default=512, help="dataset size")
+    p.add_argument("--noise", type=_noise, default=0.1)
     p.add_argument("--val-frac", type=_fraction, default=0.25)
-    p.add_argument("--progressive-from", type=int, default=0,
+    p.add_argument("--progressive-from", type=_int_in(0, quant.MAX_BITS), default=0,
                    help="start bits for progressive fine-tuning down to --K")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default="", help="CSV training log path")
@@ -314,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--model2", default="")
     p.add_argument("--dataset", default="moons")
-    p.add_argument("--n", type=int, default=512)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--n", type=_int_in(1), default=512)
+    p.add_argument("--noise", type=_noise, default=0.1)
     common(p)
     p.set_defaults(fn=cmd_eval)
 

@@ -344,7 +344,6 @@ class TrainResult:
 
 
 def train_model(model: nn.ModelState, train_set, cfg: TrainConfig, val_set=None,
-                gs: GradState | None = None, log_path: str | None = None,
                 target_acc: float | None = None) -> TrainResult:
     """Run epochs of the configured algorithm; deterministic given the seed.
 
@@ -357,8 +356,7 @@ def train_model(model: nn.ModelState, train_set, cfg: TrainConfig, val_set=None,
     step_fn = train_step_alg1 if cfg.algorithm == "mbbn" else train_step_alg2
     opt = resolve_optimizer(model, cfg)
     lr = cfg.lr if cfg.lr is not None else DEFAULT_LR[opt]
-    if gs is None:
-        gs = init_grad_state(model, cfg)
+    gs = init_grad_state(model, cfg)
     rng = core.make_rng(cfg.seed)
     history = []
     try:
@@ -384,8 +382,6 @@ def train_model(model: nn.ModelState, train_set, cfg: TrainConfig, val_set=None,
     except DivergenceError as exc:
         exc.model, exc.grad_state = model, gs
         raise
-    if log_path:
-        write_log(history, log_path)
     return TrainResult(model=sync_model(model, gs), grad_state=gs, history=history)
 
 

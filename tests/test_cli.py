@@ -283,19 +283,45 @@ class TestConfigFile:
         assert nn.load_model(str(out)).flavor == "mbbn"
 
 
+def bad_values():
+    """(via, verb, flag, value): each value exits 2 on argv and, where the flag
+    is optional, from --config."""
+    optional = [("bench", "--sizes", v) for v in ("1x2", "0x8x1", "1x8x1,2x-1x2")]
+    optional += [("bench", "--precisions", v) for v in ("1x1x1", "9x1", "2x0")]
+    optional += [("bench", "--repeats", "0"), ("train", "--batch-size", "0"),
+                 ("train", "--batch-size", "-4"), ("train", "--epochs", "-1")]
+    optional += [("train", "--val-frac", v) for v in ("0", "1.5", "nan")]
+    optional += [("train", flag, v) for flag in ("--M", "--K") for v in ("9", "-1")]
+    optional += [("train", "--progressive-from", v) for v in ("9", "-1", "1")]
+    optional += [(verb, "--n", "0") for verb in ("train", "eval")]
+    optional += [(verb, "--noise", v) for verb in ("train", "eval") for v in ("-1", "nan", "inf")]
+    optional += [("train", "--lr", v) for v in ("-1", "0", "nan", "inf")]
+    optional += [("train", "--arch", v) for v in ("mlp:2-0-2", "mlp:2", "mlp:", "mlp:2-x-2")]
+    required = [("quantize", flag, v) for flag in ("--M", "--K") for v in ("9", "0", "-1")]
+    cases = [(via, *case) for via in ("argv", "config") for case in optional]
+    cases += [("argv", *case) for case in required]
+    params = []
+    for via, verb, flag, value in cases:
+        # bench and train cases keep the ids they had before the verb was a parameter
+        shown = "" if verb in ("bench", "train") else f"{verb}-"
+        params.append(pytest.param(via, verb, flag, value, id=f"{via}-{shown}{flag}-{value}"))
+    return params
+
+
+BAD_VALUES = bad_values()
+
+
 class TestCountFlags:
     """Sizes, precisions and counts out of range exit 2 before any work."""
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--sizes", "1x2"), ("--sizes", "0x8x1"), ("--sizes", "1x8x1,2x-1x2"),
-        ("--precisions", "1x1x1"), ("--precisions", "9x1"), ("--precisions", "2x0"),
-        ("--repeats", "0"), ("--batch-size", "0"), ("--batch-size", "-4"), ("--epochs", "-1"),
-        ("--val-frac", "0"), ("--val-frac", "1.5"), ("--val-frac", "nan")])
-    @pytest.mark.parametrize("via", ["argv", "config"])
-    def test_bad_value_exits_2(self, tmp_path, capsys, flag, value, via):
+    @pytest.mark.parametrize("via,verb,flag,value", BAD_VALUES)
+    def test_bad_value_exits_2(self, tmp_path, capsys, via, verb, flag, value):
         out = tmp_path / "t.bbm"
-        argv = (["bench"] if flag in ("--sizes", "--precisions", "--repeats")
-                else ["train", "--n", "64", "--out", str(out)])
+        argv = {"bench": ["bench"],
+                "train": ["train", "--out", str(out)] + (["--n", "64"] if flag != "--n" else []),
+                "eval": ["eval", "--model", str(tmp_path / "m.bbm")],
+                "quantize": ["quantize", "--model", str(tmp_path / "m.bbm"), "--out", str(out),
+                             "--M", "2", "--K", "2"]}[verb]
         if via == "argv":
             argv += [flag, value]
         else:

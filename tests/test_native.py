@@ -1,6 +1,7 @@
 """The native kernels against their numpy oracles, the fallback, and the checks at the C boundary."""
 
 import dataclasses
+import os
 import platform
 import subprocess
 import sys
@@ -211,11 +212,12 @@ FIXTURE_OK = dict(deadline=None, suppress_health_check=[HealthCheck.function_sco
 
 @st.composite
 def conv_inputs(draw, special=()):
-    """(x, kh, kw, stride, padding, bits): any geometry that fits; values are
-    the bit width's grid points, their float neighbours and extremes, or
-    uniform in [-2, 2], plus 1-3 ``special`` values; x is either C-contiguous
-    or a channels-last view, as a conv after a conv receives it."""
-    b, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    """(x, kh, kw, stride, padding, bits): any geometry that fits, with up to
+    70 channels, so a patch row spans up to 18 words; values are the bit
+    width's grid points, their float neighbours and extremes, or uniform in
+    [-2, 2], plus 1-3 ``special`` values; x is either C-contiguous or a
+    channels-last view, as a conv after a conv receives it."""
+    b, c = draw(st.integers(1, 3)), draw(st.integers(1, 70))
     kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     h = draw(st.integers(max(1, kh - 2 * padding), 9))
@@ -744,3 +746,86 @@ def test_portable_gemm_matches_numpy(portable_pack, case):
     np.testing.assert_array_equal(gemm.encoded_gemm(xe, plain), rows)
     np.testing.assert_array_equal(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits, fold)),
                                   fold.codes((full - rows) >> 1))
+
+
+# Run in a child built with -fsanitize=address,undefined: each kernel on
+# padding 0..3, stride 1..3, up to 70 channels, bits 1, 2 and 8, and partial
+# GEMM tiles, against the numpy kernels. Checks raise SystemExit, not
+# AssertionError, so that they hold under python -O too.
+SANITIZED_RUN = """
+import numpy as np
+from bitbranch import _native, gemm
+
+_native.FLAGS += ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+native = _native.library()
+if native is None:
+    raise SystemExit("the sanitized library did not build")
+
+
+def both(fn, *args):
+    got = fn(*args)
+    _native.library = lambda: None
+    try:
+        return got, fn(*args)
+    finally:
+        _native.library = lambda: native
+
+
+def check(ok, *case):
+    if not ok:
+        raise SystemExit(f"native and numpy kernels differ on {case}")
+
+
+rng = np.random.default_rng(0)
+for padding in range(4):
+    for stride in range(1, 4):
+        for bits in (1, 2, 8):
+            c, kh, kw = (int(v) for v in rng.integers(1, [71, 5, 5]))
+            h = int(rng.integers(max(1, kh - 2 * padding), 8))
+            w = int(rng.integers(max(1, kw - 2 * padding), 8))
+            x = rng.uniform(-1.5, 1.5, (2, h, w, c))
+            x[0, 0, 0, 0] = np.nan
+            (b, bad), (b_np, bad_np) = both(gemm.quantize_bytes, x, bits)
+            check(bad == bad_np == 1 and np.array_equal(b, b_np), "quantize", x.shape, bits)
+            got, expect = both(gemm.gather_codes, b, bits, kh, kw, stride, padding)
+            check(np.array_equal(got.words, expect.words), "gather", b.shape, bits, kh, kw,
+                  stride, padding)
+for p, q, n in [(1, 1, 1), (7, 15, 27), (9, 17, 65), (17, 33, 130), (8, 16, 784)]:
+    for m_bits, k_bits in [(1, 1), (2, 2), (8, 3), (3, 8)]:
+        xe = gemm.encode_codes(2 * rng.integers(0, 1 << m_bits, (p, n)) - (1 << m_bits) + 1,
+                               m_bits)
+        we = gemm.encode_codes(2 * rng.integers(0, 1 << k_bits, (q, n)) - (1 << k_bits) + 1,
+                               k_bits)
+        full = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+        s_max = np.sort(rng.integers(-1, full + 1, (255, q)), axis=0)
+        fold = gemm.CodeThresholds(8, s_max, rng.choice([0, 255], q).astype(np.uint8))
+        for weight in (gemm.prepare_weight(we, m_bits), gemm.prepare_weight(we, m_bits, fold)):
+            got, expect = both(gemm.encoded_gemm, xe, weight)
+            check(got.dtype == expect.dtype and np.array_equal(got, expect), "gemm", p, q, n,
+                  m_bits, k_bits, weight.fold is not None)
+print("ok")
+"""
+
+
+def libasan() -> str | None:
+    """The compiler's ASan runtime, or None without cc or without the library."""
+    try:
+        path = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return None
+    # without the library, cc prints the bare name back
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+def test_kernels_are_clean_under_sanitizers(tmp_path):
+    runtime = libasan()
+    if runtime is None:
+        pytest.skip("no cc, or cc has no libasan.so")
+    # ASan must be the first runtime in the process, before the Python binary's libraries
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC, "LD_PRELOAD": runtime,
+           "ASAN_OPTIONS": "detect_leaks=0", "XDG_CACHE_HOME": str(tmp_path)}
+    out = subprocess.run([sys.executable, "-c", SANITIZED_RUN], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert out.returncode == 0, out.stderr[-3000:]
+    assert out.stdout == "ok\n"

@@ -346,7 +346,8 @@ class TestTrainLoop:
         model = nn.init_mlp([2, 4, 2], core.make_rng(6), m_bits=2, k_bits=2)
         cfg = train.TrainConfig(epochs=2, batch_size=32, seed=0)
         log = tmp_path / "log.csv"
-        train.train_model(model, (x, y), cfg, log_path=str(log))
+        res = train.train_model(model, (x, y), cfg)
+        train.write_log(res.history, str(log))
         lines = log.read_text().strip().splitlines()
         assert lines[0] == "epoch,loss,train_acc,val_acc"
         assert len(lines) == 3
