@@ -8,7 +8,9 @@ K-bit weights on an L-bit register machine is
 with gamma the MAC-to-bitwise cost ratio and beta the add-to-bitwise
 ratio. The empirical harness times the packed kernel against a deliberately
 unoptimized scalar float baseline (plain Python loop), and reports the
-vendor BLAS time separately; encoding happens outside the timed region.
+vendor BLAS time separately, both on the real operands and as the exact
+product of their odd codes (``gemm.code_matmul``, the quantized stage's
+GEMM); encoding happens outside the timed region.
 """
 
 from __future__ import annotations
@@ -125,20 +127,27 @@ def _median_ns(fn, repeats: int) -> int:
 
 
 def bench_gemm(sizes, precisions, repeats: int = 11, seed: int = 0) -> list[dict]:
-    """Time scalar float, BLAS float, and each (M, K) packed kernel.
+    """Time scalar float, BLAS float, and each (M, K) packed and BLAS code kernel.
 
     ``sizes`` is a list of (P, N, Q) triples and ``precisions`` a list of
-    (M, K) pairs. Each packed configuration is checked once against the
-    integer code-matmul oracle before timing. Rows use the schema kernel, M,
-    K, P, N, Q, median_ns, speedup_vs_scalar; median_ns is the median time
-    of one call. The packed weight is prepared for the kernel once, outside
-    the timed calls, as a model's plan prepares it.
+    (M, K) pairs. Per precision, the packed kernel and ``gemm.code_matmul``
+    on the odd codes of the same operands (row ``blas_codes``) are each
+    checked once against the integer code-matmul oracle, then timed in one
+    round-robin. Rows use the schema kernel, M, K, P, N, Q, median_ns,
+    speedup_vs_scalar; median_ns is the median time of one call. The packed
+    weight is prepared for the kernel once, as a model's plan prepares it,
+    and the codes are cast to their compute type once, both outside the
+    timed calls.
     """
     if repeats <= 0:
         return []
     rng = core.make_rng(seed)
     return [row for size in sizes
             for row in _bench_size(size, precisions, repeats, rng)]
+
+
+# per precision: the popcount GEMM on packed planes, and BLAS on the odd codes
+_CODE_KERNELS = ("packed", "blas_codes")
 
 
 def _bench_size(size, precisions, repeats, rng) -> list[dict]:
@@ -157,16 +166,22 @@ def _bench_size(size, precisions, repeats, rng) -> list[dict]:
     for (m_bits, k_bits) in precisions:
         xe = gemm.encode_matrix(a, m_bits)
         we = gemm.encode_matrix(b, k_bits)
-        kernel = functools.partial(gemm.encoded_gemm, xe, gemm.prepare_weight(we, m_bits))
-        oracle = gemm.decode_codes(xe) @ gemm.decode_codes(we).T
-        if not np.array_equal(kernel(), oracle):
-            raise AssertionError(f"packed kernel diverged at M={m_bits}, K={k_bits}")
-        kernels.append(kernel)
-    packed_times = _medians_ns(kernels, repeats)
-    for (m_bits, k_bits), packed_ns in zip(precisions, packed_times):
-        rows.append({"kernel": "packed", "M": m_bits, "K": k_bits, "P": p,
-                     "N": n, "Q": q, "median_ns": packed_ns,
-                     "speedup_vs_scalar": scalar_ns / max(packed_ns, 1)})
+        xc, wc = gemm.decode_codes(xe), gemm.decode_codes(we)
+        oracle = xc @ wc.T
+        dtype = gemm.code_dtype(n, m_bits, k_bits)
+        pair = (functools.partial(gemm.encoded_gemm, xe, gemm.prepare_weight(we, m_bits)),
+                functools.partial(gemm.code_matmul, xc.astype(dtype), wc.astype(dtype), m_bits,
+                                  k_bits))
+        for name, kernel in zip(_CODE_KERNELS, pair):
+            if not np.array_equal(kernel(), oracle):
+                raise AssertionError(f"{name} kernel diverged at M={m_bits}, K={k_bits}")
+        kernels.extend(pair)
+    times = iter(_medians_ns(kernels, repeats))
+    for (m_bits, k_bits) in precisions:
+        for name in _CODE_KERNELS:
+            ns = next(times)
+            rows.append({"kernel": name, "M": m_bits, "K": k_bits, "P": p, "N": n, "Q": q,
+                         "median_ns": ns, "speedup_vs_scalar": scalar_ns / max(ns, 1)})
     return rows
 
 

@@ -168,6 +168,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.progressive_from and args.K == 0:
+        args._parser.error("argument --progressive-from: must be 0 with --K 0 (float weights), "
+                           f"got {args.progressive_from}")
     if 0 < args.progressive_from < args.K:
         args._parser.error(f"argument --progressive-from: must be 0 or >= --K ({args.K}), "
                            f"got {args.progressive_from}")

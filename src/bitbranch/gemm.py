@@ -160,6 +160,26 @@ def _full(cols: int, x_bits: int, w_bits: int) -> int:
     return full
 
 
+def code_dtype(cols: int, x_bits: int, w_bits: int) -> type:
+    """The float type in which BLAS multiplies odd codes of reduction length
+    ``cols`` exactly: float32 when N (2^M - 1)(2^K - 1) < 2^24, else float64.
+
+    Below 2^24 every product and every partial sum is an integer float32
+    holds, in any summation order and with or without FMA.
+    """
+    return np.float32 if _full(cols, x_bits, w_bits) < 1 << 24 else np.float64
+
+
+def code_matmul(x_codes: np.ndarray, w_codes: np.ndarray, x_bits: int,
+                w_bits: int) -> np.ndarray:
+    """The integer product x_codes @ w_codes.T of odd-code grids (P, N) and
+    (Q, N) on BLAS, as floats of ``code_dtype``. It is exact, like
+    ``encoded_gemm``: float64 holds every integer below 2^53, which
+    N (2^M - 1)(2^K - 1) passes only beyond N = 2^37."""
+    dtype = code_dtype(w_codes.shape[1], x_bits, w_bits)
+    return np.asarray(x_codes, dtype=dtype) @ np.asarray(w_codes, dtype=dtype).T
+
+
 @dataclass(frozen=True)
 class CodeThresholds:
     """A GEMM epilogue that maps each popcount sum s to a code byte of ``bits`` bits.

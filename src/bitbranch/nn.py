@@ -4,8 +4,9 @@ A model is an ordered list of layer specs plus one weight entry per layer,
 and lives in exactly one stage:
 
 * ``float``       weights are real tensors; reference semantics.
-* ``quantized``   weights are integer code grids; activations are
-                  quantized on the fly at each dense/conv input.
+* ``quantized``   weights are integer code grids; each dense/conv input
+                  is quantized once, on the fly, and the codes are
+                  multiplied exactly on BLAS (``gemm.code_matmul``).
 * ``decomposed``  weights are packed {-1,+1} bit planes; the forward pass
                   runs on the xnor/popcount kernel and is value-identical
                   to the quantized stage. It runs only in ``model_forward``:
@@ -14,9 +15,10 @@ and lives in exactly one stage:
                   the float and quantized stages only.
 
 Convolution is lowered to patch extraction followed by the same GEMM as
-dense layers: im2col of the activation in the float and quantized stages,
-a gather of code bytes in the decomposed stage. ``gemm`` picks the C or the
-numpy kernel; this module does not know which one runs.
+dense layers: im2col of the activation in the float stage and of its codes
+in the quantized stage, a gather of code bytes in the decomposed stage.
+``gemm`` picks the C or the numpy kernel; this module does not know which
+one runs.
 """
 
 from __future__ import annotations
@@ -148,29 +150,39 @@ def _reject_non_finite(x2d: np.ndarray, spec: LayerSpec) -> None:
                           "quantized")
 
 
-def _gemm_stage(x2d: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
-    """Shared dense/conv core: rows of x2d against the layer weight."""
+def _rows(x: np.ndarray, spec: LayerSpec, fill: float = 0.0) -> np.ndarray:
+    """The GEMM's left operand: a dense input as it is, a conv input's patch matrix."""
+    if spec.kind != "conv2d":
+        return x
+    return im2col(x, *spec.kernel, spec.stride, spec.padding, fill=fill)
+
+
+def _gemm_stage(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
+    """Shared dense/conv core: the layer input's rows (``_rows``) against its weight."""
     if stage == "float":
         if not isinstance(w, np.ndarray):
             raise StageError("float stage requires a float weight tensor")
-        return core.matmul_f(x2d, _weight_matrix(spec, w).T)
+        return core.matmul_f(_rows(x, spec), _weight_matrix(spec, w).T)
 
     if stage == "quantized":
         if not isinstance(w, quant.QuantizedTensor):
             raise StageError("quantized stage requires integer-coded weights")
-        if spec.m_bits is not None:
-            _reject_non_finite(x2d, spec)
         w_codes = w.codes.reshape(spec.out_features, spec.reduction_len())
-        if w.grid != "odd":
-            wt = w_codes.astype(np.float64) * w.d
+        if w.grid != "odd" or spec.m_bits is None:
+            x2d = _rows(x, spec)
             if spec.m_bits is not None:
+                _reject_non_finite(x2d, spec)
                 x2d = quant.dequantize(quant.quantize_linear(x2d, spec.m_bits))
-            return core.matmul_f(x2d, wt.T)
-        if spec.m_bits is None:
-            wt = w_codes.astype(np.float64) * w.d
-            return core.matmul_f(x2d, wt.T)
-        xq = quant.quantize_odd(x2d, spec.m_bits)
-        acc = core.matmul_f(xq.codes.astype(np.float64), w_codes.T.astype(np.float64))
+            return core.matmul_f(x2d, (w_codes.astype(np.float64) * w.d).T)
+        # quantization is elementwise, so it commutes with the patch gather:
+        # quantize the input once, and pad its codes with that of 0.0, -1
+        finite = np.isfinite(x)
+        if not finite.all():
+            _reject_non_finite(_rows(x, spec), spec)  # counts the patch entries
+            x = np.where(finite, x, 0.0)  # what is left lies outside every window
+        dtype = gemm.code_dtype(spec.reduction_len(), spec.m_bits, w.bits)
+        codes = quant.quantize_odd(x, spec.m_bits).codes.astype(dtype)
+        acc = gemm.code_matmul(_rows(codes, spec, fill=-1.0), w_codes, spec.m_bits, w.bits)
         return _acc_output(acc, spec, w.bits)
 
     raise StageError(f"stage {stage!r} has no per-layer forward; float and quantized do, and "
@@ -189,17 +201,19 @@ def dense_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
     return _gemm_stage(np.asarray(x, dtype=np.float64), spec, w, stage)
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Extract conv patches: (B, C, H, W) -> (B * OH * OW, C * kh * kw).
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0,
+           fill: float = 0.0) -> np.ndarray:
+    """Extract conv patches: (B, C, H, W) -> (B * OH * OW, C * kh * kw), of x's dtype.
 
-    Row (b, oh, ow) holds its window in (c, i, j) order, padding as zeros.
+    Row (b, oh, ow) holds its window in (c, i, j) order, padding as ``fill``.
     """
     b, c = x.shape[:2]
     oh, ow = gemm.patch_grid(x.shape, kh, kw, stride, padding)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                   constant_values=fill)
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    cols = np.empty((b, oh, ow, c, kh, kw), dtype=np.float64)
+    cols = np.empty((b, oh, ow, c, kh, kw), dtype=x.dtype)
     cols[...] = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
     return cols.reshape(b * oh * ow, c * kh * kw)
 
@@ -207,16 +221,16 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0) -
 def conv2d_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
     """Convolution as im2col + the stage GEMM.
 
-    In the quantized stage the patch matrix (padding zeros included) is
-    what gets quantized: the odd grid has no zero, so padded positions land
-    on the nearest odd level like any other value. The decomposed stage's
-    plan gathers the same patches from code bytes.
+    On the odd grid the quantized stage quantizes the input once and builds
+    the patch matrix of its codes, padded with -1: the odd grid has no zero,
+    and 0.0 lands on code -1 like any other value. That equals the codes of
+    the zero-padded patch matrix, element for element. The decomposed
+    stage's plan gathers the same patches from code bytes.
     """
     _check_input(x, spec)
     x = np.asarray(x, dtype=np.float64)
-    geometry = (*spec.kernel, spec.stride, spec.padding)
-    oh, ow = gemm.patch_grid(x.shape, *geometry)
-    out = _gemm_stage(im2col(x, *geometry), spec, w, stage)
+    oh, ow = gemm.patch_grid(x.shape, *spec.kernel, spec.stride, spec.padding)
+    out = _gemm_stage(x, spec, w, stage)
     return out.reshape(x.shape[0], oh, ow, spec.out_features).transpose(0, 3, 1, 2)
 
 
@@ -409,7 +423,7 @@ def _bit_layer_forward(h: np.ndarray, spec: LayerSpec, weight: gemm.GemmWeight) 
         _check_input(h, spec)
         b, bad = gemm.quantize_bytes(h.transpose(0, 2, 3, 1) if conv else h, spec.m_bits)
         if bad:  # count what the quantized stage counts; values outside every window pass
-            _reject_non_finite(im2col(h, *geometry) if conv else h, spec)
+            _reject_non_finite(_rows(h, spec), spec)
         h = b
     image = h if conv else h.reshape(len(h), 1, 1, h.shape[1])
     out = gemm.encoded_gemm(gemm.gather_codes(image, spec.m_bits, *geometry), weight)

@@ -481,6 +481,8 @@ def progressive_schedule(model: nn.ModelState, train_set, cfg: TrainConfig,
     state) and returns its own TrainResult; stage seeds are offset so the
     batch streams differ between stages.
     """
+    if to_bits < 1:
+        raise ConfigError(f"progressive schedule steps down to a bit width >= 1, got {to_bits}")
     if from_bits < to_bits:
         raise ConfigError("progressive schedule runs from high bits down to low")
     if model.flavor != "qnn":

@@ -53,11 +53,12 @@ class TestBenchHarness:
         rows = bench.bench_gemm([(2, 128, 2)], [(1, 1), (2, 2)], repeats=3)
         kernels = [r["kernel"] for r in rows]
         assert kernels[0] == "scalar_float" and kernels[1] == "blas_float"
-        assert kernels.count("packed") == 2
+        assert kernels[2:] == ["packed", "blas_codes"] * 2
         for row in rows:
             assert set(bench.CSV_FIELDS) <= set(row)
-        packed = [r for r in rows if r["kernel"] == "packed"]
-        assert all(r["median_ns"] > 0 for r in packed)
+        coded = [r for r in rows if r["kernel"] in ("packed", "blas_codes")]
+        assert [(r["M"], r["K"]) for r in coded] == [(1, 1), (1, 1), (2, 2), (2, 2)]
+        assert all(r["median_ns"] > 0 for r in coded)
 
     def test_csv_and_plot_outputs(self, tmp_path):
         rows = bench.bench_gemm([(1, 256, 1)], [(1, 1), (1, 2)], repeats=3)
@@ -65,7 +66,7 @@ class TestBenchHarness:
         bench.write_csv(rows, str(csv_path))
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "kernel,M,K,P,N,Q,median_ns,speedup_vs_scalar"
-        assert len(lines) >= 4
+        assert len(lines) == 7  # header, scalar_float, blas_float, packed + blas_codes twice
         dat_path = tmp_path / "bars.dat"
         bench.write_plot_data(rows, str(dat_path))
         body = [l for l in dat_path.read_text().splitlines() if l and not l.startswith("#")]

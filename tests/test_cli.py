@@ -293,6 +293,8 @@ def bad_values():
     optional += [("train", "--val-frac", v) for v in ("0", "1.5", "nan")]
     optional += [("train", flag, v) for flag in ("--M", "--K") for v in ("9", "-1")]
     optional += [("train", "--progressive-from", v) for v in ("9", "-1", "1")]
+    # float weights (--K 0) have no bits to step down from
+    optional += [("train", "--progressive-from", v, ("--K", "0")) for v in ("3", "8")]
     optional += [(verb, "--n", "0") for verb in ("train", "eval")]
     optional += [(verb, "--noise", v) for verb in ("train", "eval") for v in ("-1", "nan", "inf")]
     optional += [("train", "--lr", v) for v in ("-1", "0", "nan", "inf")]
@@ -301,10 +303,12 @@ def bad_values():
     cases = [(via, *case) for via in ("argv", "config") for case in optional]
     cases += [("argv", *case) for case in required]
     params = []
-    for via, verb, flag, value in cases:
+    for via, verb, flag, value, *extra in cases:
         # bench and train cases keep the ids they had before the verb was a parameter
         shown = "" if verb in ("bench", "train") else f"{verb}-"
-        params.append(pytest.param(via, verb, flag, value, id=f"{via}-{shown}{flag}-{value}"))
+        also = "".join(f"-with{f}-{v}" for f, v in extra)
+        params.append(pytest.param(via, verb, flag, value, extra,
+                                   id=f"{via}-{shown}{flag}-{value}{also}"))
     return params
 
 
@@ -314,19 +318,20 @@ BAD_VALUES = bad_values()
 class TestCountFlags:
     """Sizes, precisions and counts out of range exit 2 before any work."""
 
-    @pytest.mark.parametrize("via,verb,flag,value", BAD_VALUES)
-    def test_bad_value_exits_2(self, tmp_path, capsys, via, verb, flag, value):
+    @pytest.mark.parametrize("via,verb,flag,value,extra", BAD_VALUES)
+    def test_bad_value_exits_2(self, tmp_path, capsys, via, verb, flag, value, extra):
         out = tmp_path / "t.bbm"
         argv = {"bench": ["bench"],
                 "train": ["train", "--out", str(out)] + (["--n", "64"] if flag != "--n" else []),
                 "eval": ["eval", "--model", str(tmp_path / "m.bbm")],
                 "quantize": ["quantize", "--model", str(tmp_path / "m.bbm"), "--out", str(out),
                              "--M", "2", "--K", "2"]}[verb]
+        flags = [(flag, value), *extra]  # extra flags make the value bad together
         if via == "argv":
-            argv += [flag, value]
+            argv += [arg for pair in flags for arg in pair]
         else:
             cfg = tmp_path / "bad.cfg"
-            cfg.write_text(f"{flag[2:]}={value}\n")
+            cfg.write_text("".join(f"{f[2:]}={v}\n" for f, v in flags))
             argv += ["--config", str(cfg)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -355,7 +360,8 @@ class TestCountFlags:
         rows = [line.split(",")[:6] for line in capsys.readouterr().out.splitlines()]
         assert rows == [["scalar_float", "0", "0", "2", "64", "3"],
                         ["blas_float", "0", "0", "2", "64", "3"],
-                        ["packed", "2", "1", "2", "64", "3"]]
+                        ["packed", "2", "1", "2", "64", "3"],
+                        ["blas_codes", "2", "1", "2", "64", "3"]]
 
 
 class TestInspectAndTable:

@@ -301,6 +301,100 @@ class TestEncodePatches:
 
 
 @st.composite
+def quantized_convs(draw, special=()):
+    """(x, spec, wq): a conv on the odd grid with M and K in 1..8, on either
+    side of the float32/float64 switch of ``gemm.code_dtype``; about half
+    the examples take M = K = 8 and a reduction of N >= 259, where
+    N (2^M - 1)(2^K - 1) >= 2^24. The batch may be empty; x is C-contiguous
+    or a channels-last view, with 1-3 ``special`` values."""
+    b = draw(st.integers(0, 3))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        m_bits = k_bits = 8
+        kh, kw = max(kh, 2), max(kw, 2)
+        c = draw(st.integers(-(-259 // (kh * kw)), 70))
+    else:
+        m_bits, k_bits, c = draw(st.integers(1, 8)), draw(st.integers(1, 8)), \
+            draw(st.integers(1, 70))
+    h = draw(st.integers(max(1, kh - 2 * padding), 8))
+    w = draw(st.integers(max(1, kw - 2 * padding), 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = b * c * h * w
+    x = np.where(rng.random(n) < 0.5, rng.choice(edge_values(m_bits), n), rng.uniform(-2, 2, n))
+    if special and n:
+        x[rng.integers(0, n, draw(st.integers(1, 3)))] = rng.choice(special)
+    x = x.reshape(b, h, w, c).transpose(0, 3, 1, 2) if draw(st.booleans()) else \
+        x.reshape(b, c, h, w)
+    spec = nn.conv2d(c, draw(st.integers(1, 20)), kh, kw, stride=stride, padding=padding,
+                     m_bits=m_bits, k_bits=k_bits, follows_bn=draw(st.booleans()),
+                     r=draw(st.sampled_from([1.0, 0.37])))
+    wq = quant.quantize_odd(rng.uniform(-1, 1, spec.weight_shape()), k_bits)
+    return x, spec, wq
+
+
+def patch_quantized_conv(x, spec, wq):
+    """The quantized conv as the codes of the zero-padded patch matrix times
+    the weight codes, in float64; the oracle of quantizing each input once."""
+    geometry = (*spec.kernel, spec.stride, spec.padding)
+    patches = quant.quantize_odd(im2col_loop(x, *geometry), spec.m_bits).codes
+    acc = patches.astype(np.float64) @ wq.codes.reshape(spec.out_features, -1).T.astype(
+        np.float64)
+    if not spec.follows_bn:
+        acc = acc * (spec.r / (((1 << spec.m_bits) - 1) * ((1 << spec.k_bits) - 1)))
+    oh = (x.shape[2] + 2 * spec.padding - spec.kernel[0]) // spec.stride + 1
+    ow = (x.shape[3] + 2 * spec.padding - spec.kernel[1]) // spec.stride + 1
+    return acc.reshape(len(x), oh, ow, spec.out_features).transpose(0, 3, 1, 2)
+
+
+class TestQuantizedConv:
+    """The quantized stage quantizes a conv input once and gathers the codes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=quantized_convs())
+    def test_quantize_once_equals_patch_quantize(self, case):
+        x, spec, wq = case
+        got = nn.conv2d_forward(x, spec, wq, "quantized")
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, patch_quantized_conv(x, spec, wq))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=quantized_convs(special=(np.nan, np.inf, -np.inf)))
+    def test_non_finite_counts_patch_entries(self, case):
+        x, spec, wq = case
+        geometry = (*spec.kernel, spec.stride, spec.padding)
+        bad = int(np.count_nonzero(~np.isfinite(im2col_loop(x, *geometry))))
+        if bad == 0:  # none, or every one outside all windows
+            np.testing.assert_array_equal(nn.conv2d_forward(x, spec, wq, "quantized"),
+                                          patch_quantized_conv(x, spec, wq))
+            return
+        with pytest.raises(core.DomainError, match=f"layer input: {bad} non-finite values"):
+            nn.conv2d_forward(x, spec, wq, "quantized")
+
+    def test_stride_skips_non_finite_columns(self):
+        # 3x3 windows at stride 3 over 7x7 leave row and column 6 unread
+        spec = nn.conv2d(2, 3, 3, 3, stride=3, m_bits=2, k_bits=2)
+        wq = quant.quantize_odd(core.make_rng(3).uniform(-1, 1, spec.weight_shape()), 2)
+        x = core.make_rng(4).uniform(-1, 1, (2, 2, 7, 7))
+        x[0, 1, 6, 0] = np.nan
+        x[1, 0, 2, 6] = np.inf
+        np.testing.assert_array_equal(nn.conv2d_forward(x, spec, wq, "quantized"),
+                                      patch_quantized_conv(x, spec, wq))
+        x[1, 1, 5, 5] = -np.inf
+        with pytest.raises(core.DomainError, match="conv2d 2->3 3x3 layer input: 1 non-finite"):
+            nn.conv2d_forward(x, spec, wq, "quantized")
+
+    @pytest.mark.parametrize("n,dtype", [(258, np.float32), (259, np.float64)])
+    def test_code_dtype_switch(self, n, dtype):
+        # 259 * 255 * 255 is odd and above 2^24: float32 cannot hold it
+        assert gemm.code_dtype(n, 8, 8) is dtype
+        spec = nn.dense(n, 1, m_bits=8, k_bits=8, follows_bn=True)
+        wq = quant.quantize_odd(np.ones((1, n)), 8)
+        got = nn.dense_forward(np.ones((1, n)), spec, wq, "quantized")
+        assert got.dtype == np.float64 and got[0, 0] == n * 255 * 255
+
+
+@st.composite
 def random_models(draw):
     """(float model, input): a conv or a dense stack of 1-3 weighted layers with
     M in {None, 1..4} and K in 1..4, each maybe followed by batchnorm (the

@@ -448,6 +448,15 @@ class TestProgressive:
         results = train.progressive_schedule(model, (x, y), cfg, from_bits=8, to_bits=4)
         assert len(results) == 5  # 8, 7, 6, 5, 4
 
+    @pytest.mark.parametrize("from_bits,to_bits", [(3, 0), (1, 0), (2, -1), (2, 3)])
+    def test_schedule_rejects_bad_bit_range(self, from_bits, to_bits):
+        # bits step down from from_bits to to_bits >= 1; 0 bits is no grid
+        model = nn.init_mlp([2, 4, 2], core.make_rng(10), m_bits=2, k_bits=2)
+        x, y = datasets.make_moons(16, seed=5)
+        with pytest.raises(core.ConfigError):
+            train.progressive_schedule(model, (x, y), train.TrainConfig(epochs=1), from_bits,
+                                       to_bits)
+
     def test_export_stages_agree(self):
         x, y = datasets.make_moons(96, seed=6)
         model = nn.init_mlp([2, 8, 2], core.make_rng(11), m_bits=2, k_bits=2)
