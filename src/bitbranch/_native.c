@@ -10,7 +10,8 @@
  * them into the rows of the next GEMM.
  *
  * Build with -ffp-contract=off and without fast-math: bb_quantize, the one
- * quantizer, must repeat quant.quantize_odd operation for operation, and a
+ * quantizer, must repeat quant._odd_reference (the formula behind
+ * quant.quantize_odd's threshold table) operation for operation, and a
  * fused multiply-add would move values across cell edges.
  * -fno-trapping-math changes no value; it lets the compiler turn the
  * quantizer's branches into vector selects.
@@ -215,8 +216,8 @@ void bb_gemm(const uint64_t *x, const uint64_t *wt, int64_t rows, int64_t w_rows
                   acc, codes);
 }
 
-/* quant.quantize_odd of n values as code bytes, in one pass that keeps the
- * vector loop long. Non-finite values are encoded as 0.0 and counted; the
+/* quant._odd_reference of n values as code bytes, operation for operation,
+ * in one pass that keeps the vector loop long. Non-finite values are encoded as 0.0 and counted; the
  * count is returned. */
 int64_t bb_quantize(const double *x, int64_t n, int bits, double edge_snap, uint8_t *b)
 {

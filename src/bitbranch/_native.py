@@ -22,8 +22,8 @@ import warnings
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_native.c")
-# no fast-math, and no FMA contraction: the encoder must reproduce
-# quant.quantize_odd's float operations exactly
+# no fast-math, and no FMA contraction: the encoder must repeat
+# quant._odd_reference operation for operation
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-trapping-math", "-fPIC",
          "-shared")
 

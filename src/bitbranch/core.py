@@ -93,6 +93,9 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 # Binary serialization: u64-LE rank, u64-LE dims, f32-LE payload
 # ---------------------------------------------------------------------------
 
+# the largest tensor rank a file may declare; within every numpy's limit
+MAX_RANK = 32
+
 def tensor_to_bytes(a: np.ndarray) -> bytes:
     a = np.ascontiguousarray(a, dtype=np.float64)
     header = struct.pack("<Q", a.ndim) + struct.pack(f"<{a.ndim}Q", *a.shape)
@@ -125,9 +128,16 @@ def _array_from_bytes(buf: bytes, off: int, dtype: str) -> tuple[np.ndarray, int
     """Decode u64 rank, u64 dims and the payload at ``off``; returns (array, end offset)."""
     require_bytes(buf, off + 8)
     (rank,) = struct.unpack_from("<Q", buf, off)
+    if rank > MAX_RANK:
+        raise FormatError(f"tensor rank {rank} exceeds {MAX_RANK}")
     start = off + 8 + 8 * rank
     require_bytes(buf, start)
     dims = struct.unpack_from(f"<{rank}Q", buf, off + 8)
+    # a zero dim empties the payload, but numpy still refuses the shape
+    # unless the other dims fit an intp count of bytes, here of the 8-byte
+    # values the readers return
+    if math.prod(d for d in dims if d) * 8 > np.iinfo(np.intp).max:
+        raise FormatError(f"tensor dims {dims} are too large")
     end = start + np.dtype(dtype).itemsize * math.prod(dims)
     require_bytes(buf, end)
     return np.frombuffer(buf, dtype=dtype, count=math.prod(dims), offset=start).reshape(dims), end

@@ -181,7 +181,7 @@ def _gemm_stage(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
             _reject_non_finite(_rows(x, spec), spec)  # counts the patch entries
             x = np.where(finite, x, 0.0)  # what is left lies outside every window
         dtype = gemm.code_dtype(spec.reduction_len(), spec.m_bits, w.bits)
-        codes = quant.quantize_odd(x, spec.m_bits).codes.astype(dtype)
+        codes = quant._odd_codes(x, spec.m_bits, dtype)
         acc = gemm.code_matmul(_rows(codes, spec, fill=-1.0), w_codes, spec.m_bits, w.bits)
         return _acc_output(acc, spec, w.bits)
 
@@ -453,6 +453,10 @@ def quantize_model(m: ModelState, grid: str = "odd") -> ModelState:
     weights = []
     for spec, w in zip(m.specs, m.weights):
         if spec.kind in ("dense", "conv2d") and spec.k_bits is not None:
+            bad = np.size(w) - int(np.count_nonzero(np.isfinite(w)))
+            if bad:
+                raise DomainError(f"{_layer_name(spec)} weight: {bad} non-finite values cannot "
+                                  "be quantized")
             if m.flavor == "mbbn":
                 if w.shape != (spec.k_bits, *spec.weight_shape()):
                     raise ShapeError(f"{_layer_name(spec)}: branch masters of shape "

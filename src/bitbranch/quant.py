@@ -21,12 +21,13 @@ are the surrogate gradient of multi-branch training.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, EncodingError, round_half_away
+from .core import ConfigError, DomainError, EncodingError, round_half_away
 
 MAX_BITS = 8
 
@@ -34,6 +35,11 @@ MAX_BITS = 8
 # snap to the edge, so exact rationals like 2/3 land on the closed side of
 # their interval despite float rounding.
 _EDGE_SNAP = 1e-9
+
+# values per pass of ``_odd_codes``: 128 KB per float64 temporary, which
+# stays in cache and comes back from the heap on the next pass; whole-array
+# temporaries cost fresh pages on every call
+_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +136,16 @@ def quantize_linear(x: np.ndarray, bits: int, t: float = 1.0) -> QuantizedTensor
     return QuantizedTensor(codes=codes, bits=bits, t=t, d=t / qmax, grid="linear")
 
 
-def quantize_odd(x: np.ndarray, bits: int) -> QuantizedTensor:
-    """Quantize onto the odd grid {+-1, +-3, ..., +-(2^M - 1)} / (2^M - 1).
+def _odd_reference(x: np.ndarray, bits: int) -> np.ndarray:
+    """Int64 codes of the odd-grid map as a formula; the spec of ``quantize_odd``.
 
     code = s * (2 * floor(|x| * (2^M - 1) / 2) + 1) with s = sign(x) and
     sign(0) = -1, which reproduces the closed/open interval pattern of the
     2-bit lookup table ([-1,-2/3] -> -3, (-2/3,0] -> -1, (0,2/3) -> +1,
     [2/3,1] -> +3) and its generalization. Inputs are clamped to [-1,1]
-    first; values within 1e-9 of a cell edge snap onto it.
+    first; values within 1e-9 of a cell edge snap onto it. ``_odd_table``
+    is built from it, and ``bb_quantize`` in ``_native.c`` repeats it
+    operation for operation.
     """
     _check_bits(bits)
     x = np.asarray(x, dtype=np.float64)
@@ -150,8 +158,109 @@ def quantize_odd(x: np.ndarray, bits: int) -> QuantizedTensor:
     mag = 2 * np.floor(y / 2.0) + 1
     mag = np.minimum(mag, levels)
     sign = np.where(xc > 0, 1.0, -1.0)
-    codes = (sign * mag).astype(np.int64)
-    return QuantizedTensor(codes=codes, bits=bits, t=1.0, d=1.0 / levels, grid="odd")
+    return (sign * mag).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class _OddTable:
+    """``_odd_reference`` as B = 4 * 2^M buckets over [-1, 1].
+
+    A value xc in [-1, 1] falls in bucket i = trunc(xc * B/2 + B/2). Its
+    code is low[i], plus 2 when xc >= thr[i]: thr[i] is the one threshold
+    inside bucket i where the code steps up (+inf if none), and low[i] is
+    the code below it.
+    """
+
+    half: float  # B / 2
+    thr: np.ndarray  # (B + 1,) float64
+    low: np.ndarray  # (B + 1,) float64
+
+
+def _float_key(x: np.ndarray) -> np.ndarray:
+    """int64 keys in the order of the float64 values; -0.0 and +0.0 share key 0."""
+    i = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(i < 0, -(i & np.int64(np.iinfo(np.int64).max)), i)
+
+
+def _key_float(k: np.ndarray) -> np.ndarray:
+    """The float64 values of ``_float_key`` keys."""
+    return np.where(k < 0, -k | np.int64(np.iinfo(np.int64).min), k).view(np.float64)
+
+
+@functools.cache
+def _odd_table(bits: int) -> _OddTable:
+    """Bisect float64 bit patterns over [-1, 1] for the 2^M - 1 values where
+    ``_odd_reference`` steps up, and bucket them.
+
+    The reference rises monotonically in x, so the code of x is
+    2 * #(thresholds <= x) - (2^M - 1). Thresholds lie about 2 / (2^M - 1)
+    apart, so no bucket of width 2 / B holds two of them. Both facts are
+    checked here and raise RuntimeError if they fail.
+    """
+    _check_bits(bits)
+    levels = (1 << bits) - 1
+    want = 2 * np.arange(1, levels + 1) - levels  # the code at and above each threshold
+    lo = np.full(levels, _float_key(-1.0))  # the reference gives -levels < want here
+    hi = np.full(levels, _float_key(1.0))  # and +levels >= want here
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        up = _odd_reference(_key_float(mid), bits) >= want
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    thr = _key_float(hi)
+    if not (np.all(np.diff(thr) > 0) and np.all(_odd_reference(thr, bits) == want)):
+        raise RuntimeError(f"the {bits}-bit odd quantizer does not step up once per threshold")
+    half = float(2 << bits)  # B / 2
+    bucket = (thr * half + half).astype(np.intp)  # the run-time index, same operations
+    if np.any(np.diff(bucket) == 0):
+        raise RuntimeError(f"two {bits}-bit thresholds share a bucket")
+    base = np.searchsorted(bucket, np.arange(2 * (2 << bits) + 1))  # thresholds in lower buckets
+    table = np.full(base.size, np.inf)
+    table[bucket] = thr
+    low = (2 * base - levels).astype(np.float64)
+    table.flags.writeable = low.flags.writeable = False  # every caller shares them
+    return _OddTable(half=half, thr=table, low=low)
+
+
+def _odd_codes(x: np.ndarray, bits: int, dtype=np.float64) -> np.ndarray:
+    """``_odd_reference`` codes of x in ``dtype``, by one ``_odd_table`` lookup.
+
+    x must hold no NaN: each caller checks its input first and raises its
+    own error. +-inf clamp to +-1.
+    """
+    tab = _odd_table(bits)
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    low = tab.low.astype(dtype, copy=False)
+    codes = np.empty(flat.size, dtype)
+    for s in range(0, flat.size, _BLOCK):
+        xc = flat[s:s + _BLOCK].clip(-1.0, 1.0)
+        u = xc * tab.half
+        u += tab.half
+        i = u.astype(np.intp)
+        # "clip" skips the bounds check: i is in range, as x holds no NaN
+        up = xc >= tab.thr.take(i, mode="clip")
+        out = np.take(low, i, out=codes[s:s + _BLOCK], mode="clip")
+        out += up
+        out += up
+    return codes.reshape(x.shape)
+
+
+def quantize_odd(x: np.ndarray, bits: int) -> QuantizedTensor:
+    """Quantize onto the odd grid {+-1, +-3, ..., +-(2^M - 1)} / (2^M - 1).
+
+    The codes are those of ``_odd_reference``, bit for bit, read from a
+    threshold table (``_odd_codes``). +-inf clamp to +-1; NaN raises
+    DomainError.
+    """
+    _check_bits(bits)
+    x = np.asarray(x, dtype=np.float64)
+    nan = np.count_nonzero(np.isnan(x))
+    if nan:
+        raise DomainError(f"{nan} NaN values cannot be quantized")
+    levels = (1 << bits) - 1
+    return QuantizedTensor(codes=_odd_codes(x, bits, np.int64), bits=bits, t=1.0,
+                           d=1.0 / levels, grid="odd")
 
 
 # ---------------------------------------------------------------------------

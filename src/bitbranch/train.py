@@ -130,8 +130,7 @@ def _fake_quant(x: np.ndarray, bits: int, t: float, grid: str = "odd"):
     inside = np.abs(u) <= 1.0
     sat_sign = np.where(inside, 0.0, np.sign(u))
     if grid == "odd":
-        q = quant.quantize_odd(u, bits)
-        value = q.codes.astype(np.float64) * (q.d * t)
+        value = quant._odd_codes(u, bits) * ((1.0 / ((1 << bits) - 1)) * t)
     else:
         value = quant.dequantize(quant.quantize_linear(x, bits, t))
         if bits == 1:
@@ -139,11 +138,11 @@ def _fake_quant(x: np.ndarray, bits: int, t: float, grid: str = "odd"):
     return value, inside.astype(np.float64), sat_sign
 
 
-def _check_quantizer_input(h: np.ndarray, j: int) -> None:
-    """Raise DivergenceError on a non-finite activation: the quantizer would
-    turn it into a finite code, hiding it from the loss."""
+def _check_quantizer_input(h: np.ndarray, j: int, what: str = "activations") -> None:
+    """Raise DivergenceError on a non-finite quantizer input: the quantizer
+    would turn it into a finite code, hiding it from the loss."""
     if not np.all(np.isfinite(h)):
-        raise DivergenceError(f"non-finite activations enter the quantizer of dense layer {j}")
+        raise DivergenceError(f"non-finite {what} enter the quantizer of dense layer {j}")
 
 
 def forward_qnn(model: nn.ModelState, x: np.ndarray, gs: GradState, cfg: TrainConfig):
@@ -163,6 +162,7 @@ def forward_qnn(model: nn.ModelState, x: np.ndarray, gs: GradState, cfg: TrainCo
         else:
             aq, a_mask, a_sat = h, None, None
         if spec.k_bits is not None:
+            _check_quantizer_input(w, j, "master weights")
             tw = float(gs.params[f"tw{j}"])
             wq, w_mask, w_sat = _fake_quant(w, spec.k_bits, tw, cfg.grid)
         else:
@@ -240,7 +240,7 @@ def forward_mbbn(model: nn.ModelState, x: np.ndarray, gs: GradState, cfg: TrainC
     for j, (_, spec, _) in enumerate(layers):
         m_bits, k_bits = spec.m_bits, spec.k_bits
         _check_quantizer_input(h, j)
-        recon_x = quant.quantize_odd(h, m_bits).codes.astype(np.float64)
+        recon_x = quant._odd_codes(h, m_bits)
         recon_w = quant.branch_codes(gs.params[f"w{j}"]).codes.astype(np.float64)
         zhat = recon_x @ recon_w.T
         scale = spec.r / (((1 << m_bits) - 1) * ((1 << k_bits) - 1))
@@ -298,10 +298,14 @@ def optimizer_update(gs: GradState, kind: str, lr: float) -> None:
         if kind == "sgd":
             p = p - lr * g
         elif kind == "adam":
-            m1 = gs.m1.setdefault(name, np.zeros_like(p))
-            m2 = gs.m2.setdefault(name, np.zeros_like(p))
-            m1[...] = ADAM_BETA1 * m1 + (1 - ADAM_BETA1) * g
-            m2[...] = ADAM_BETA2 * m2 + (1 - ADAM_BETA2) * g * g
+            for moments in (gs.m1, gs.m2):
+                if name not in moments:
+                    moments[name] = np.zeros_like(p)
+            m1, m2 = gs.m1[name], gs.m2[name]
+            m1 *= ADAM_BETA1
+            m1 += (1 - ADAM_BETA1) * g
+            m2 *= ADAM_BETA2
+            m2 += (1 - ADAM_BETA2) * g * g
             mhat = m1 / (1 - ADAM_BETA1 ** gs.step)
             vhat = m2 / (1 - ADAM_BETA2 ** gs.step)
             p = p - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)

@@ -255,6 +255,23 @@ class TestCorruptFiles:
                                                              "expected (2, 3)")):
             nn.load_model(str(path))
 
+    @pytest.mark.parametrize("rank,dims,error", [
+        (2, (0, 2**62), "are too large"),  # a zero dim passes the length check
+        (2, (2**62, 0), "are too large"),
+        (33, (0,) * 33, "rank 33 exceeds 32"),
+    ])
+    def test_tensor_header_bounds(self, tmp_path, capsys, rank, dims, error):
+        model = nn.ModelState("float", [nn.dense(3, 2)], [np.zeros((2, 3))])
+        path = tmp_path / "m.bbm"
+        nn.save_model(model, str(path))
+        blob = path.read_bytes()
+        bad = struct.pack("<Q", rank) + struct.pack(f"<{rank}Q", *dims)
+        path.write_bytes(blob[:len(blob) - len(payload_of(blob))] + bad)
+        with pytest.raises(core.FormatError, match=re.escape(error)):
+            nn.load_model(str(path))
+        assert main(["inspect", "--model", str(path)]) == 2
+        assert error in capsys.readouterr().err
+
     @pytest.mark.parametrize("damage", ["cut", "junk"])
     def test_cli_exit_2(self, golden_files, tmp_path, capsys, damage):
         blob = golden_files["decomposed"].read_bytes()

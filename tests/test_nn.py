@@ -209,6 +209,22 @@ class TestNonFiniteInput:
             with pytest.raises(core.DomainError, match="dense 4->3 layer input: 2 non-finite"):
                 nn.model_forward(m, x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("flavor,grid", [("qnn", "odd"), ("qnn", "linear"), ("mbbn", "odd")])
+    def test_quantize_model_names_the_layer(self, flavor, grid, bad):
+        # a NaN weight used to become the code -2^63 with only a RuntimeWarning
+        specs = [nn.dense(4, 3, m_bits=2, k_bits=2), nn.act_layer("htanh"),
+                 nn.conv2d(3, 2, 1, 1, m_bits=2, k_bits=2)]
+        rng = core.make_rng(33)
+        lead = (2,) if flavor == "mbbn" else ()
+        weights = [rng.uniform(-1, 1, lead + specs[0].weight_shape()), None,
+                   rng.uniform(-1, 1, lead + specs[2].weight_shape())]
+        weights[2][(0,) * weights[2].ndim] = bad
+        model = nn.ModelState("float", specs, weights, flavor=flavor)
+        with pytest.raises(core.DomainError,
+                           match=r"conv2d 3->2 1x1 layer weight: 1 non-finite values"):
+            nn.quantize_model(model, grid)
+
     def test_full_precision_layer_passes_non_finite_through(self):
         model = nn.quantize_model(nn.init_mlp([4, 3], core.make_rng(32), m_bits=2, k_bits=2))
         assert model.specs[0].m_bits is None

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bitbranch import bitops, core, gemm, nn, quant
 
@@ -12,6 +13,60 @@ def packed_codes(codes, bits):
     """Odd codes packed into row planes and read back through the decoder."""
     enc = gemm.encode_codes(np.asarray(codes).reshape(1, -1), bits)
     return gemm.decode_codes(enc).ravel()
+
+
+def frozen_quantize_odd(x, bits):
+    """Codes of quant.quantize_odd as it stood before the threshold table:
+    the formula, frozen here so that the table is checked against it."""
+    x = np.asarray(x, dtype=np.float64)
+    levels = (1 << bits) - 1
+    xc = np.clip(x, -1.0, 1.0)
+    y = np.abs(xc) * levels
+    nearest = np.trunc(y + np.copysign(0.5, y))
+    snap = np.abs(y - nearest) <= 1e-9 * np.maximum(1.0, np.abs(y))
+    y = np.where(snap, nearest, y)
+    mag = 2 * np.floor(y / 2.0) + 1
+    mag = np.minimum(mag, levels)
+    sign = np.where(xc > 0, 1.0, -1.0)
+    return (sign * mag).astype(np.int64)
+
+
+def ulps(x, n):
+    """x moved n float64 steps, up for n > 0."""
+    x = np.asarray(x, dtype=np.float64)
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return x
+
+
+def anchors(bits):
+    """Every threshold of the table, every cell value k/(2^M - 1) and both
+    snap-window edges k/(2^M - 1) * (1 +- 1e-9)."""
+    thr = quant._odd_table(bits).thr
+    levels = (1 << bits) - 1
+    grid = np.arange(-levels, levels + 1) / levels
+    return np.concatenate([thr[np.isfinite(thr)], grid, grid * (1 - 1e-9), grid * (1 + 1e-9)])
+
+
+MIN_NORMAL = float(np.finfo(np.float64).tiny)
+SPECIALS = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 1.5, -1.5, 1e300, -1e300, 5e-324, -5e-324,
+            MIN_NORMAL, -MIN_NORMAL, float(ulps(MIN_NORMAL, -1)), -float(ulps(MIN_NORMAL, -1))]
+
+
+@st.composite
+def odd_inputs(draw):
+    """A bit width and values near the places the quantizer can go wrong."""
+    bits = draw(st.integers(1, 8))
+    near = st.tuples(st.sampled_from(anchors(bits).tolist()), st.integers(-4, 4)).map(
+        lambda a: float(ulps(*a)))
+    values = st.one_of(
+        near,
+        st.sampled_from(SPECIALS),
+        st.floats(allow_nan=False),  # mostly beyond +-1
+        st.floats(-MIN_NORMAL, MIN_NORMAL),  # subnormals
+        st.floats(-1.0, 1.0),
+    )
+    return bits, np.array(draw(st.lists(values, min_size=1, max_size=64)))
 
 
 def reconstruct(digits):
@@ -137,6 +192,54 @@ class TestQuantizeOdd:
         x = np.linspace(-1, 1, 41)
         q = quant.quantize_odd(x, 2)
         np.testing.assert_array_equal(quant.dequantize(q) * 3, q.codes)
+
+    def test_nan_is_domain_error(self):
+        with pytest.raises(core.DomainError, match="1 NaN values"):
+            quant.quantize_odd(np.array([0.5, np.nan, -np.inf]), 2)
+
+    def test_infinities_clamp(self):
+        np.testing.assert_array_equal(
+            quant.quantize_odd(np.array([np.inf, -np.inf]), 3).codes, [7, -7])
+
+
+class TestThresholdTable:
+    """quantize_odd reads its codes from a table of thresholds; each code
+    must equal the formula's, bit for bit."""
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_every_anchor_within_four_ulps(self, bits):
+        x = np.concatenate([ulps(anchors(bits), n) for n in range(-4, 5)] + [SPECIALS])
+        np.testing.assert_array_equal(quant.quantize_odd(x, bits).codes,
+                                      frozen_quantize_odd(x, bits))
+
+    @settings(deadline=None)  # the count comes from the profile
+    @given(odd_inputs())
+    def test_matches_frozen_formula(self, case):
+        bits, x = case
+        expect = frozen_quantize_odd(x, bits)
+        np.testing.assert_array_equal(quant.quantize_odd(x, bits).codes, expect)
+        np.testing.assert_array_equal(quant._odd_reference(x, bits), expect)
+        for dtype in (np.float64, np.float32):
+            codes = quant._odd_codes(x, bits, dtype)
+            assert codes.dtype == dtype
+            np.testing.assert_array_equal(codes, expect)
+
+    def test_blocks_and_shapes(self):
+        # more values than one block, in a 4-d shape, and a 0-d value
+        x = core.make_rng(7).uniform(-1.1, 1.1, (3, 2, quant._BLOCK // 3 + 5, 4))
+        np.testing.assert_array_equal(quant.quantize_odd(x, 3).codes, frozen_quantize_odd(x, 3))
+        assert quant.quantize_odd(np.float64(0.5), 2).codes.shape == ()
+        assert quant.quantize_odd(np.float64(0.5), 2).codes == 1
+
+    def test_one_step_per_threshold(self, monkeypatch):
+        # a formula that steps down somewhere cannot be read from thresholds
+        def falls(x, bits):
+            codes = frozen_quantize_odd(x, bits)
+            return np.where(codes == 1, -3, codes)
+
+        monkeypatch.setattr(quant, "_odd_reference", falls)
+        with pytest.raises(RuntimeError, match="once per threshold"):
+            quant._odd_table.__wrapped__(2)
 
 
 class TestCodesToDigits:

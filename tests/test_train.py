@@ -59,6 +59,29 @@ class TestOptimizer:
             train.optimizer_update(gs, "adam", 0.01)
             assert abs(gs.params["w0"][0]) == pytest.approx(0.01, rel=1e-3)
 
+    def test_adam_matches_frozen_formula(self):
+        # the moments are updated in place, with the rounding of the
+        # expressions they replaced
+        rng = core.make_rng(12)
+        params = {"w0": rng.uniform(-1, 1, (3, 4)), "ta0": np.array(0.7)}
+        gs = train.GradState(params={k: v.copy() for k, v in params.items()})
+        m1 = {k: np.zeros_like(v) for k, v in params.items()}
+        m2 = {k: np.zeros_like(v) for k, v in params.items()}
+        for step in range(1, 6):
+            grads = {k: rng.normal(0, 3, v.shape) for k, v in params.items()}
+            gs.grads = dict(grads)
+            train.optimizer_update(gs, "adam", 0.01)
+            for k, g in grads.items():
+                m1[k] = 0.9 * m1[k] + (1 - 0.9) * g
+                m2[k] = 0.999 * m2[k] + (1 - 0.999) * g * g
+                mhat = m1[k] / (1 - 0.9 ** step)
+                vhat = m2[k] / (1 - 0.999 ** step)
+                p = params[k] - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
+                params[k] = np.clip(p, -1.0, 1.0) if k.startswith("w") else np.maximum(p, 1e-6)
+                np.testing.assert_array_equal(gs.params[k], params[k])
+                np.testing.assert_array_equal(gs.m1[k], m1[k])
+                np.testing.assert_array_equal(gs.m2[k], m2[k])
+
     def test_update_clamps_masters(self):
         gs = train.GradState(params={"w0": np.array([0.99, -0.99])})
         gs.grads["w0"] = np.array([-5.0, 5.0])
@@ -172,6 +195,15 @@ class TestAlg2:
         model, cfg, gs = one_layer_qnn(rng)
         x = np.full((2, 4), np.nan)
         with pytest.raises(core.DivergenceError):
+            train.train_step_alg2(model, (x, np.array([0, 1])), cfg, gs)
+
+    def test_nan_master_weight_raises(self):
+        # the odd quantizer would give the NaN master a finite code
+        rng = core.make_rng(8)
+        model, cfg, gs = one_layer_qnn(rng)
+        gs.params["w0"][0, 0] = np.nan
+        x = rng.uniform(-1, 1, (2, gs.params["w0"].shape[1]))
+        with pytest.raises(core.DivergenceError, match="non-finite master weights"):
             train.train_step_alg2(model, (x, np.array([0, 1])), cfg, gs)
 
 
