@@ -9,12 +9,11 @@
  * them from floats, bb_gemm from popcount sums, and bb_gather packs
  * them into the rows of the next GEMM.
  *
- * Build with -ffp-contract=off and without fast-math: bb_quantize, the one
- * quantizer, must repeat quant._odd_reference (the formula behind
- * quant.quantize_odd's threshold table) operation for operation, and a
- * fused multiply-add would move values across cell edges.
- * -fno-trapping-math changes no value; it lets the compiler turn the
- * quantizer's branches into vector selects.
+ * bb_quantize reads the threshold table of quant._odd_table, the one that
+ * quant.quantize_odd reads, so the quantizer's formula lives only in
+ * quant._odd_reference. No build flag can move a code: the compare is
+ * exact, and half is a power of two, so xc * half rounds nothing and a
+ * fused multiply-add rounds xc * half + half as the two operations do.
  */
 #include <math.h>
 #include <stdint.h>
@@ -216,24 +215,19 @@ void bb_gemm(const uint64_t *x, const uint64_t *wt, int64_t rows, int64_t w_rows
                   acc, codes);
 }
 
-/* quant._odd_reference of n values as code bytes, operation for operation,
- * in one pass that keeps the vector loop long. Non-finite values are encoded as 0.0 and counted; the
- * count is returned. */
-int64_t bb_quantize(const double *x, int64_t n, int bits, double edge_snap, uint8_t *b)
+/* Code bytes of n values by quant._odd_table: the byte base[i] below the
+ * threshold thr[i] of the clipped value's bucket i, plus 1 at or above it.
+ * Non-finite values are encoded as 0.0; their count is returned. restrict lets GCC vectorize. */
+int64_t bb_quantize(const double *restrict x, int64_t n, double half, const double *restrict thr,
+                    const int64_t *restrict base, uint8_t *restrict b)
 {
-    const int levels = (1 << bits) - 1;
     int64_t bad = 0;
     for (int64_t t = 0; t < n; t++) {
         int finite = isfinite(x[t]);
         bad += !finite;
         double xc = finite ? (x[t] < -1.0 ? -1.0 : (x[t] > 1.0 ? 1.0 : x[t])) : 0.0;
-        double y = fabs(xc) * (double)levels;
-        double nearest = trunc(y + 0.5);
-        if (fabs(y - nearest) <= edge_snap * (y > 1.0 ? y : 1.0))
-            y = nearest;
-        double mag = 2.0 * floor(y / 2.0) + 1.0;
-        int code = (int)(mag < levels ? mag : levels);
-        b[t] = (uint8_t)(((xc > 0.0 ? code : -code) + levels) >> 1);
+        int64_t i = (int64_t)(xc * half + half);
+        b[t] = (uint8_t)(base[i] + (xc >= thr[i]));
     }
     return bad;
 }

@@ -22,10 +22,9 @@ import warnings
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_native.c")
-# no fast-math, and no FMA contraction: the encoder must repeat
-# quant._odd_reference operation for operation
-FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-trapping-math", "-fPIC",
-         "-shared")
+# no float flag: bb_quantize reads quant._odd_table, whose index and compare
+# are exact in every float mode
+FLAGS = ("-O3", "-march=native", "-fPIC", "-shared")
 
 _lock = threading.Lock()
 
@@ -64,7 +63,7 @@ def _build() -> ctypes.CDLL:
         os.close(fd)
         try:
             # compile the very bytes that were hashed
-            subprocess.run(["cc", *FLAGS, "-o", tmp, "-x", "c", "-", "-lm"], input=source,
+            subprocess.run(["cc", *FLAGS, "-o", tmp, "-x", "c", "-"], input=source,
                            capture_output=True, check=True)
             os.replace(tmp, lib_path)
         finally:
@@ -78,7 +77,7 @@ def _build() -> ctypes.CDLL:
     lib.bb_gemm.argtypes = [ptr, ptr, i64, i64, i64, cint, cint, i64, i64, ptr, ptr, cint, ptr,
                             ptr]
     lib.bb_gemm.restype = None
-    lib.bb_quantize.argtypes = [ptr, i64, cint, double, ptr]
+    lib.bb_quantize.argtypes = [ptr, i64, double, ptr, ptr, ptr]  # x, n, half, thr, base, b
     lib.bb_quantize.restype = i64
     lib.bb_gather.argtypes = [ptr, *[i64] * 7, cint, ptr]
     lib.bb_gather.restype = cint

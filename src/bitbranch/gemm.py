@@ -62,8 +62,10 @@ def quantize_bytes(x: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
     x = np.ascontiguousarray(x, dtype=np.float64)
     lib = _native.library()
     if lib is not None:
+        tab = quant._odd_table(bits)
         b = np.empty(x.shape, dtype=np.uint8)
-        return b, lib.bb_quantize(x.ctypes.data, x.size, bits, quant._EDGE_SNAP, b.ctypes.data)
+        return b, lib.bb_quantize(x.ctypes.data, x.size, tab.half, tab.thr.ctypes.data,
+                                  tab.base.ctypes.data, b.ctypes.data)
     finite = np.isfinite(x)
     b = (quant.quantize_odd(np.where(finite, x, 0.0), bits).codes + (1 << bits) - 1) >> 1
     return b.astype(np.uint8), x.size - int(np.count_nonzero(finite))

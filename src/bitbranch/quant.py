@@ -143,9 +143,9 @@ def _odd_reference(x: np.ndarray, bits: int) -> np.ndarray:
     sign(0) = -1, which reproduces the closed/open interval pattern of the
     2-bit lookup table ([-1,-2/3] -> -3, (-2/3,0] -> -1, (0,2/3) -> +1,
     [2/3,1] -> +3) and its generalization. Inputs are clamped to [-1,1]
-    first; values within 1e-9 of a cell edge snap onto it. ``_odd_table``
-    is built from it, and ``bb_quantize`` in ``_native.c`` repeats it
-    operation for operation.
+    first; values within 1e-9 of a cell edge snap onto it. In the package
+    only ``_odd_table`` runs it: both quantizers, ``_odd_codes`` and
+    ``bb_quantize`` in ``_native.c``, read the table built from it.
     """
     _check_bits(bits)
     x = np.asarray(x, dtype=np.float64)
@@ -174,6 +174,7 @@ class _OddTable:
     half: float  # B / 2
     thr: np.ndarray  # (B + 1,) float64
     low: np.ndarray  # (B + 1,) float64
+    base: np.ndarray  # (B + 1,) int64 byte (low + 2^M - 1) / 2, read by bb_quantize
 
 
 def _float_key(x: np.ndarray) -> np.ndarray:
@@ -218,8 +219,9 @@ def _odd_table(bits: int) -> _OddTable:
     table = np.full(base.size, np.inf)
     table[bucket] = thr
     low = (2 * base - levels).astype(np.float64)
-    table.flags.writeable = low.flags.writeable = False  # every caller shares them
-    return _OddTable(half=half, thr=table, low=low)
+    base = base.astype(np.int64)
+    table.flags.writeable = low.flags.writeable = base.flags.writeable = False  # shared
+    return _OddTable(half=half, thr=table, low=low, base=base)
 
 
 def _odd_codes(x: np.ndarray, bits: int, dtype=np.float64) -> np.ndarray:

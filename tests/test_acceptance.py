@@ -5,6 +5,7 @@ Each test prints a single PASS line once its assertions hold, so running
 criterion. Criteria with runtime budgets assert them.
 """
 
+import functools
 import math
 import time
 
@@ -102,17 +103,26 @@ def test_04_analytic_speedup():
 
 
 def test_05_measured_speedup():
-    """Packed 1-bit dot beats the scalar float baseline by >= 5x; ordering holds."""
-    rows = bench.bench_gemm([(1, 8192, 1)], [(1, 1), (2, 2), (3, 3)],
-                            repeats=11, seed=0)
-    packed = {r["M"] * r["K"]: r["speedup_vs_scalar"]
-              for r in rows if r["kernel"] == "packed"}
-    assert packed[1] >= 5.0, packed
-    ordered = sorted(packed)
-    for small, big in zip(ordered, ordered[1:]):
-        assert packed[big] <= packed[small] * 1.10, packed
-    print(f"\nACCEPTANCE 05 measured-speedup: PASS "
-          f"(1-bit {packed[1]:.1f}x, 2-bit {packed[4]:.1f}x, 3-bit {packed[9]:.1f}x)")
+    """Packed 1-bit dot beats the scalar float baseline by >= 5x; ordering holds.
+
+    The ordering is timed on prepared packed calls at 64 x 8192 x 64, where
+    the popcount work sets their times: at 1 x 8192 x 1 a call is mostly its
+    fixed cost of about 10 us, and the three times are nearly equal.
+    """
+    rows = bench.bench_gemm([(1, 8192, 1)], [(1, 1)], repeats=11, seed=0)
+    speedup = next(r["speedup_vs_scalar"] for r in rows if r["kernel"] == "packed")
+    assert speedup >= 5.0, rows
+    rng = core.make_rng(0)
+    a, b = rng.uniform(-1, 1, (64, 8192)), rng.uniform(-1, 1, (64, 8192))
+    calls = [functools.partial(gemm.encoded_gemm, gemm.encode_matrix(a, bits),
+                               gemm.prepare_weight(gemm.encode_matrix(b, bits), bits))
+             for bits in (1, 2, 3)]
+    ns = dict(zip((1, 4, 9), bench._medians_ns(calls, repeats=11)))
+    for small, big in ((1, 4), (4, 9)):
+        assert ns[small] <= ns[big] * 1.10, ns
+    print(f"\nACCEPTANCE 05 measured-speedup: PASS (1-bit {speedup:.1f}x at 1x8192x1; "
+          f"{ns[1] / 1e3:.0f}/{ns[4] / 1e3:.0f}/{ns[9] / 1e3:.0f} us for 1/2/3 bits at "
+          "64x8192x64)")
 
 
 def test_06_gradient_correctness():

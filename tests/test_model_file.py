@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bitbranch import core, gemm, nn
+from bitbranch import core, datasets, gemm, nn, train
 from bitbranch.cli import main
 
 # sha256 of the files save_model writes for golden_models(); recorded before
@@ -33,6 +33,11 @@ def golden_models():
              nn.act_layer("htanh"),
              nn.dense(100, 7, m_bits=3, k_bits=2, follows_bn=True), nn.batchnorm(7),
              nn.dense(7, 3)]
+    return all_stages(nn.ModelState("float", specs, random_weights(specs, rng)))
+
+
+def random_weights(specs, rng):
+    """Uniform weights in [-1, 1] per dense or conv layer, random batchnorm statistics."""
     weights = []
     for spec in specs:
         if spec.kind == "batchnorm":
@@ -43,7 +48,11 @@ def golden_models():
             weights.append(rng.uniform(-1, 1, spec.weight_shape()))
         else:
             weights.append(None)
-    float_model = nn.ModelState(stage="float", specs=specs, weights=weights)
+    return weights
+
+
+def all_stages(float_model):
+    """A float model, quantized and decomposed."""
     quantized = nn.quantize_model(float_model)
     return {"float": float_model, "quantized": quantized,
             "decomposed": nn.decompose_model(quantized)}
@@ -279,3 +288,66 @@ class TestCorruptFiles:
         path.write_bytes(blob[:-5] if damage == "cut" else blob + b"\0\0\0\0")
         assert main(["inspect", "--model", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
+
+
+# what a forward may raise on a model that loaded from a damaged file
+TYPED_ERRORS = (core.ShapeError, core.ConfigError, core.EncodingError, core.DomainError,
+                core.StageError, core.DecompositionError, core.FormatError)
+
+
+@pytest.fixture(scope="module")
+def flip_targets(tmp_path_factory):
+    """name -> (files of one save, the file to damage, its loader, a forward input).
+
+    An MLP and a conv net that runs end to end, each in all three stages,
+    and an mbbn checkpoint: its model file and its .opt sidecar.
+    """
+    folder = tmp_path_factory.mktemp("flip")
+    rng = core.make_rng(5)
+    conv = [nn.conv2d(3, 4, 3, 3, padding=1, m_bits=2, k_bits=2), nn.batchnorm(4),
+            nn.act_layer("htanh"), nn.conv2d(4, 5, 3, 3, stride=2, padding=1, m_bits=3, k_bits=2)]
+    nets = {"mlp": (nn.init_mlp([8, 6, 3], rng, m_bits=2, k_bits=2, quantize_input=True),
+                    rng.uniform(-1, 1, (5, 8))),
+            "conv": (nn.ModelState("float", conv, random_weights(conv, rng)),
+                     rng.uniform(-1, 1, (2, 3, 5, 5)))}
+    targets = {}
+    for net, (model, x) in nets.items():
+        for stage, m in all_stages(model).items():
+            nn.save_model(m, str(folder / "m.bbm"))
+            targets[f"{net}-{stage}"] = ({"m.bbm": (folder / "m.bbm").read_bytes()}, "m.bbm",
+                                         nn.load_model, x)
+    x, y = datasets.make_moons(64, seed=4)
+    model = nn.init_mlp([2, 4, 2], rng, m_bits=2, k_bits=2, flavor="mbbn")
+    cfg = train.TrainConfig(algorithm="mbbn", epochs=1, batch_size=32, seed=0)
+    res = train.train_model(model, (x, y), cfg)
+    train.save_checkpoint(str(folder / "c.bbm"), res.model, res.grad_state, cfg)
+    files = {name: (folder / name).read_bytes() for name in ("c.bbm", "c.bbm.opt")}
+    for name in files:
+        targets["mbbn-" + name] = (files, name, lambda p: train.load_checkpoint(p)[0], x[:5])
+    return targets
+
+
+class TestBitFlips:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_flipped_bit(self, flip_targets, tmp_path_factory, data):
+        # a damaged file raises FormatError on load, or loads a model whose
+        # forward gives outputs or a typed error
+        files, damaged, load, x = flip_targets[data.draw(st.sampled_from(sorted(flip_targets)))]
+        bit = data.draw(st.integers(0, 8 * len(files[damaged]) - 1))
+        folder = tmp_path_factory.mktemp("flip")
+        for name, blob in files.items():
+            if name == damaged:
+                blob = bytearray(blob)
+                blob[bit // 8] ^= 1 << (bit % 8)
+            (folder / name).write_bytes(blob)
+        try:
+            model = load(str(folder / min(files)))  # the model file sorts before .opt
+        except core.FormatError:
+            return
+        try:
+            with np.errstate(all="ignore"):  # flipped exponents make inf and NaN weights
+                out = nn.model_forward(model, x)
+        except TYPED_ERRORS:
+            return
+        assert isinstance(out, np.ndarray) and out.shape[0] == len(x)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from bitbranch import _native, bitops, core, gemm, nn, quant
+from test_quant import SPECIALS, anchors, frozen_quantize_odd, odd_inputs, ulps
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -208,6 +209,36 @@ def im2col_loop(x, kh, kw, stride, padding):
 # the kernel fixture is function-scoped, but it only picks the library, which
 # every hypothesis example of the test may share
 FIXTURE_OK = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestQuantizeBytes:
+    """Both kernels' code bytes against the formula frozen in test_quant.py."""
+
+    @staticmethod
+    def check(x, bits):
+        b, bad = gemm.quantize_bytes(x, bits)
+        finite = np.isfinite(x)
+        expect = (frozen_quantize_odd(np.where(finite, x, 0.0), bits) + (1 << bits) - 1) >> 1
+        assert b.dtype == np.uint8 and bad == np.count_nonzero(~finite)
+        np.testing.assert_array_equal(b, expect)
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_anchors_and_specials(self, kernel, bits):
+        self.check(np.concatenate([ulps(anchors(bits), n) for n in range(-4, 5)] + [SPECIALS]),
+                   bits)
+
+    @settings(**FIXTURE_OK)  # the count comes from the profile
+    @given(case=odd_inputs())
+    def test_matches_frozen_formula(self, kernel, case):
+        bits, x = case
+        self.check(x, bits)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_is_counted_as_zero(self, kernel, bad):
+        for bits in range(1, 9):
+            b, count = gemm.quantize_bytes(np.array([bad, 0.5, bad]), bits)
+            zero = (frozen_quantize_odd(0.0, bits) + (1 << bits) - 1) >> 1
+            assert count == 2 and b[0] == b[2] == zero
 
 
 @st.composite
@@ -844,8 +875,10 @@ def test_portable_gemm_matches_numpy(portable_pack, case):
 
 # Run in a child built with -fsanitize=address,undefined: each kernel on
 # padding 0..3, stride 1..3, up to 70 channels, bits 1, 2 and 8, and partial
-# GEMM tiles, against the numpy kernels. Checks raise SystemExit, not
-# AssertionError, so that they hold under python -O too.
+# GEMM tiles, against the numpy kernels; the quantizer also on the values
+# that index the ends of its table (+-1.0 reads entry B, the last) at bits
+# 1..8. Checks raise SystemExit, not AssertionError, so that they hold under
+# python -O too.
 SANITIZED_RUN = """
 import numpy as np
 from bitbranch import _native, gemm
@@ -870,6 +903,12 @@ def check(ok, *case):
         raise SystemExit(f"native and numpy kernels differ on {case}")
 
 
+tiny = np.finfo(np.float64).tiny
+ends = np.array([1.0, -1.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -5e-324, tiny / 2, -tiny / 2,
+                 np.nan])
+for bits in range(1, 9):
+    (b, bad), (b_np, bad_np) = both(gemm.quantize_bytes, ends, bits)
+    check(bad == bad_np == 3 and np.array_equal(b, b_np), "quantize", ends, bits)
 rng = np.random.default_rng(0)
 for padding in range(4):
     for stride in range(1, 4):
