@@ -146,7 +146,10 @@ def _array_from_bytes(buf: bytes, off: int, dtype: str) -> tuple[np.ndarray, int
 def tensor_from_bytes(buf: bytes, off: int = 0) -> tuple[np.ndarray, int]:
     """Decode one tensor at ``off``; returns (tensor, offset just past it)."""
     data, end = _array_from_bytes(buf, off, "<f4")
-    return data.astype(np.float64), end
+    # a signalling NaN would warn "invalid value" as it widens; it loads as a
+    # NaN, which the quantizers and the forward reject as non-finite
+    with np.errstate(invalid="ignore"):
+        return data.astype(np.float64), end
 
 
 def int_tensor_to_bytes(a: np.ndarray) -> bytes:

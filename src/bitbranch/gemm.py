@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native, bitops, quant
-from .core import DomainError, ShapeError
+from .core import DomainError, EncodingError, ShapeError
 
 # N * (2^M - 1) * (2^K - 1) must stay below this for exact int64 accumulation.
 _ACC_LIMIT = 1 << 62
@@ -39,14 +39,26 @@ class EncodedMatrix:
 
 
 def encode_codes(codes: np.ndarray, bits: int) -> EncodedMatrix:
-    """Pack a 2-D grid of odd codes into row planes."""
+    """Pack a 2-D grid of odd codes into row planes.
+
+    Codes must be odd with |code| <= 2^M - 1, else EncodingError. They
+    become code bytes b = (code + 2^M - 1) >> 1, which ``gather_codes``
+    packs as a 1 x 1 image: the words ``bitops.pack`` makes of
+    ``quant.odd_code_digits``, with no digit planes in between.
+    """
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 2:
         raise ShapeError(f"expected a 2-D code grid, got shape {codes.shape}")
+    quant._check_bits(bits)
     rows, cols = codes.shape
-    digits = quant.odd_code_digits(codes, bits).reshape(bits, rows, cols)
-    words = bitops.pack(digits.transpose(1, 0, 2))
-    return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
+    levels = (1 << bits) - 1
+    small = codes.astype(np.int16)  # exact for every code the range test passes
+    if codes.size and (codes.min() < -levels or codes.max() > levels
+                       or not np.all(small & 1)):
+        raise EncodingError(
+            f"codes must be odd integers with |code| <= {levels} for {bits}-bit expansion")
+    b = ((small + levels) >> 1).astype(np.uint8)
+    return gather_codes(b.reshape(rows, 1, 1, cols), bits)
 
 
 def _reject_non_finite(bad: int) -> None:
@@ -107,7 +119,9 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
     dense input is a 1 x 1 image. Row (b, oh, ow) holds its window in
     (i, j, c) order, with the code of 0.0 in the padding, so it meets a conv
     weight whose reduction axis is in that order too. The image is padded
-    here, once, so both kernels see only windows inside it.
+    here, once, so both kernels see only windows inside it. Bit m of each
+    byte goes to plane m: ``bb_gather`` packs the bytes directly, the numpy
+    fallback splits them into 0/1 planes for ``bitops.pack_bits``.
     """
     quant._check_bits(bits)
     if not (isinstance(b, np.ndarray) and b.dtype == np.uint8 and b.ndim == 4
@@ -127,7 +141,8 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
     if lib is None:
         windows = np.lib.stride_tricks.sliding_window_view(b, (kh, kw), axis=(1, 2))
         ijc = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3).reshape(rows, cols)
-        return encode_codes(2 * ijc.astype(np.int64) - ((1 << bits) - 1), bits)
+        planes = (ijc[:, None, :] >> np.arange(bits, dtype=np.uint8)[:, None]) & 1
+        return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=bitops.pack_bits(planes))
     words = np.empty((rows, bits, bitops.word_count(cols)), dtype=np.uint64)
     if lib.bb_gather(b.ctypes.data, batch, h, w, c, kh, kw, stride, bits, words.ctypes.data):
         raise MemoryError("no memory for a patch row")

@@ -554,14 +554,18 @@ def _spec_from_json(d: dict) -> LayerSpec:
 
 
 def _planes_to_bytes(enc: gemm.EncodedMatrix) -> bytes:
+    """The payload of row planes: each plane's rows end to end, re-packed as 0/1 bits."""
     n = enc.rows * enc.cols
-    digits = bitops.unpack(enc.words, enc.cols).transpose(1, 0, 2).reshape(enc.bits, n)
-    payload = np.hstack([np.full((enc.bits, 1), n, dtype=np.uint64), bitops.pack(digits)])
+    # transpose the words, not the 8x larger bits
+    planes = bitops.unpack_bits(enc.words.transpose(1, 0, 2), enc.cols).reshape(enc.bits, n)
+    payload = np.hstack([np.full((enc.bits, 1), n, dtype=np.uint64), bitops.pack_bits(planes)])
     return payload.astype("<u8").tobytes()
 
 
 def _planes_from_bytes(buf: bytes, off: int, bits: int, rows: int,
                        cols: int) -> tuple[gemm.EncodedMatrix, int]:
+    """Row planes from a payload; the file's pad bits are dropped, so the words
+    carry zero pad bits whatever the file holds there."""
     n = rows * cols
     per_plane = 1 + bitops.word_count(n)
     end = off + 8 * per_plane * bits
@@ -571,8 +575,8 @@ def _planes_from_bytes(buf: bytes, off: int, bits: int, rows: int,
     if np.any(payload[:, 0] != n):
         raise FormatError(f"plane lengths {payload[:, 0].tolist()} differ from "
                           f"rows*cols = {n}")
-    digits = bitops.unpack(payload[:, 1:], n).reshape(bits, rows, cols)
-    words = bitops.pack(digits.transpose(1, 0, 2))
+    planes = bitops.unpack_bits(payload[:, 1:], n).reshape(bits, rows, cols)
+    words = np.ascontiguousarray(bitops.pack_bits(planes).transpose(1, 0, 2))
     return gemm.EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words), end
 
 

@@ -274,7 +274,8 @@ def odd_code_digits(codes: np.ndarray, bits: int) -> np.ndarray:
 
     Per element, b = (code + 2^M - 1) / 2 is written in binary and each bit
     is mapped 0 -> -1, 1 -> +1; the weighted digit sum reproduces the code
-    exactly.
+    exactly. No encode path calls it: ``gemm.encode_codes`` packs the bytes
+    b directly, and the tests hold those words to these digits.
     """
     _check_bits(bits)
     codes = np.asarray(codes, dtype=np.int64).reshape(-1)

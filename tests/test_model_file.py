@@ -4,10 +4,11 @@ import hashlib
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bitbranch import core, datasets, gemm, nn, train
 from bitbranch.cli import main
@@ -123,6 +124,30 @@ class TestDecomposedPayload:
         tail = cols % 64
         if tail:
             assert not np.any(back.words[:, :, -1] >> np.uint64(tail))
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 70), cols=st.integers(1, 200), bits=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pad_bits_in_the_file_are_dropped(self, tmp_path_factory, rows, cols, bits, seed):
+        # a writer may leave ones past rows*cols in each plane's last word
+        n = rows * cols
+        assume(n % 64)
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 1 << bits, size=(rows, cols)) * 2 - ((1 << bits) - 1)
+        enc = gemm.encode_codes(codes, bits)
+        folder = tmp_path_factory.mktemp("pad")
+        canon = one_layer_file(folder / "canon.bbm", enc)
+        payload = payload_of(canon)
+        planes = np.frombuffer(payload, dtype="<u8").reshape(bits, -1).copy()
+        planes[:, -1] |= ~np.uint64((1 << (n % 64)) - 1)
+        (folder / "pads.bbm").write_bytes(canon[:len(canon) - len(payload)] + planes.tobytes())
+        back = nn.load_model(str(folder / "pads.bbm"))
+        np.testing.assert_array_equal(back.weights[0].words, enc.words)
+        if cols % 64:
+            assert not np.any(back.weights[0].words[:, :, -1] >> np.uint64(cols % 64))
+        nn.save_model(back, str(folder / "again.bbm"))
+        assert (folder / "again.bbm").read_bytes() == canon
 
 
 class TestCorruptFiles:
@@ -288,6 +313,23 @@ class TestCorruptFiles:
         path.write_bytes(blob[:-5] if damage == "cut" else blob + b"\0\0\0\0")
         assert main(["inspect", "--model", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
+
+
+def test_signalling_nan_weight_loads_quietly_and_is_rejected(tmp_path):
+    # one flipped exponent bit of a float32 weight can make a signalling NaN,
+    # which must load as a NaN without a warning and fail quantization by name
+    path = tmp_path / "m.bbm"
+    nn.save_model(nn.ModelState("float", [nn.dense(2, 3, 2, 2)], [np.zeros((3, 2))]), str(path))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-4] + struct.pack("<I", 0x7F800001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = nn.load_model(str(path))
+        w = model.weights[0]
+        assert np.isnan(w[2, 1]) and np.count_nonzero(np.isnan(w)) == 1
+        with pytest.raises(core.DomainError,
+                           match=re.escape("dense 2->3 layer weight: 1 non-finite values")):
+            nn.quantize_model(model)
 
 
 # what a forward may raise on a model that loaded from a damaged file

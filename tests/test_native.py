@@ -53,6 +53,17 @@ def decode_codes_loop(enc):
     return codes
 
 
+def frozen_encode_codes(codes, bits):
+    """gemm.encode_codes as it stood before it packed code bytes through
+    gather_codes: the {-1,+1} digit planes of quant.odd_code_digits, packed
+    by bitops.pack. Frozen here as the digit-level spec of the words."""
+    codes = np.asarray(codes, dtype=np.int64)
+    rows, cols = codes.shape
+    digits = quant.odd_code_digits(codes, bits).reshape(bits, rows, cols)
+    return gemm.EncodedMatrix(bits=bits, rows=rows, cols=cols,
+                              words=bitops.pack(digits.transpose(1, 0, 2)))
+
+
 def pad_bits(enc):
     """The bits past the last column in each row's last word."""
     tail = enc.cols % bitops.WORD_BITS
@@ -163,7 +174,7 @@ class TestEncodeMatrix:
         values = np.concatenate([edge_values(b) for b in range(1, 9)])
         values = np.concatenate([values, rng.uniform(-1.2, 1.2, 1000)])
         x = np.resize(values, (-(-values.size // 67), 67))
-        expect = gemm.encode_codes(quant.quantize_odd(x, bits).codes, bits)
+        expect = frozen_encode_codes(quant.quantize_odd(x, bits).codes, bits)
         got = gemm.encode_matrix(x, bits)
         np.testing.assert_array_equal(got.words, expect.words)
         assert (got.bits, got.rows, got.cols) == (expect.bits, expect.rows, expect.cols)
@@ -175,7 +186,7 @@ class TestEncodeMatrix:
         values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                     min_size=rows * cols, max_size=rows * cols))
         x = np.array(values, dtype=np.float64).reshape(rows, cols)
-        expect = gemm.encode_codes(quant.quantize_odd(x, bits).codes, bits)
+        expect = frozen_encode_codes(quant.quantize_odd(x, bits).codes, bits)
         np.testing.assert_array_equal(gemm.encode_matrix(x, bits).words, expect.words)
 
     @pytest.mark.parametrize("cols", [1, 63, 64, 65, 130])
@@ -209,6 +220,46 @@ def im2col_loop(x, kh, kw, stride, padding):
 # the kernel fixture is function-scoped, but it only picks the library, which
 # every hypothesis example of the test may share
 FIXTURE_OK = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def code_grids(draw):
+    """(codes, bits): odd codes of 1-70 rows, with column counts on both sides
+    of a word edge, holding both ends of the grid."""
+    bits = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 70))
+    cols = draw(st.sampled_from([1, 27, 63, 64, 65, 784]) | st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = random_odd_codes(rng, (rows, cols), bits)
+    levels = (1 << bits) - 1
+    codes.flat[rng.integers(0, codes.size, 2)] = [-levels, levels]
+    return codes, bits
+
+
+class TestEncodeCodes:
+    """Both kernels' words against the digit planes of quant.odd_code_digits."""
+
+    @settings(**FIXTURE_OK)  # the count comes from the profile
+    @given(case=code_grids())
+    def test_matches_frozen_digit_packer(self, kernel, case):
+        codes, bits = case
+        got = gemm.encode_codes(codes, bits)
+        expect = frozen_encode_codes(codes, bits)
+        assert (got.bits, got.rows, got.cols) == (expect.bits, expect.rows, expect.cols)
+        assert got.words.dtype == np.uint64 and got.words.flags.c_contiguous
+        np.testing.assert_array_equal(got.words, expect.words)
+        assert not np.any(pad_bits(got))
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_off_grid_codes_rejected(self, kernel, bits):
+        levels = (1 << bits) - 1
+        grid = random_odd_codes(core.make_rng(bits), (3, 70), bits)
+        int64 = np.iinfo(np.int64)
+        for bad in (0, levels - 1, 1 - levels, levels + 2, -levels - 2, int64.min, int64.max):
+            codes = grid.copy()
+            codes[2, 66] = bad
+            with pytest.raises(core.EncodingError):
+                gemm.encode_codes(codes, bits)
 
 
 class TestQuantizeBytes:
@@ -303,8 +354,8 @@ class TestEncodePatches:
         np.testing.assert_array_equal(nn.im2col(x, kh, kw, stride, padding), patches)
         # gather_codes orders each row (i, j, c), im2col (c, i, j)
         ijc = patches.reshape(len(patches), x.shape[1], kh, kw).transpose(0, 2, 3, 1)
-        expect = gemm.encode_codes(quant.quantize_odd(ijc.reshape(len(patches), -1), bits).codes,
-                                   bits)
+        codes = quant.quantize_odd(ijc.reshape(len(patches), -1), bits).codes
+        expect = frozen_encode_codes(codes, bits)
         b, bad = gemm.quantize_bytes(x.transpose(0, 2, 3, 1), bits)
         assert bad == 0 and b.dtype == np.uint8 and b.flags.c_contiguous
         got = gemm.gather_codes(b, bits, kh, kw, stride, padding)
