@@ -73,11 +73,13 @@ def _build() -> ctypes.CDLL:
     # arrays go in as addresses: ndpointer's own checks cost about 10 us a call,
     # so the callers in gemm check dtype, shape and contiguity instead
     ptr, i64, cint, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double
-    # x, wt, rows, w_rows, q_pad, x_bits, w_bits, n_words, n, th, flip, levels, acc, codes
-    lib.bb_gemm.argtypes = [ptr, ptr, i64, i64, i64, cint, cint, i64, i64, ptr, ptr, cint, ptr,
-                            ptr]
+    # x, wt, rows, w_rows, q_pad, x_bits, w_bits, n_words, n, th, flip, levels, scale, acc,
+    # real, codes
+    lib.bb_gemm.argtypes = [ptr, ptr, i64, i64, i64, cint, cint, i64, i64, ptr, ptr, cint, double,
+                            ptr, ptr, ptr]
     lib.bb_gemm.restype = None
-    lib.bb_quantize.argtypes = [ptr, i64, double, ptr, ptr, ptr]  # x, n, half, thr, base, b
+    # x, batch, channels, plane, half, thr, base, b
+    lib.bb_quantize.argtypes = [ptr, i64, i64, i64, double, ptr, ptr, ptr]
     lib.bb_quantize.restype = i64
     lib.bb_gather.argtypes = [ptr, *[i64] * 7, cint, ptr]
     lib.bb_gather.restype = cint

@@ -12,13 +12,14 @@ r / ((2^M - 1)(2^K - 1)) restores quantized-real units.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _native, bitops, quant
-from .core import DomainError, EncodingError, ShapeError
+from .core import ConfigError, DomainError, EncodingError, ShapeError
 
 # N * (2^M - 1) * (2^K - 1) must stay below this for exact int64 accumulation.
 _ACC_LIMIT = 1 << 62
@@ -68,16 +69,30 @@ def _reject_non_finite(bad: int) -> None:
 
 def quantize_bytes(x: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
     """Code bytes b = (code + 2^M - 1) / 2 of ``quant.quantize_odd(x, bits)``,
-    shaped like x, and the count of non-finite values in x, which are
-    encoded as 0.0."""
+    C-contiguous and shaped like x, and the count of non-finite values in x,
+    which are encoded as 0.0.
+
+    ``bb_quantize`` reads x where it lies when x is C-contiguous, or when it
+    is the channels-last view (B, H, W, C) of a C-contiguous (B, C, H, W)
+    array that ``x.transpose(0, 2, 3, 1)`` makes of a conv input: then it
+    reads each channel plane in turn and writes the bytes channels-last.
+    Other layouts, and the numpy fallback, take a C-contiguous copy first.
+    """
     quant._check_bits(bits)
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     lib = _native.library()
     if lib is not None:
+        planar = np.moveaxis(x, -1, 1) if x.ndim > 2 else x
+        if x.flags.c_contiguous or not planar.flags.c_contiguous:
+            planar = np.ascontiguousarray(x)
+            batch, channels, plane = 1, x.size, 1
+        else:
+            batch, channels, plane = x.shape[0], x.shape[-1], math.prod(x.shape[1:-1])
         tab = quant._odd_table(bits)
         b = np.empty(x.shape, dtype=np.uint8)
-        return b, lib.bb_quantize(x.ctypes.data, x.size, tab.half, tab.thr.ctypes.data,
-                                  tab.base.ctypes.data, b.ctypes.data)
+        return b, lib.bb_quantize(planar.ctypes.data, batch, channels, plane, tab.half,
+                                  tab.thr.ctypes.data, tab.base.ctypes.data, b.ctypes.data)
+    x = np.ascontiguousarray(x)
     finite = np.isfinite(x)
     b = (quant.quantize_odd(np.where(finite, x, 0.0), bits).codes + (1 << bits) - 1) >> 1
     return b.astype(np.uint8), x.size - int(np.count_nonzero(finite))
@@ -120,8 +135,11 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
     (i, j, c) order, with the code of 0.0 in the padding, so it meets a conv
     weight whose reduction axis is in that order too. The image is padded
     here, once, so both kernels see only windows inside it. Bit m of each
-    byte goes to plane m: ``bb_gather`` packs the bytes directly, the numpy
-    fallback splits them into 0/1 planes for ``bitops.pack_bits``.
+    byte goes to plane m. ``bb_gather`` loads each window's kernel rows
+    straight into the lanes of its 64-byte row words (AVX-512BW masked
+    loads; elsewhere it copies them into a row buffer first) and tests each
+    plane's bit, one instruction per word. The numpy fallback splits the
+    bytes into 0/1 planes for ``bitops.pack_bits``.
     """
     quant._check_bits(bits)
     if not (isinstance(b, np.ndarray) and b.dtype == np.uint8 and b.ndim == 4
@@ -258,7 +276,8 @@ class GemmWeight:
     The planes are stored transposed, wt[k, j, q], with the outputs
     zero-padded to a multiple of ``TILE_Q``; ``fold``'s tables are padded
     alike. Both kernels compute the popcount sums of every padded output
-    and drop the padding.
+    and drop the padding. The epilogue is ``fold``'s code bytes, or else the
+    float accumulator times ``scale``, or else the int64 accumulator.
     """
 
     bits: int
@@ -267,6 +286,7 @@ class GemmWeight:
     x_bits: int  # M of the left operands it meets
     wt: np.ndarray  # uint64 (K, words_per_row, Q padded)
     fold: CodeThresholds | None  # s_max int64 and flip uint8, C-contiguous, Q padded
+    scale: float | None = None  # set only without fold
 
 
 def _padded(a: np.ndarray, q_pad: int, dtype) -> np.ndarray:
@@ -275,12 +295,19 @@ def _padded(a: np.ndarray, q_pad: int, dtype) -> np.ndarray:
     return out
 
 
-def prepare_weight(w: EncodedMatrix, x_bits: int,
-                   fold: CodeThresholds | None = None) -> GemmWeight:
-    """Check w and ``fold`` and lay them out for ``encoded_gemm`` with M = x_bits."""
+def prepare_weight(w: EncodedMatrix, x_bits: int, fold: CodeThresholds | None = None,
+                   scale: float | None = None) -> GemmWeight:
+    """Check w and its epilogue and lay them out for ``encoded_gemm`` with M = x_bits.
+
+    ``fold`` makes the GEMM write code bytes, and ``scale`` the accumulator
+    as float64 times scale, as ``scale_output`` computes it; a weight takes
+    one of them or neither.
+    """
     quant._check_bits(x_bits)
     _full(w.cols, x_bits, w.bits)
     _check_operand(w, "right")
+    if fold is not None and scale is not None:
+        raise ConfigError("a prepared weight takes thresholds or a scale, not both")
     q_pad = -(-w.rows // TILE_Q) * TILE_Q
     wt = _padded(w.words.transpose(1, 2, 0), q_pad, np.uint64)
     if fold is not None:
@@ -294,7 +321,8 @@ def prepare_weight(w: EncodedMatrix, x_bits: int,
             raise DomainError(f"threshold flips must be 0 or {levels}")
         fold = CodeThresholds(fold.bits, _padded(s_max, q_pad, np.int64),
                               _padded(flip, q_pad, np.uint8))
-    return GemmWeight(bits=w.bits, rows=w.rows, cols=w.cols, x_bits=x_bits, wt=wt, fold=fold)
+    return GemmWeight(bits=w.bits, rows=w.rows, cols=w.cols, x_bits=x_bits, wt=wt, fold=fold,
+                      scale=None if scale is None else float(scale))
 
 
 def _gemm_rows(x: EncodedMatrix, w: GemmWeight) -> np.ndarray:
@@ -314,7 +342,8 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight) -> np.ndarray:
 
     A w from ``prepare_weight`` with a fold turns each accumulator into the
     next layer's code byte instead, and the result is uint8 (P, Q),
-    channels-last. Any other w is prepared for this call, without a fold.
+    channels-last; one with a scale returns the float64 accumulator times
+    that scale. Any other w is prepared for this call, with neither.
     """
     if not isinstance(w, GemmWeight):
         w = prepare_weight(w, x.bits)
@@ -323,26 +352,38 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight) -> np.ndarray:
     if x.bits != w.x_bits:
         raise ShapeError(f"the weight was prepared for M={w.x_bits}, not M={x.bits}")
     _check_operand(x, "left")
-    fold = w.fold
+    fold, scale = w.fold, w.scale
     lib = _native.library()
     if lib is None:
         out = _gemm_rows(x, w)
         if fold is not None:
             out = fold.codes((_full(x.cols, x.bits, w.bits) - out) >> 1)
+        elif scale is not None:
+            out = out * scale  # the int64 -> float64 conversion, then one multiply
         return np.ascontiguousarray(out[:, :w.rows])
-    out = np.empty((x.rows, w.rows), dtype=np.int64 if fold is None else np.uint8)
-    epilogue = ((None, None, 0, out.ctypes.data, None) if fold is None else
-                (fold.s_max.ctypes.data, fold.flip.ctypes.data, len(fold.s_max), None,
-                 out.ctypes.data))
+    if fold is not None:
+        out = np.empty((x.rows, w.rows), dtype=np.uint8)
+        epilogue = (fold.s_max.ctypes.data, fold.flip.ctypes.data, len(fold.s_max), 0.0, None,
+                    None, out.ctypes.data)
+    elif scale is not None:
+        out = np.empty((x.rows, w.rows), dtype=np.float64)
+        epilogue = (None, None, 0, scale, None, out.ctypes.data, None)
+    else:
+        out = np.empty((x.rows, w.rows), dtype=np.int64)
+        epilogue = (None, None, 0, 0.0, out.ctypes.data, None, None)
     lib.bb_gemm(x.words.ctypes.data, w.wt.ctypes.data, x.rows, w.rows, w.wt.shape[2], x.bits,
                 w.bits, x.words_per_row, x.cols, *epilogue)
     return out
 
 
+def output_scale(m_bits: int, k_bits: int, r: float = 1.0) -> float:
+    """The factor r / ((2^M - 1)(2^K - 1)) from accumulators to quantized-real units."""
+    return r / (((1 << m_bits) - 1) * ((1 << k_bits) - 1))
+
+
 def scale_output(acc: np.ndarray, m_bits: int, k_bits: int, r: float = 1.0) -> np.ndarray:
     """Map integer accumulators back to quantized-real units (1/9 at 2 bits)."""
-    scale = r / (((1 << m_bits) - 1) * ((1 << k_bits) - 1))
-    return np.asarray(acc, dtype=np.float64) * scale
+    return np.asarray(acc, dtype=np.float64) * output_scale(m_bits, k_bits, r)
 
 
 # ---------------------------------------------------------------------------

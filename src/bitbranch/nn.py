@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -134,12 +135,15 @@ def _dequantized(w: gemm.EncodedMatrix) -> np.ndarray:
     return gemm.decode_codes(w).astype(np.float64) * (1.0 / ((1 << w.bits) - 1))
 
 
+def _output_scale(spec: LayerSpec, k_bits: int) -> float:
+    """The factor of ``_acc_output``: 1 under ``follows_bn``, else to real units."""
+    return 1.0 if spec.follows_bn else gemm.output_scale(spec.m_bits, k_bits, spec.r)
+
+
 def _acc_output(acc: np.ndarray, spec: LayerSpec, k_bits: int) -> np.ndarray:
     """A quantized layer's output from its integer accumulator: raw under
     ``follows_bn``, whose batchnorm absorbs the scale, else in real units."""
-    if spec.follows_bn:
-        return np.asarray(acc, dtype=np.float64)
-    return gemm.scale_output(acc, spec.m_bits, k_bits, spec.r)
+    return np.asarray(acc, dtype=np.float64) * _output_scale(spec, k_bits)
 
 
 def _reject_non_finite(x2d: np.ndarray, spec: LayerSpec) -> None:
@@ -158,8 +162,10 @@ def _rows(x: np.ndarray, spec: LayerSpec, fill: float = 0.0) -> np.ndarray:
 
 
 def _gemm_stage(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
-    """Shared dense/conv core: the layer input's rows (``_rows``) against its weight."""
-    if stage == "float":
+    """Shared dense/conv core: the layer input's rows (``_rows``) against its weight.
+    A layer without K keeps its float weight through ``quantize_model``, and
+    runs as in the float stage."""
+    if stage == "float" or (stage == "quantized" and spec.k_bits is None):
         if not isinstance(w, np.ndarray):
             raise StageError("float stage requires a float weight tensor")
         return core.matmul_f(_rows(x, spec), _weight_matrix(spec, w).T)
@@ -189,16 +195,24 @@ def _gemm_stage(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
                      "the decomposed stage runs in model_forward")
 
 
-def _check_input(x: np.ndarray, spec: LayerSpec) -> None:
-    if spec.kind == "dense" and (x.ndim != 2 or x.shape[1] != spec.in_features):
-        raise ShapeError(f"dense input {x.shape} does not match in_features={spec.in_features}")
+def _checked_input(x: np.ndarray, spec: LayerSpec) -> np.ndarray:
+    """The layer's input, checked; a conv output (B, C, H, W) reaching a
+    dense layer with C * H * W = in_features is flattened in (c, h, w) order."""
+    if spec.kind == "dense":
+        if x.ndim == 4 and math.prod(x.shape[1:]) == spec.in_features:
+            return x.reshape(len(x), spec.in_features)
+        if x.ndim != 2 or x.shape[1] != spec.in_features:
+            raise ShapeError(f"dense input {x.shape} does not match "
+                             f"in_features={spec.in_features}")
     if spec.kind == "conv2d" and (x.ndim != 4 or x.shape[1] != spec.in_features):
         raise ShapeError(f"conv input {x.shape} does not match in_channels={spec.in_features}")
+    return x
 
 
 def dense_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
-    _check_input(x, spec)
-    return _gemm_stage(np.asarray(x, dtype=np.float64), spec, w, stage)
+    """A dense layer; a (B, C, H, W) input is flattened in (c, h, w) order."""
+    x = _checked_input(np.asarray(x, dtype=np.float64), spec)
+    return _gemm_stage(x, spec, w, stage)
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0,
@@ -227,8 +241,7 @@ def conv2d_forward(x: np.ndarray, spec: LayerSpec, w, stage: str) -> np.ndarray:
     the zero-padded patch matrix, element for element. The decomposed
     stage's plan gathers the same patches from code bytes.
     """
-    _check_input(x, spec)
-    x = np.asarray(x, dtype=np.float64)
+    x = _checked_input(np.asarray(x, dtype=np.float64), spec)
     oh, ow = gemm.patch_grid(x.shape, *spec.kernel, spec.stride, spec.padding)
     out = _gemm_stage(x, spec, w, stage)
     return out.reshape(x.shape[0], oh, ow, spec.out_features).transpose(0, 3, 1, 2)
@@ -405,7 +418,8 @@ def _build_plan(m: ModelState) -> _Plan:
                 step = functools.partial(_layer_forward, spec=spec, w=w, stage="float")
             elif isinstance(w, gemm.EncodedMatrix):
                 fold, nxt = fold_thresholds(m.specs, m.weights, i)
-                weight = gemm.prepare_weight(_reduction_ijc(spec, w), spec.m_bits, fold)
+                scale = _output_scale(spec, w.bits) if fold is None else None
+                weight = gemm.prepare_weight(_reduction_ijc(spec, w), spec.m_bits, fold, scale)
                 step = functools.partial(_bit_layer_forward, spec=spec, weight=weight)
             else:
                 raise StageError("decomposed stage requires bit-plane weights")
@@ -416,19 +430,18 @@ def _build_plan(m: ModelState) -> _Plan:
 
 def _bit_layer_forward(h: np.ndarray, spec: LayerSpec, weight: gemm.GemmWeight) -> np.ndarray:
     """A bit layer of the plan on its float input, or on the code bytes of a
-    folded layer: uint8 (B, N) for dense, (B, H, W, C) for conv."""
+    folded layer: uint8 (B, N) for dense, (B, H, W, C) for conv. Its weight
+    carries the epilogue, thresholds or the scale of ``_acc_output``."""
     conv = spec.kind == "conv2d"
     geometry = (*spec.kernel, spec.stride, spec.padding) if conv else (1, 1, 1, 0)
     if h.dtype != np.uint8:
-        _check_input(h, spec)
+        h = _checked_input(h, spec)
         b, bad = gemm.quantize_bytes(h.transpose(0, 2, 3, 1) if conv else h, spec.m_bits)
         if bad:  # count what the quantized stage counts; values outside every window pass
             _reject_non_finite(_rows(h, spec), spec)
         h = b
     image = h if conv else h.reshape(len(h), 1, 1, h.shape[1])
     out = gemm.encoded_gemm(gemm.gather_codes(image, spec.m_bits, *geometry), weight)
-    if weight.fold is None:
-        out = _acc_output(out, spec, weight.bits)
     if not conv:
         return out
     nchw = (image.shape[0], image.shape[3], *image.shape[1:3])

@@ -1,6 +1,7 @@
 """The native kernels against their numpy oracles, the fallback, and the checks at the C boundary."""
 
 import dataclasses
+import math
 import os
 import platform
 import subprocess
@@ -14,9 +15,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from bitbranch import _native, bitops, core, gemm, nn, quant
+from test_model_file import golden_models
 from test_quant import SPECIALS, anchors, frozen_quantize_odd, odd_inputs, ulps
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# a child process finds the library cache where this one does
+XDG_ONLY = {k: v for k, v in os.environ.items() if k in ("XDG_CACHE_HOME", "HOME", "PATH")}
 
 
 @pytest.fixture(params=["native", "numpy"])
@@ -291,6 +295,57 @@ class TestQuantizeBytes:
             zero = (frozen_quantize_odd(0.0, bits) + (1 << bits) - 1) >> 1
             assert count == 2 and b[0] == b[2] == zero
 
+    @settings(**FIXTURE_OK)  # the count comes from the profile
+    @given(bits=st.integers(1, 8), shape=st.tuples(st.integers(0, 3), st.integers(1, 20),
+                                                   st.integers(1, 9), st.integers(1, 9)),
+           planar=st.booleans(), data=st.data())
+    def test_channels_last_view_equals_its_copy(self, kernel, bits, shape, planar, data):
+        # bb_quantize reads a (B, C, H, W) conv input plane by plane and writes
+        # its bytes channels-last; a 3-D (B, C, P) input takes the same path
+        if planar:
+            shape = (shape[0], shape[1], shape[2] * shape[3])
+        n = math.prod(shape)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = np.where(rng.random(n) < 0.5, rng.choice(edge_values(bits), n), rng.uniform(-2, 2, n))
+        x[rng.random(n) < 0.05] = rng.choice([np.nan, np.inf, -np.inf])
+        view = np.moveaxis(x.reshape(shape), 1, -1)
+        b, bad = gemm.quantize_bytes(view, bits)
+        expect, expect_bad = gemm.quantize_bytes(np.ascontiguousarray(view), bits)
+        assert b.dtype == np.uint8 and b.flags.c_contiguous and b.shape == view.shape
+        assert bad == expect_bad == np.count_nonzero(~np.isfinite(x))
+        np.testing.assert_array_equal(b, expect)
+        self.check(np.ascontiguousarray(view), bits)
+
+
+# The image ends where an inaccessible page begins; each geometry's last
+# window ends at the image's last byte. Run in a child, checks raise
+# SystemExit.
+PAGE_END_RUN = """
+import ctypes, mmap
+import numpy as np
+from bitbranch import _native, gemm
+
+page = mmap.PAGESIZE
+mm = mmap.mmap(-1, 3 * page)
+base = ctypes.addressof(ctypes.c_char.from_buffer(mm))
+if ctypes.CDLL(None).mprotect(ctypes.c_void_p(base + 2 * page), page, 0):
+    raise SystemExit("mprotect failed")
+buf = np.frombuffer(mm, np.uint8)
+rng = np.random.default_rng(5)
+for shape, kh, kw, stride in [((3, 1, 1, 70), 1, 1, 1), ((2, 5, 5, 3), 3, 3, 1),
+                              ((1, 4, 7, 33), 2, 3, 2), ((1, 1, 1, 1), 1, 1, 1)]:
+    size = int(np.prod(shape))
+    image = buf[2 * page - size:2 * page].reshape(shape)
+    image[...] = rng.integers(0, 4, shape)
+    got = gemm.gather_codes(image, 2, kh, kw, stride)
+    lib, _native.library = _native.library, lambda: None
+    expect = gemm.gather_codes(image, 2, kh, kw, stride)
+    _native.library = lib
+    if not np.array_equal(got.words, expect.words):
+        raise SystemExit(f"gather differs on {shape}")
+print("ok")
+"""
+
 
 @st.composite
 def conv_inputs(draw, special=()):
@@ -317,15 +372,28 @@ def conv_inputs(draw, special=()):
     return x, kh, kw, stride, padding, bits
 
 
+def on_numpy(fn, *args):
+    """fn(*args) with the numpy kernels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "library", lambda: None)
+        return fn(*args)
+
+
+def require_native():
+    if _native.library() is None:
+        pytest.skip("no C compiler: the native kernels are not built")
+
+
 @st.composite
-def gemm_cases(draw):
+def gemm_cases(draw, ns=(1, 27, 63, 64, 65, 130, 784)):
     """(xc, wc, m_bits, k_bits, fold): p and q on both sides of the C tiles'
-    row edges (8 and 4) and output edges (16), n on both sides of a word
-    edge; thresholds reach past bisect_thresholds' sentinels -1 and full, and
+    row edges (8 and 4) and output edges (16), n from ``ns``, by default on
+    both sides of a word edge; thresholds reach past bisect_thresholds'
+    sentinels -1 and full and, for a few outputs, past the int32 range, and
     at 8 fold bits the epilogue counts 255 levels."""
     p = draw(st.integers(1, 9))
     q = draw(st.sampled_from([1, 15, 16, 17, 33, 70]) | st.integers(1, 70))
-    n = draw(st.sampled_from([1, 27, 63, 64, 65, 130, 784]))
+    n = draw(st.sampled_from(ns))
     m_bits, k_bits, bits = (draw(st.integers(1, 8)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xc = random_odd_codes(rng, (p, n), m_bits)
@@ -336,6 +404,7 @@ def gemm_cases(draw):
     # outputs whose every level holds (s <= full) or none does
     s_max[:, rng.random(q) < 0.2] = full
     s_max[:, rng.random(q) < 0.1] = -1
+    s_max[:, rng.random(q) < 0.05] = rng.choice([2**40, -2**40])
     fold = gemm.CodeThresholds(bits=bits, s_max=s_max, flip=rng.choice([0, levels], q))
     return xc, wc, m_bits, k_bits, fold
 
@@ -361,6 +430,48 @@ class TestEncodePatches:
         got = gemm.gather_codes(b, bits, kh, kw, stride, padding)
         assert (got.bits, got.rows, got.cols) == (expect.bits, expect.rows, expect.cols)
         np.testing.assert_array_equal(got.words, expect.words)
+
+    @settings(**FIXTURE_OK)  # the count comes from the profile
+    @given(case=conv_inputs())
+    def test_gather_matches_numpy_fallback(self, case):
+        require_native()
+        x, kh, kw, stride, padding, bits = case
+        b = gemm.quantize_bytes(x.transpose(0, 2, 3, 1), bits)[0]
+        got = gemm.gather_codes(b, bits, kh, kw, stride, padding)
+        np.testing.assert_array_equal(got.words,
+                                      on_numpy(gemm.gather_codes, b, bits, kh, kw, stride,
+                                               padding).words)
+        assert not np.any(pad_bits(got))
+
+    @pytest.mark.parametrize("c,kh,kw,stride", [
+        (3, 3, 3, 1),  # runs of 9 bytes, three per word
+        (16, 3, 3, 2),  # 48-byte runs, every second one across a word edge
+        (70, 1, 1, 1),  # one run longer than a word
+        (21, 4, 3, 1),  # 63-byte runs, each one lane short of a word
+        (1, 4, 4, 3),  # 4-byte runs in one word
+        (65, 2, 1, 2),  # 65-byte runs: a one-lane piece in every second word
+    ])
+    def test_gather_pieces_across_word_edges(self, c, kh, kw, stride):
+        # every piece of a kernel row that meets a word edge, in each plane
+        require_native()
+        rng = core.make_rng(c * 100 + kh)
+        b = rng.integers(0, 256, (2, kh + 4, kw + 3, c), dtype=np.uint8)
+        for bits in range(1, 9):
+            b_bits = b & ((1 << bits) - 1)
+            got = gemm.gather_codes(b_bits, bits, kh, kw, stride, 1)
+            np.testing.assert_array_equal(
+                got.words, on_numpy(gemm.gather_codes, b_bits, bits, kh, kw, stride, 1).words)
+            assert not np.any(pad_bits(got))
+
+    def test_gather_reads_nothing_past_the_image(self):
+        # the masked loads of the last windows reach up to 63 bytes past the
+        # image; here those bytes are an inaccessible page, so a load that
+        # touched one would kill the child
+        require_native()
+        out = subprocess.run([sys.executable, "-c", PAGE_END_RUN], capture_output=True,
+                             text=True, env={"PYTHONPATH": SRC, **XDG_ONLY}, timeout=120)
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout == "ok\n"
 
     @settings(max_examples=60, **FIXTURE_OK)
     @given(case=conv_inputs(special=(np.nan, np.inf, -np.inf)))
@@ -664,6 +775,50 @@ class TestFold:
         np.testing.assert_array_equal(got, fold.codes((full - xc @ wc.T) >> 1))
 
 
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestEpilogues:
+    """The kernels' float epilogue, and the 32-bit tile of n <= 32, against numpy."""
+
+    @settings(**FIXTURE_OK)  # the count comes from the profile
+    @given(case=gemm_cases(), follows_bn=st.booleans(),
+           r=st.sampled_from([1.0, 0.37, -2.5, 3.0]))
+    def test_float_epilogue_equals_acc_output(self, kernel, case, follows_bn, r):
+        xc, wc, m_bits, k_bits, _ = case
+        spec = nn.dense(xc.shape[1], len(wc), m_bits, k_bits, follows_bn=follows_bn, r=r)
+        xe, we = gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits)
+        acc = gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits))
+        assert same_bits(acc, xc @ wc.T)
+        weight = gemm.prepare_weight(we, m_bits, scale=nn._output_scale(spec, k_bits))
+        got = gemm.encoded_gemm(xe, weight)
+        assert got.flags.c_contiguous and same_bits(got, nn._acc_output(acc, spec, k_bits))
+
+    @settings(**FIXTURE_OK)  # the count comes from the profile
+    @given(case=gemm_cases(ns=(1, 27, 31, 32, 33, 64)),
+           scale=st.sampled_from([1.0, 1 / 9, -0.37, 1e-300]))
+    def test_short_rows_every_epilogue(self, kernel, case, scale):
+        # n <= 32 runs the 32-bit tile; 33 and 64 the 64-bit one
+        xc, wc, m_bits, k_bits, fold = case
+        xe, we = gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits)
+        exact = xc @ wc.T
+        full = xc.shape[1] * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+        assert same_bits(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits)), exact)
+        assert same_bits(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits, scale=scale)),
+                         exact.astype(np.float64) * scale)
+        assert same_bits(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits, fold)),
+                         fold.codes((full - exact) >> 1).astype(np.uint8))
+
+    def test_one_epilogue_per_weight(self, kernel):
+        we = gemm.encode_codes(np.ones((4, 5), dtype=np.int64), 1)
+        fold = gemm.CodeThresholds(2, np.zeros((3, 4), dtype=np.int64),
+                                   np.zeros(4, dtype=np.uint8))
+        with pytest.raises(core.ConfigError, match="not both"):
+            gemm.prepare_weight(we, 1, fold, scale=0.5)
+
+
 class TestDecodeCodes:
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(1, 6), cols=st.integers(1, 200), bits=st.integers(1, 8),
@@ -784,6 +939,19 @@ class TestDecomposedStage:
         with pytest.raises(core.ShapeError, match="uint64 words of shape"):
             nn.model_forward(decomposed, x)
 
+    def test_conv_feeds_dense_every_stage(self, kernel):
+        # golden_models(): conv -> batchnorm -> htanh -> dense(100) -> batchnorm ->
+        # a dense layer without K. The dense layer flattens the conv output, so
+        # neither bit layer folds and both end in the float epilogue.
+        models = golden_models()
+        x = core.make_rng(24).uniform(-1.5, 1.5, (5, 3, 5, 5))
+        out = {stage: nn.model_forward(m, x) for stage, m in models.items()}
+        assert all(o.shape == (5, 3) and np.all(np.isfinite(o)) for o in out.values())
+        assert same_bits(out["decomposed"], out["quantized"])
+        weights = [step.keywords["weight"] for step in models["decomposed"]._plan.steps
+                   if "weight" in step.keywords]
+        assert [(w.fold, w.scale) for w in weights] == [(None, 1 / 21), (None, 1.0)]
+
     def test_plan_built_by_first_forward_only(self, tmp_path):
         rng = core.make_rng(5)
         model = nn.init_mlp([12, 8, 3], rng, m_bits=2, k_bits=2, quantize_input=True)
@@ -883,7 +1051,8 @@ class TestLibrary:
                 ids=["no_avx512bw", "no_avx512vpopcntdq"])
 def portable_pack(request, monkeypatch, tmp_path, fresh_library):
     """The library built without AVX-512BW or without VPOPCNTDQ, so gemm_tile
-    takes its portable branch, and without BW pack_word does too."""
+    takes its portable branch, and without BW bb_gather copies each window
+    into a row buffer for the portable pack_word."""
     if _native.library() is None:
         pytest.skip("no C compiler: the native kernels are not built")
     monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + (request.param,))
@@ -922,13 +1091,17 @@ def test_portable_gemm_matches_numpy(portable_pack, case):
     np.testing.assert_array_equal(gemm.encoded_gemm(xe, plain), rows)
     np.testing.assert_array_equal(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits, fold)),
                                   fold.codes((full - rows) >> 1))
+    assert same_bits(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits, scale=-0.37)),
+                     rows.astype(np.float64) * -0.37)
 
 
 # Run in a child built with -fsanitize=address,undefined: each kernel on
 # padding 0..3, stride 1..3, up to 70 channels, bits 1, 2 and 8, and partial
-# GEMM tiles, against the numpy kernels; the quantizer also on the values
-# that index the ends of its table (+-1.0 reads entry B, the last) at bits
-# 1..8. Checks raise SystemExit, not AssertionError, so that they hold under
+# GEMM tiles of both widths (n <= 32 and n > 32) with all three epilogues,
+# against the numpy kernels; the quantizer on NCHW and contiguous input, also
+# on the values that index the ends of its table (+-1.0 reads entry B, the
+# last) at bits 1..8. On a host with AVX-512BW the gather is the masked-load
+# one. Checks raise SystemExit, not AssertionError, so that they hold under
 # python -O too.
 SANITIZED_RUN = """
 import numpy as np
@@ -967,14 +1140,15 @@ for padding in range(4):
             c, kh, kw = (int(v) for v in rng.integers(1, [71, 5, 5]))
             h = int(rng.integers(max(1, kh - 2 * padding), 8))
             w = int(rng.integers(max(1, kw - 2 * padding), 8))
-            x = rng.uniform(-1.5, 1.5, (2, h, w, c))
+            x = rng.uniform(-1.5, 1.5, (2, c, h, w))
             x[0, 0, 0, 0] = np.nan
-            (b, bad), (b_np, bad_np) = both(gemm.quantize_bytes, x, bits)
-            check(bad == bad_np == 1 and np.array_equal(b, b_np), "quantize", x.shape, bits)
+            for view in (x.transpose(0, 2, 3, 1), np.ascontiguousarray(x.transpose(0, 2, 3, 1))):
+                (b, bad), (b_np, bad_np) = both(gemm.quantize_bytes, view, bits)
+                check(bad == bad_np == 1 and np.array_equal(b, b_np), "quantize", x.shape, bits)
             got, expect = both(gemm.gather_codes, b, bits, kh, kw, stride, padding)
             check(np.array_equal(got.words, expect.words), "gather", b.shape, bits, kh, kw,
                   stride, padding)
-for p, q, n in [(1, 1, 1), (7, 15, 27), (9, 17, 65), (17, 33, 130), (8, 16, 784)]:
+for p, q, n in [(1, 1, 1), (7, 15, 27), (9, 33, 32), (9, 17, 65), (17, 33, 130), (8, 16, 784)]:
     for m_bits, k_bits in [(1, 1), (2, 2), (8, 3), (3, 8)]:
         xe = gemm.encode_codes(2 * rng.integers(0, 1 << m_bits, (p, n)) - (1 << m_bits) + 1,
                                m_bits)
@@ -983,10 +1157,11 @@ for p, q, n in [(1, 1, 1), (7, 15, 27), (9, 17, 65), (17, 33, 130), (8, 16, 784)
         full = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
         s_max = np.sort(rng.integers(-1, full + 1, (255, q)), axis=0)
         fold = gemm.CodeThresholds(8, s_max, rng.choice([0, 255], q).astype(np.uint8))
-        for weight in (gemm.prepare_weight(we, m_bits), gemm.prepare_weight(we, m_bits, fold)):
+        for weight in (gemm.prepare_weight(we, m_bits), gemm.prepare_weight(we, m_bits, fold),
+                       gemm.prepare_weight(we, m_bits, scale=0.37)):
             got, expect = both(gemm.encoded_gemm, xe, weight)
             check(got.dtype == expect.dtype and np.array_equal(got, expect), "gemm", p, q, n,
-                  m_bits, k_bits, weight.fold is not None)
+                  m_bits, k_bits, weight.fold is not None, weight.scale)
 print("ok")
 """
 

@@ -52,6 +52,22 @@ class TestDenseForward:
         yd = nn.model_forward(nn.ModelState("decomposed", [spec], [we]), x)
         np.testing.assert_allclose(yq, yd, atol=1e-6)
 
+    @pytest.mark.parametrize("k_bits", [None, 2])
+    def test_conv_output_flattens_in_chw_order(self, k_bits):
+        # a conv output reaches a dense layer as (B, C, H, W), C * H * W = in_features
+        rng = core.make_rng(23)
+        spec = nn.dense(2 * 3 * 4, 5, m_bits=None if k_bits is None else 2, k_bits=k_bits)
+        w = rng.uniform(-1, 1, (5, 24))
+        x = rng.uniform(-1, 1, (6, 2, 3, 4))[:, :, :, ::-1]  # not C-contiguous
+        # quantize_model keeps a layer without K in float
+        wq = w if k_bits is None else quant.quantize_odd(w, 2)
+        for stage, weight in (("float", w), ("quantized", wq)):
+            np.testing.assert_array_equal(nn.dense_forward(x, spec, weight, stage),
+                                          nn.dense_forward(x.reshape(6, 24), spec, weight, stage))
+        for bad in ((6, 2, 3, 5), (6, 24, 1), (6, 1, 2, 3, 4)):
+            with pytest.raises(core.ShapeError, match="does not match in_features=24"):
+                nn.dense_forward(np.zeros(bad), spec, w, "float")
+
     def test_four_branch_two_bit_scale(self):
         # 2-bit inputs and weights: output is the branch sum times 1/9
         spec = nn.dense(2, 1, m_bits=2, k_bits=2)
