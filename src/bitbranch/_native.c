@@ -7,7 +7,10 @@
  * Activations travel between the kernels as code bytes
  * b = (code + 2^M - 1) / 2, whose bit m is digit plane m: bb_quantize writes
  * them channels-last from floats, bb_gemm from popcount sums, and bb_gather
- * packs them into the rows of the next GEMM.
+ * packs them into the rows of the next GEMM. Between two convs that fold,
+ * they travel as packed pixels instead (gemm.PixelImage): the epilogue
+ * writes plane m of each pixel as one lane of channel bits into the next
+ * conv's padded image, and bb_conv reads the lanes at each kernel offset.
  *
  * bb_quantize reads the threshold table of quant._odd_table, the one that
  * quant.quantize_odd reads, so the quantizer's formula lives only in
@@ -31,13 +34,156 @@
  * it. gemm_tile has two builds, picked at compile time like bb_gather:
  * AVX-512 intrinsics where the CPU has VPOPCNTDQ, BW, VL and DQ, else
  * portable C, the only one that runs on other hosts (x86-64-v2 and -v4
- * included).
- *
- * Three epilogues turn a row's sums s into its outputs: with th, code bytes
- * (see the portable tile_out); else with real, the float (full - 2 s) *
- * scale, one int64 -> double conversion and one IEEE multiply, as
- * gemm.scale_output does them; else the int64 accumulator full - 2 s. */
+ * included). bb_conv's AVX-512 tiles also need BITALG. */
 #define TILE_Q 16
+
+/* The epilogue that bb_gemm and bb_conv share. Output row p is one row of a
+ * dense product, or output pixel (b, y, x) of a conv, rows in that order.
+ * With th, a row's sums s become code bytes, the number of levels with
+ * s <= th[level][q], XOR flip[q], written to codes, or with pixels set as
+ * the next conv's input: plane m of pixel (b, y + pad, x + pad) of its
+ * padded image holds bit m of each output's byte, bit q for output q. Else
+ * acc = full - 2 s: to real times scale, one int64 -> double conversion and
+ * one IEEE multiply, as gemm.scale_output does them; else to acc as int64. */
+struct out {
+    const int64_t *th; /* [levels][q_pad] */
+    const uint8_t *flip; /* [q_pad] */
+    int64_t levels;
+    double scale;
+    int64_t *acc; /* [rows][w_rows] */
+    double *real;
+    uint8_t *codes;
+    uint32_t *pixels; /* [batch][oh + 2 pad][ow + 2 pad][planes][units] */
+    const uint32_t *ring; /* [planes][units], the pad byte's planes */
+    int64_t oh, ow, pad, planes, units, dup; /* dup: a 16-bit lane, stored twice */
+};
+
+/* Writes the ring of batch padded images: each pixel within pad of an edge. */
+static void fill_ring(const struct out *o, int64_t batch)
+{
+    const int64_t hp = o->oh + 2 * o->pad, wp = o->ow + 2 * o->pad, n = o->planes * o->units;
+    for (int64_t line = 0; line < batch * hp; line++) {
+        const int64_t y = line % hp;
+        const int edge = y < o->pad || y >= hp - o->pad;
+        uint32_t *row = o->pixels + line * wp * n;
+        for (int64_t x = 0; x < wp; x += edge || x != o->pad - 1 ? 1 : o->ow + 1)
+            for (int64_t k = 0; k < n; k++)
+                row[x * n + k] = o->ring[k];
+    }
+}
+
+/* Row p0 as pixel (b, y, x) of a batch of oh x ow images: two divisions,
+ * after which next_pixel steps to the following rows. */
+static inline void pixel_of(int64_t p0, int64_t oh, int64_t ow, int64_t *b, int64_t *y, int64_t *x)
+{
+    const int64_t line = p0 / ow;
+    *x = p0 - line * ow;
+    *b = line / oh;
+    *y = line - *b * oh;
+}
+
+static inline void next_pixel(int64_t oh, int64_t ow, int64_t *b, int64_t *y, int64_t *x)
+{
+    if (++*x == ow) {
+        *x = 0;
+        if (++*y == oh) {
+            *y = 0;
+            ++*b;
+        }
+    }
+}
+
+/* The pixels of output rows p0 .. p0 + rows - 1 in the padded image. */
+static inline __attribute__((always_inline)) void
+pixel_rows(const struct out *o, int rows, int64_t p0, uint32_t **d)
+{
+    int64_t b, y, x;
+    pixel_of(p0, o->oh, o->ow, &b, &y, &x);
+    for (int r = 0; r < rows; r++, next_pixel(o->oh, o->ow, &b, &y, &x))
+        d[r] = o->pixels + ((b * (o->oh + 2 * o->pad) + y + o->pad) * (o->ow + 2 * o->pad) + x +
+                            o->pad) * o->planes * o->units;
+}
+
+/* Chunk q0 / 16 of the plane word d: v, bit t for output q0 + t. The first
+ * block writes the whole plane, zero past its chunk or in a 16-bit lane
+ * v's copy, so no bit past the channels is set; later blocks add chunks. */
+static inline __attribute__((always_inline)) void
+put_chunk(uint32_t *d, uint32_t v, int64_t q0, const struct out *o)
+{
+    if (o->units == 1) { /* lanes of 16 and 32 bits */
+        *d = q0 == 0 ? (o->dup ? v * 0x10001u : v) : *d | v << 16;
+        return;
+    }
+    if (q0 % 32 == 0)
+        d[q0 / 32] = v;
+    else
+        d[q0 / 32] |= v << 16;
+    for (int64_t u = 1; q0 == 0 && u < o->units; u++)
+        d[u] = 0;
+}
+
+/* A direct conv's operands: the padded image of packed pixels
+ * x[batch][height][width][x_bits][units], units uint32 per plane, and the
+ * weight lanes w[w_bits][kh][kw][words][q_pad] of lane bits each, words = 1
+ * for lanes of 16 and 32 bits. */
+struct conv {
+    const uint32_t *x;
+    const void *w;
+    int64_t height, width, stride, kh, kw, oh, ow, lane, units, q_pad, w_rows;
+    int x_bits, w_bits;
+};
+
+/* The first word of rows p0 .. p0 + rows - 1's windows. */
+static inline __attribute__((always_inline)) void
+windows(const struct conv *g, int rows, int64_t p0, const uint32_t **top)
+{
+    int64_t b, y, x;
+    pixel_of(p0, g->oh, g->ow, &b, &y, &x);
+    for (int r = 0; r < rows; r++, next_pixel(g->oh, g->ow, &b, &y, &x))
+        top[r] = g->x + ((b * g->height + y * g->stride) * g->width + x * g->stride) *
+                            g->x_bits * g->units;
+}
+
+/* Row r's sums s of its len outputs from q0 on, of a tile from row p0,
+ * portable: see struct out. d is the row's pixel for a packed-pixel
+ * epilogue. */
+static inline __attribute__((always_inline)) void
+tile_out(const int64_t *restrict s, int len, int64_t p0, int r, int64_t q0, int64_t w_rows,
+         int64_t q_pad, int64_t full, const struct out *o, uint32_t *d)
+{
+    const int64_t at = (p0 + r) * w_rows + q0;
+    if (o->th == NULL) {
+        for (int t = 0; t < len; t++) { /* s <= full: no overflow */
+            if (o->real != NULL)
+                o->real[at + t] = (double)(full - s[t] - s[t]) * o->scale;
+            else
+                o->acc[at + t] = full - s[t] - s[t];
+        }
+        return;
+    }
+    /* 32-bit counts narrow to bytes in a few vector ops; 64-bit ones do not */
+    int32_t n[TILE_Q] = {0};
+    for (int64_t k = 0; k < o->levels; k++)
+        for (int t = 0; t < TILE_Q; t++)
+            n[t] += s[t] <= o->th[k * q_pad + q0 + t];
+    if (o->pixels == NULL) {
+        for (int t = 0; t < len; t++)
+            o->codes[at + t] = (uint8_t)n[t] ^ o->flip[q0 + t];
+        return;
+    }
+    uint8_t c[TILE_Q] = {0};
+    uint64_t v[2];
+    for (int t = 0; t < len; t++)
+        c[t] = (uint8_t)n[t] ^ o->flip[q0 + t];
+    memcpy(v, c, sizeof v);
+    for (int64_t m = 0; m < o->planes; m++) { /* bit m of 8 bytes to 8 bits, as pack_word */
+        uint32_t bits = 0;
+        for (int h = 0; h < 2; h++)
+            bits |= (uint32_t)((((v[h] >> m) & UINT64_C(0x0101010101010101)) *
+                                UINT64_C(0x0102040810204080)) >> 56) << 8 * h;
+        put_chunk(d + m * o->units, bits, q0, o);
+    }
+}
 
 #if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512BW__) && defined(__AVX512VL__) && \
     defined(__AVX512DQ__)
@@ -50,18 +196,162 @@
  * in a1, stored at [at] under keep: to real as doubles times scale, else to
  * acc as int64. */
 static inline __attribute__((always_inline)) void
-store_acc(__m512i a0, __m512i a1, __mmask16 keep, int64_t at, double scale,
-          int64_t *restrict acc, double *restrict real)
+store_acc(__m512i a0, __m512i a1, __mmask16 keep, int64_t at, const struct out *o)
 {
-    if (real != NULL) {
-        const __m512d sc = _mm512_set1_pd(scale);
-        _mm512_mask_storeu_pd(real + at, (__mmask8)keep, _mm512_mul_pd(_mm512_cvtepi64_pd(a0), sc));
-        _mm512_mask_storeu_pd(real + at + 8, (__mmask8)(keep >> 8),
+    if (o->real != NULL) {
+        const __m512d sc = _mm512_set1_pd(o->scale);
+        _mm512_mask_storeu_pd(o->real + at, (__mmask8)keep,
+                              _mm512_mul_pd(_mm512_cvtepi64_pd(a0), sc));
+        _mm512_mask_storeu_pd(o->real + at + 8, (__mmask8)(keep >> 8),
                               _mm512_mul_pd(_mm512_cvtepi64_pd(a1), sc));
     } else {
-        _mm512_mask_storeu_epi64(acc + at, (__mmask8)keep, a0);
-        _mm512_mask_storeu_epi64(acc + at + 8, (__mmask8)(keep >> 8), a1);
+        _mm512_mask_storeu_epi64(o->acc + at, (__mmask8)keep, a0);
+        _mm512_mask_storeu_epi64(o->acc + at + 8, (__mmask8)(keep >> 8), a1);
     }
+}
+
+/* put_chunk of 8 rows' code bytes c, in one vector: in lanes of up to 32
+ * bits and at most 2 planes, where the rows' pixels follow each other in a
+ * line of the image. Returns 0 for the other tiles. */
+static inline __attribute__((always_inline)) int
+store_pixels8(const __m128i *c, uint32_t *const *d, int64_t q0, __mmask16 keep,
+              const struct out *o)
+{
+    if (o->units != 1 || o->planes > 2 || d[7] != d[0] + 7 * o->planes)
+        return 0;
+    const __m512i lo = _mm512_inserti64x4(
+        _mm512_castsi256_si512(_mm256_inserti128_si256(_mm256_castsi128_si256(c[0]), c[1], 1)),
+        _mm256_inserti128_si256(_mm256_castsi128_si256(c[2]), c[3], 1), 1);
+    const __m512i hi = _mm512_inserti64x4(
+        _mm512_castsi256_si512(_mm256_inserti128_si256(_mm256_castsi128_si256(c[4]), c[5], 1)),
+        _mm256_inserti128_si256(_mm256_castsi128_si256(c[6]), c[7], 1), 1);
+    const __mmask64 keep4 = (__mmask64)keep * UINT64_C(0x0001000100010001);
+    __m256i w[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
+    for (int64_t m = 0; m < o->planes; m++) { /* plane m of row r in dword r */
+        const __m512i bit = _mm512_set1_epi8((char)(1 << m));
+        const long long k_lo = (long long)_mm512_mask_test_epi8_mask(keep4, lo, bit);
+        const long long k_hi = (long long)_mm512_mask_test_epi8_mask(keep4, hi, bit);
+        w[m] = _mm256_cvtepu16_epi32(_mm_set_epi64x(k_hi, k_lo));
+        if (q0 > 0) /* the upper chunk of a 32-bit lane */
+            w[m] = _mm256_slli_epi32(w[m], 16);
+        else if (o->dup)
+            w[m] = _mm256_or_si256(w[m], _mm256_slli_epi32(w[m], 16));
+    }
+    if (o->planes == 1) {
+        __m256i v = w[0];
+        if (q0 > 0)
+            v = _mm256_or_si256(v, _mm256_loadu_si256((const __m256i *)d[0]));
+        _mm256_storeu_si256((__m256i *)d[0], v);
+        return 1;
+    }
+    const __m512i pairs = _mm512_set_epi32(23, 7, 22, 6, 21, 5, 20, 4, 19, 3, 18, 2, 17, 1, 16, 0);
+    __m512i v = _mm512_permutex2var_epi32(_mm512_castsi256_si512(w[0]), pairs,
+                                          _mm512_castsi256_si512(w[1]));
+    if (q0 > 0)
+        v = _mm512_or_si512(v, _mm512_loadu_si512(d[0]));
+    _mm512_storeu_si512(d[0], v);
+    return 1;
+}
+
+/* Each row's 16 code bytes n[r], XOR flip, to codes or to its pixel. */
+static inline __attribute__((always_inline)) void
+store_codes(const __m128i *n, int rows, int64_t p0, int64_t q0, int64_t w_rows, __mmask16 keep,
+            const struct out *o)
+{
+    const __m128i fl = _mm_loadu_si128((const __m128i *)(o->flip + q0));
+    if (o->pixels == NULL) {
+        for (int r = 0; r < rows; r++)
+            _mm_mask_storeu_epi8(o->codes + (p0 + r) * w_rows + q0, keep, _mm_xor_si128(n[r], fl));
+        return;
+    }
+    uint32_t *d[TILE_P];
+    __m128i c[TILE_P];
+    pixel_rows(o, rows, p0, d);
+    for (int r = 0; r < rows; r++)
+        c[r] = _mm_xor_si128(n[r], fl);
+    if (rows == TILE_P && store_pixels8(c, d, q0, keep, o))
+        return;
+    for (int64_t m = 0; m < o->planes; m++) {
+        const __m128i bit = _mm_set1_epi8((char)(1 << m));
+        for (int r = 0; r < rows; r++)
+            put_chunk(d[r] + m * o->units, _mm_mask_test_epi8_mask(keep, c[r], bit), q0, o);
+    }
+}
+
+/* The epilogue of rows rows of int64 sums, outputs q0 + 0..7 in s[r][0] and
+ * q0 + 8..15 in s[r][1]. It compares with _mm512_cmple_epi64_mask, counts
+ * levels into a byte vector and writes under a mask of the outputs that
+ * exist, so a partial tile needs no scalar tail. */
+static inline __attribute__((always_inline)) void
+out64(__m512i (*s)[2], int rows, int64_t p0, int64_t q0, int64_t w_rows, int64_t q_pad,
+      int64_t full, const struct out *o)
+{
+    const int len = w_rows - q0 < TILE_Q ? (int)(w_rows - q0) : TILE_Q;
+    const __mmask16 keep = (__mmask16)((1u << len) - 1);
+    if (o->th == NULL) {
+        const __m512i f = _mm512_set1_epi64(full);
+        for (int r = 0; r < rows; r++) /* s <= full: no overflow */
+            store_acc(_mm512_sub_epi64(f, _mm512_add_epi64(s[r][0], s[r][0])),
+                      _mm512_sub_epi64(f, _mm512_add_epi64(s[r][1], s[r][1])), keep,
+                      (p0 + r) * w_rows + q0, o);
+        return;
+    }
+    /* byte counters: levels <= 255, so the count never wraps */
+    const __m128i minus_one = _mm_set1_epi8(-1);
+    __m128i n[TILE_P];
+    for (int r = 0; r < rows; r++)
+        n[r] = _mm_setzero_si128();
+    for (int64_t l = 0; l < o->levels; l++) {
+        const __m512i t0 = _mm512_loadu_si512(o->th + l * q_pad + q0);
+        const __m512i t1 = _mm512_loadu_si512(o->th + l * q_pad + q0 + 8);
+        for (int r = 0; r < rows; r++) {
+            const __mmask16 le = (__mmask16)(_mm512_cmple_epi64_mask(s[r][0], t0) |
+                                             (_mm512_cmple_epi64_mask(s[r][1], t1) << 8));
+            n[r] = _mm_mask_sub_epi8(n[r], le, n[r], minus_one);
+        }
+    }
+    store_codes(n, rows, p0, q0, w_rows, keep, o);
+}
+
+/* The 16 int64 at p as the 32-bit lanes of one zmm: the low halves, or with
+ * sat each value clamped to the int32 range. */
+static inline __attribute__((always_inline)) __m512i narrow(const int64_t *p, int sat)
+{
+    const __m512i lo = _mm512_loadu_si512(p), hi = _mm512_loadu_si512(p + 8);
+    return _mm512_inserti64x4(
+        _mm512_castsi256_si512(sat ? _mm512_cvtsepi64_epi32(lo) : _mm512_cvtepi64_epi32(lo)),
+        sat ? _mm512_cvtsepi64_epi32(hi) : _mm512_cvtepi64_epi32(hi), 1);
+}
+
+/* out64 for rows of 16 sums in int32 lanes, s <= full < 2^31. The
+ * thresholds saturate as they narrow, which keeps s <= th exact for s in
+ * [0, full]. */
+static inline __attribute__((always_inline)) void
+out32(const __m512i *s, int rows, int64_t p0, int64_t q0, int64_t w_rows, int64_t q_pad,
+      int64_t full, const struct out *o)
+{
+    const int len = w_rows - q0 < TILE_Q ? (int)(w_rows - q0) : TILE_Q;
+    const __mmask16 keep = (__mmask16)((1u << len) - 1);
+    if (o->th == NULL) {
+        const __m512i f = _mm512_set1_epi32((int)full);
+        for (int r = 0; r < rows; r++) {
+            const __m512i a = _mm512_sub_epi32(f, _mm512_add_epi32(s[r], s[r]));
+            store_acc(_mm512_cvtepi32_epi64(_mm512_castsi512_si256(a)),
+                      _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(a, 1)), keep,
+                      (p0 + r) * w_rows + q0, o);
+        }
+        return;
+    }
+    const __m128i minus_one = _mm_set1_epi8(-1);
+    __m128i n[TILE_P];
+    for (int r = 0; r < rows; r++)
+        n[r] = _mm_setzero_si128();
+    for (int64_t l = 0; l < o->levels; l++) {
+        const __m512i t = narrow(o->th + l * q_pad + q0, 1);
+        for (int r = 0; r < rows; r++)
+            n[r] = _mm_mask_sub_epi8(n[r], _mm512_cmple_epi32_mask(s[r], t), n[r], minus_one);
+    }
+    store_codes(n, rows, p0, q0, w_rows, keep, o);
 }
 
 /* The product of rows (TILE_P or 1) rows of x, from row p0 on, with all
@@ -69,14 +359,11 @@ store_acc(__m512i a0, __m512i a1, __mmask16 keep, int64_t at, double scale,
  * row's TILE_Q sums live in two zmm registers. Per plane pair (m, k) the
  * plain popcounts are summed over the words and shifted by m + k once, not
  * once per word. Written with intrinsics because GCC 12 vectorizes the
- * portable tile at 256 bits and spills its sums to the stack on every word.
- * The epilogues store whole tiles under a mask of the len outputs that
- * exist, so a partial tile needs no scalar tail. */
+ * portable tile at 256 bits and spills its sums to the stack on every word. */
 static inline __attribute__((always_inline)) void
 gemm_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *restrict wt,
           int64_t w_rows, int64_t q_pad, int x_bits, int w_bits, int64_t n_words,
-          int64_t full, const int64_t *restrict th, const uint8_t *restrict flip, int levels,
-          double scale, int64_t *restrict acc, double *restrict real, uint8_t *restrict codes)
+          int64_t full, const struct out *o)
 {
     const int64_t x_stride = x_bits * n_words;
     const uint64_t *xp = x + p0 * x_stride;
@@ -107,56 +394,18 @@ gemm_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *rest
                     for (int h = 0; h < 2; h++)
                         s[r][h] = _mm512_add_epi64(s[r][h], _mm512_sll_epi64(c[r][h], shift));
             }
-        const int len = w_rows - q0 < TILE_Q ? (int)(w_rows - q0) : TILE_Q;
-        const __mmask16 keep = (__mmask16)((1u << len) - 1);
-        if (th == NULL) {
-            const __m512i f = _mm512_set1_epi64(full);
-            for (int r = 0; r < rows; r++) /* s <= full: no overflow */
-                store_acc(_mm512_sub_epi64(f, _mm512_add_epi64(s[r][0], s[r][0])),
-                          _mm512_sub_epi64(f, _mm512_add_epi64(s[r][1], s[r][1])), keep,
-                          (p0 + r) * w_rows + q0, scale, acc, real);
-            continue;
-        }
-        /* byte counters: levels <= 255, so the count never wraps */
-        const __m128i minus_one = _mm_set1_epi8(-1);
-        __m128i n[TILE_P];
-        for (int r = 0; r < rows; r++)
-            n[r] = _mm_setzero_si128();
-        for (int l = 0; l < levels; l++) {
-            const __m512i t0 = _mm512_loadu_si512(th + l * q_pad + q0);
-            const __m512i t1 = _mm512_loadu_si512(th + l * q_pad + q0 + 8);
-            for (int r = 0; r < rows; r++) {
-                const __mmask16 le = (__mmask16)(_mm512_cmple_epi64_mask(s[r][0], t0) |
-                                                 (_mm512_cmple_epi64_mask(s[r][1], t1) << 8));
-                n[r] = _mm_mask_sub_epi8(n[r], le, n[r], minus_one);
-            }
-        }
-        const __m128i fl = _mm_loadu_si128((const __m128i *)(flip + q0));
-        for (int r = 0; r < rows; r++)
-            _mm_mask_storeu_epi8(codes + (p0 + r) * w_rows + q0, keep, _mm_xor_si128(n[r], fl));
+        out64(s, rows, p0, q0, w_rows, q_pad, full, o);
     }
-}
-
-/* The 16 int64 at p as the 32-bit lanes of one zmm: the low halves, or with
- * sat each value clamped to the int32 range. */
-static inline __attribute__((always_inline)) __m512i narrow(const int64_t *p, int sat)
-{
-    const __m512i lo = _mm512_loadu_si512(p), hi = _mm512_loadu_si512(p + 8);
-    return _mm512_inserti64x4(
-        _mm512_castsi256_si512(sat ? _mm512_cvtsepi64_epi32(lo) : _mm512_cvtepi64_epi32(lo)),
-        sat ? _mm512_cvtsepi64_epi32(hi) : _mm512_cvtepi64_epi32(hi), 1);
 }
 
 /* gemm_tile for n <= 32, one word per plane with its upper half clear: a
  * row's TILE_Q sums fit the 32-bit lanes of one zmm, since
- * s <= full <= 32 * 255 * 255 < 2^31, and so does every epilogue. The weight
- * words and the thresholds are narrowed once per tile; the thresholds
- * saturate, which keeps s <= th exact for s in [0, full]. */
+ * s <= full <= 32 * 255 * 255 < 2^31. The weight words are narrowed once
+ * per tile. */
 static inline __attribute__((always_inline)) void
 gemm_tile32(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *restrict wt,
             int64_t w_rows, int64_t q_pad, int x_bits, int w_bits, int64_t full,
-            const int64_t *restrict th, const uint8_t *restrict flip, int levels, double scale,
-            int64_t *restrict acc, double *restrict real, uint8_t *restrict codes)
+            const struct out *o)
 {
     const uint64_t *xp = x + p0 * x_bits;
     for (int64_t q0 = 0; q0 < w_rows; q0 += TILE_Q) {
@@ -179,39 +428,119 @@ gemm_tile32(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *re
                                                 shift));
             }
         }
-        const int len = w_rows - q0 < TILE_Q ? (int)(w_rows - q0) : TILE_Q;
-        const __mmask16 keep = (__mmask16)((1u << len) - 1);
-        if (th == NULL) {
-            const __m512i f = _mm512_set1_epi32((int)full);
-            for (int r = 0; r < rows; r++) {
-                const __m512i a = _mm512_sub_epi32(f, _mm512_add_epi32(s[r], s[r]));
-                store_acc(_mm512_cvtepi32_epi64(_mm512_castsi512_si256(a)),
-                          _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(a, 1)), keep,
-                          (p0 + r) * w_rows + q0, scale, acc, real);
-            }
-            continue;
-        }
-        const __m128i minus_one = _mm_set1_epi8(-1);
-        __m128i n[TILE_P];
-        for (int r = 0; r < rows; r++)
-            n[r] = _mm_setzero_si128();
-        for (int l = 0; l < levels; l++) {
-            const __m512i t = narrow(th + l * q_pad + q0, 1);
-            for (int r = 0; r < rows; r++)
-                n[r] = _mm_mask_sub_epi8(n[r], _mm512_cmple_epi32_mask(s[r], t), n[r], minus_one);
-        }
-        const __m128i fl = _mm_loadu_si128((const __m128i *)(flip + q0));
-        for (int r = 0; r < rows; r++)
-            _mm_mask_storeu_epi8(codes + (p0 + r) * w_rows + q0, keep, _mm_xor_si128(n[r], fl));
+        out32(s, rows, p0, q0, w_rows, q_pad, full, o);
     }
 }
 #define SHORT_TILE 1
+
+#if defined(__AVX512BITALG__)
+/* Direct conv tiles: for each plane pair (m, k), each row broadcasts its
+ * window's plane word at every kernel offset, XORs it with that offset's
+ * weight lanes, and adds the lane popcounts; the count is shifted by m + k
+ * once per pair. In lanes of 32 bits (lanes16 0) one zmm holds 16 outputs;
+ * in lanes of 16 bits it holds 32, whose counts (at most kh kw 16 < 2^16)
+ * widen to two zmm of 32-bit sums for the shift. */
+static inline __attribute__((always_inline)) void
+conv_tile_short(int rows, int64_t p0, const struct conv *g, int64_t full, const struct out *o,
+                int lanes16)
+{
+    const uint32_t *top[TILE_P];
+    windows(g, rows, p0, top);
+    const int64_t line = g->width * g->x_bits, block = lanes16 ? 2 * TILE_Q : TILE_Q;
+    for (int64_t q0 = 0; q0 < g->w_rows; q0 += block) {
+        __m512i lo[TILE_P], hi[TILE_P];
+        for (int r = 0; r < rows; r++)
+            lo[r] = hi[r] = _mm512_setzero_si512();
+        for (int m = 0; m < g->x_bits; m++)
+            for (int k = 0; k < g->w_bits; k++) {
+                const int64_t wk = k * g->kh * g->kw * g->q_pad + q0;
+                __m512i c[TILE_P];
+                for (int r = 0; r < rows; r++)
+                    c[r] = _mm512_setzero_si512();
+                for (int64_t i = 0; i < g->kh; i++)
+                    for (int64_t j = 0; j < g->kw; j++) {
+                        const int64_t at = wk + (i * g->kw + j) * g->q_pad;
+                        const __m512i w = lanes16 ? _mm512_loadu_si512((const uint16_t *)g->w + at)
+                                                  : _mm512_loadu_si512((const uint32_t *)g->w + at);
+                        const int64_t px = i * line + j * g->x_bits + m;
+                        for (int r = 0; r < rows; r++) {
+                            const __m512i a = _mm512_set1_epi32((int)top[r][px]);
+                            const __m512i d = _mm512_xor_si512(a, w);
+                            c[r] = lanes16 ? _mm512_add_epi16(c[r], _mm512_popcnt_epi16(d))
+                                           : _mm512_add_epi32(c[r], _mm512_popcnt_epi32(d));
+                        }
+                    }
+                const __m512i shift = _mm512_set1_epi32(m + k);
+                for (int r = 0; r < rows; r++) {
+                    if (!lanes16) {
+                        lo[r] = _mm512_add_epi32(lo[r], _mm512_sllv_epi32(c[r], shift));
+                        continue;
+                    }
+                    const __m512i c0 = _mm512_cvtepu16_epi32(_mm512_castsi512_si256(c[r]));
+                    const __m512i c1 = _mm512_cvtepu16_epi32(_mm512_extracti64x4_epi64(c[r], 1));
+                    lo[r] = _mm512_add_epi32(lo[r], _mm512_sllv_epi32(c0, shift));
+                    hi[r] = _mm512_add_epi32(hi[r], _mm512_sllv_epi32(c1, shift));
+                }
+            }
+        out32(lo, rows, p0, q0, g->w_rows, g->q_pad, full, o);
+        if (lanes16 && q0 + TILE_Q < g->w_rows)
+            out32(hi, rows, p0, q0 + TILE_Q, g->w_rows, g->q_pad, full, o);
+    }
+}
+
+/* Lanes of whole 64-bit words, 8 outputs per zmm and int64 sums, as in
+ * gemm_tile. */
+static inline __attribute__((always_inline)) void
+conv_tile64(int rows, int64_t p0, const struct conv *g, int64_t full, const struct out *o)
+{
+    const uint32_t *top[TILE_P];
+    windows(g, rows, p0, top);
+    const int64_t words = g->units / 2, px = g->x_bits * g->units, line = g->width * px;
+    for (int64_t q0 = 0; q0 < g->w_rows; q0 += TILE_Q) {
+        __m512i s[TILE_P][2];
+        for (int r = 0; r < rows; r++)
+            s[r][0] = s[r][1] = _mm512_setzero_si512();
+        for (int m = 0; m < g->x_bits; m++)
+            for (int k = 0; k < g->w_bits; k++) {
+                const uint64_t *wk =
+                    (const uint64_t *)g->w + k * g->kh * g->kw * words * g->q_pad + q0;
+                __m512i c[TILE_P][2];
+                for (int r = 0; r < rows; r++)
+                    c[r][0] = c[r][1] = _mm512_setzero_si512();
+                for (int64_t i = 0; i < g->kh; i++)
+                    for (int64_t j = 0; j < g->kw; j++)
+                        for (int64_t u = 0; u < words; u++) {
+                            const uint64_t *wu = wk + ((i * g->kw + j) * words + u) * g->q_pad;
+                            const __m512i w0 = _mm512_loadu_si512(wu);
+                            const __m512i w1 = _mm512_loadu_si512(wu + 8);
+                            const int64_t at = i * line + j * px + m * g->units + 2 * u;
+                            for (int r = 0; r < rows; r++) {
+                                uint64_t v;
+                                memcpy(&v, top[r] + at, 8);
+                                const __m512i a = _mm512_set1_epi64((long long)v);
+                                for (int h = 0; h < 2; h++) {
+                                    const __m512i d = _mm512_xor_si512(a, h ? w1 : w0);
+                                    c[r][h] = _mm512_add_epi64(c[r][h], _mm512_popcnt_epi64(d));
+                                }
+                            }
+                        }
+                const __m128i shift = _mm_cvtsi32_si128(m + k);
+                for (int r = 0; r < rows; r++)
+                    for (int h = 0; h < 2; h++)
+                        s[r][h] = _mm512_add_epi64(s[r][h], _mm512_sll_epi64(c[r][h], shift));
+            }
+        out64(s, rows, p0, q0, g->w_rows, g->q_pad, full, o);
+    }
+}
+#define CONV_TILES 1
+#endif
 #else
 /* The portable tile: plain C with constant trip counts, which -O3
  * vectorizes over the TILE_Q outputs. It is slower than the tile above
  * where both build: with AVX-512, GCC 12 uses 256-bit vectors, reloads the
  * strides and stores s back to the stack on every word. */
 #define TILE_P 4
+#endif
 
 /* s[r][t] = sum 2^(m+k) popcount(x_m ^ w_k) of row r of x (rows of
  * x_stride words from x on) and output t of wt (columns q_pad apart),
@@ -238,91 +567,147 @@ tile_sums(int64_t s[TILE_P][TILE_Q], int rows, const uint64_t *restrict x, int64
             }
 }
 
-/* One row's tile sums s to its len outputs from column q0 on, at [at + t]:
- * without th, acc = full - 2 s, to real times scale if real is set, else to
- * acc. With th, the code bytes go to codes: the number of levels k with
- * s <= th[k][q], XOR flip[q]. */
-static inline __attribute__((always_inline)) void
-tile_out(const int64_t *restrict s, int len, int64_t q0, int64_t at, int64_t full,
-         const int64_t *restrict th, const uint8_t *restrict flip, int levels, int64_t q_pad,
-         double scale, int64_t *restrict acc, double *restrict real, uint8_t *restrict codes)
-{
-    if (th == NULL) {
-        for (int t = 0; t < len; t++) { /* s <= full: no overflow */
-            if (real != NULL)
-                real[at + t] = (double)(full - s[t] - s[t]) * scale;
-            else
-                acc[at + t] = full - s[t] - s[t];
-        }
-        return;
-    }
-    /* 32-bit counts narrow to bytes in a few vector ops; 64-bit ones do not */
-    int32_t n[TILE_Q] = {0};
-    for (int k = 0; k < levels; k++)
-        for (int t = 0; t < TILE_Q; t++)
-            n[t] += s[t] <= th[k * q_pad + q0 + t];
-    for (int t = 0; t < len; t++)
-        codes[at + t] = (uint8_t)n[t] ^ flip[q0 + t];
-}
-
-/* The product of rows (TILE_P or 1) rows of x, from row p0 on, with all
- * w_rows outputs of w. w comes transposed and zero-padded, wt[k][j][q] for
- * q < q_pad, a multiple of TILE_Q, so every tile is whole; the padded
- * outputs are computed and dropped.
+/* The portable product of rows (TILE_P or 1) rows of x, the rows of the
+ * tile from row p0, with all w_rows outputs of w. w comes transposed and
+ * zero-padded, wt[k][j][q] for q < q_pad, a multiple of TILE_Q, so every
+ * tile is whole; the padded outputs are computed and dropped.
  * dot(x_m, w_k) = n - 2 * popcount(x_m ^ w_k): zero pad bits cancel in the
  * XOR, so no NOT and no tail mask. Summing 2^(m+k) * dot over the planes,
  * acc = full - 2 s with full = n (2^M - 1)(2^K - 1) and s the tile sum.
  * The threshold epilogue compares s itself: gemm.bisect_thresholds finds th
  * and flip on s, so they reach the kernel as they are, zero-padded. */
 static inline __attribute__((always_inline)) void
-gemm_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *restrict wt,
-          int64_t w_rows, int64_t q_pad, int x_bits, int w_bits, int64_t n_words,
-          int64_t full, const int64_t *restrict th, const uint8_t *restrict flip, int levels,
-          double scale, int64_t *restrict acc, double *restrict real, uint8_t *restrict codes)
+portable_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *restrict wt,
+              int64_t w_rows, int64_t q_pad, int x_bits, int w_bits, int64_t n_words,
+              int64_t full, const struct out *o)
 {
-    const int64_t x_stride = x_bits * n_words;
+    uint32_t *d[TILE_P] = {NULL};
+    if (o->pixels != NULL)
+        pixel_rows(o, rows, p0, d);
     for (int64_t q0 = 0; q0 < w_rows; q0 += TILE_Q) {
         int64_t s[TILE_P][TILE_Q];
-        tile_sums(s, rows, x + p0 * x_stride, x_stride, wt + q0, q_pad, x_bits, w_bits,
-                  n_words);
+        tile_sums(s, rows, x, x_bits * n_words, wt + q0, q_pad, x_bits, w_bits, n_words);
         for (int r = 0; r < rows; r++) {
-            const int64_t at = (p0 + r) * w_rows + q0;
             /* a constant len for whole tiles keeps the stores vectorized */
             if (w_rows - q0 >= TILE_Q)
-                tile_out(s[r], TILE_Q, q0, at, full, th, flip, levels, q_pad, scale, acc, real,
-                         codes);
+                tile_out(s[r], TILE_Q, p0, r, q0, w_rows, q_pad, full, o, d[r]);
             else
-                tile_out(s[r], (int)(w_rows - q0), q0, at, full, th, flip, levels, q_pad, scale,
-                         acc, real, codes);
+                tile_out(s[r], (int)(w_rows - q0), p0, r, q0, w_rows, q_pad, full, o, d[r]);
         }
     }
 }
+
+#ifndef SHORT_TILE
+static inline __attribute__((always_inline)) void
+gemm_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *restrict wt,
+          int64_t w_rows, int64_t q_pad, int x_bits, int w_bits, int64_t n_words,
+          int64_t full, const struct out *o)
+{
+    portable_tile(rows, p0, x + p0 * x_bits * n_words, wt, w_rows, q_pad, x_bits, w_bits,
+                  n_words, full, o);
+}
 #endif
 
-void bb_gemm(const uint64_t *x, const uint64_t *wt, int64_t rows, int64_t w_rows,
-             int64_t q_pad, int x_bits, int w_bits, int64_t n_words, int64_t n,
-             const int64_t *th, const uint8_t *flip, int levels, double scale, int64_t *acc,
-             double *real, uint8_t *codes)
+#ifndef CONV_TILES
+/* The portable direct conv. A window's lanes end to end hold the bits of
+ * its patch row in (i, j, c) order, each offset's channels padded to the
+ * lane, and bb_conv lays the weight lanes out alike once per call,
+ * wt[k][word][q]; so a tile concatenates its rows' lanes into the row words
+ * x and runs the portable GEMM tile on them, 64 bits per scalar popcount. */
+static inline __attribute__((always_inline)) void
+conv_tile(int rows, int64_t p0, const struct conv *g, const uint64_t *wt, uint64_t *x,
+          int64_t n_words, int64_t full, const struct out *o)
+{
+    const uint32_t *top[TILE_P];
+    windows(g, rows, p0, top);
+    const int64_t px = g->x_bits * g->units;
+    memset(x, 0, (size_t)(rows * g->x_bits * n_words) * 8);
+    for (int r = 0; r < rows; r++)
+        for (int m = 0; m < g->x_bits; m++) {
+            uint64_t *row = x + (r * g->x_bits + m) * n_words;
+            for (int64_t i = 0; i < g->kh; i++)
+                for (int64_t j = 0; j < g->kw; j++) {
+                    const uint32_t *lane = top[r] + (i * g->width + j) * px + m * g->units;
+                    const int64_t at = (i * g->kw + j) * g->lane; /* no lane crosses a word */
+                    if (g->lane > 32)
+                        memcpy(row + at / 64, lane, (size_t)g->lane / 8);
+                    else /* a 16-bit lane's upper half is its copy */
+                        row[at / 64] |= (uint64_t)(g->lane == 16 ? lane[0] & 0xFFFF : lane[0])
+                                        << at % 64;
+                }
+        }
+    portable_tile(rows, p0, x, wt, g->w_rows, g->q_pad, g->x_bits, g->w_bits, n_words, full, o);
+}
+#endif
+
+/* Runs tile over rows rows, TILE_P at a time, then one at a time. */
+#define ROW_TILES(tile, ...)                                                                   \
+    do {                                                                                       \
+        int64_t p = 0;                                                                         \
+        for (; p + TILE_P <= rows; p += TILE_P)                                                \
+            tile(TILE_P, p, __VA_ARGS__);                                                      \
+        for (; p < rows; p++)                                                                  \
+            tile(1, p, __VA_ARGS__);                                                           \
+    } while (0)
+
+void bb_gemm(const uint64_t *x, const uint64_t *wt, int64_t rows, int64_t w_rows, int64_t q_pad,
+             int x_bits, int w_bits, int64_t n_words, int64_t n, const struct out *o)
 {
     const int64_t full = n * ((INT64_C(1) << x_bits) - 1) * ((INT64_C(1) << w_bits) - 1);
-    int64_t p = 0;
+    if (o->pixels != NULL && o->pad > 0 && rows > 0)
+        fill_ring(o, rows / (o->oh * o->ow));
 #ifdef SHORT_TILE
-    if (n_words == 1 && n <= 32) {
-        for (; p + TILE_P <= rows; p += TILE_P)
-            gemm_tile32(TILE_P, p, x, wt, w_rows, q_pad, x_bits, w_bits, full, th, flip, levels,
-                        scale, acc, real, codes);
-        for (; p < rows; p++)
-            gemm_tile32(1, p, x, wt, w_rows, q_pad, x_bits, w_bits, full, th, flip, levels,
-                        scale, acc, real, codes);
-        return;
-    }
+    if (n_words == 1 && n <= 32)
+        ROW_TILES(gemm_tile32, x, wt, w_rows, q_pad, x_bits, w_bits, full, o);
+    else
 #endif
-    for (; p + TILE_P <= rows; p += TILE_P)
-        gemm_tile(TILE_P, p, x, wt, w_rows, q_pad, x_bits, w_bits, n_words, full, th, flip,
-                  levels, scale, acc, real, codes);
-    for (; p < rows; p++)
-        gemm_tile(1, p, x, wt, w_rows, q_pad, x_bits, w_bits, n_words, full, th, flip, levels,
-                  scale, acc, real, codes);
+        ROW_TILES(gemm_tile, x, wt, w_rows, q_pad, x_bits, w_bits, n_words, full, o);
+}
+
+/* The conv of a padded image of packed pixels (struct conv), stride and
+ * kernel as given, rows batch * oh * ow, with the epilogue o. Lanes of 16 or
+ * 32 bits need full < 2^31 and kh kw lane < 2^lane; gemm.conv_lane picks
+ * 64-bit words where they do not hold. Returns 0, or -1 if the portable
+ * build cannot allocate its row and weight words. */
+int bb_conv(const uint32_t *x, int64_t batch, int64_t height, int64_t width, int x_bits,
+            int64_t lane, const void *w, int64_t w_rows, int64_t q_pad, int w_bits, int64_t kh,
+            int64_t kw, int64_t stride, int64_t channels, const struct out *o)
+{
+    const struct conv g = {x, w, height, width, stride, kh, kw, (height - kh) / stride + 1,
+                           (width - kw) / stride + 1, lane, lane > 32 ? lane / 32 : 1, q_pad,
+                           w_rows, x_bits, w_bits};
+    const int64_t rows = batch * g.oh * g.ow;
+    const int64_t full =
+        channels * kh * kw * ((INT64_C(1) << x_bits) - 1) * ((INT64_C(1) << w_bits) - 1);
+    if (o->pixels != NULL && o->pad > 0)
+        fill_ring(o, batch);
+#ifdef CONV_TILES
+    if (lane == 16)
+        ROW_TILES(conv_tile_short, &g, full, o, 1);
+    else if (lane == 32)
+        ROW_TILES(conv_tile_short, &g, full, o, 0);
+    else
+        ROW_TILES(conv_tile64, &g, full, o);
+#else
+    const int64_t n_words = (kh * kw * lane + 63) / 64, words = lane > 32 ? lane / 64 : 1;
+    uint64_t *wt = calloc((size_t)((w_bits * q_pad + TILE_P * x_bits) * n_words), 8);
+    if (wt == NULL)
+        return -1;
+    for (int64_t k = 0; k < w_bits; k++)
+        for (int64_t ij = 0; ij < kh * kw; ij++)
+            for (int64_t u = 0; u < words; u++)
+                for (int64_t q = 0; q < q_pad; q++) {
+                    const int64_t from = ((k * kh * kw + ij) * words + u) * q_pad + q;
+                    const uint64_t v = lane == 16 ? ((const uint16_t *)w)[from]
+                                       : lane == 32 ? ((const uint32_t *)w)[from]
+                                                    : ((const uint64_t *)w)[from];
+                    const int64_t at = ij * lane + 64 * u;
+                    wt[(k * n_words + at / 64) * q_pad + q] |= v << at % 64;
+                }
+    ROW_TILES(conv_tile, &g, wt, wt + w_bits * n_words * q_pad, n_words, full, o);
+    free(wt);
+#endif
+    return 0;
 }
 
 /* The code byte of v by quant._odd_table: the byte base[i] below the
@@ -336,10 +721,33 @@ code_byte(double v, double half, const double *restrict thr, const int64_t *rest
     return (uint8_t)(base[i] + (xc >= thr[i]));
 }
 
+#if defined(__AVX512VBMI__) && defined(__AVX512DQ__)
+/* code_byte of the 8 values at v, as the 8 bytes of a word; adds the count
+ * of non-finite ones to bad. The table lookups are two gathers. */
+static inline __attribute__((always_inline)) uint64_t
+code_bytes8(const double *v, double half, const double *thr, const int64_t *base, int64_t *bad)
+{
+    __m512d x = _mm512_loadu_pd(v);
+    const __mmask8 odd = _mm512_fpclass_pd_mask(x, 0x99); /* NaN or infinite */
+    *bad += __builtin_popcount(odd);
+    x = _mm512_min_pd(_mm512_max_pd(_mm512_mask_mov_pd(x, odd, _mm512_setzero_pd()),
+                                    _mm512_set1_pd(-1.0)),
+                      _mm512_set1_pd(1.0));
+    const __m512d h = _mm512_set1_pd(half);
+    const __m512i i = _mm512_cvttpd_epi64(_mm512_add_pd(_mm512_mul_pd(x, h), h));
+    const __mmask8 up = _mm512_cmp_pd_mask(x, _mm512_i64gather_pd(i, thr, 8), _CMP_GE_OQ);
+    const __m512i b = _mm512_i64gather_epi64(i, base, 8);
+    const __m512i code = _mm512_mask_sub_epi64(b, up, b, _mm512_set1_epi64(-1));
+    return (uint64_t)_mm_cvtsi128_si64(_mm512_cvtepi64_epi8(code));
+}
+#endif
+
 /* Code bytes of x[batch][channels][plane], written channels-last,
  * b[batch][plane][channels]; a dense input is plane = 1, one contiguous
  * pass. Returns the count of non-finite values. restrict lets GCC
- * vectorize. */
+ * vectorize. With AVX-512 VBMI and up to 8 channels, 8 pixels at a time
+ * quantize channel by channel into the words of one zmm, and one vpermb
+ * interleaves them into the 8 C bytes of those pixels. */
 int64_t bb_quantize(const double *restrict x, int64_t batch, int64_t channels, int64_t plane,
                     double half, const double *restrict thr, const int64_t *restrict base,
                     uint8_t *restrict b)
@@ -352,15 +760,41 @@ int64_t bb_quantize(const double *restrict x, int64_t batch, int64_t channels, i
         }
         return bad;
     }
-    for (int64_t n = 0; n < batch; n++)
+#if defined(__AVX512VBMI__) && defined(__AVX512DQ__)
+    const int vector = channels <= 8;
+    __m512i order = _mm512_setzero_si512();
+    __mmask64 run = 0;
+    if (vector) { /* byte p C + c of the pixels takes byte 8 c + p, channel c of pixel p */
+        uint8_t from[64] = {0};
+        for (int j = 0; j < 8 * channels; j++)
+            from[j] = (uint8_t)(j % channels * 8 + j / channels);
+        order = _mm512_loadu_si512(from);
+        run = ~UINT64_C(0) >> (64 - 8 * channels);
+    }
+#endif
+    for (int64_t n = 0; n < batch; n++) {
+        int64_t p0 = 0; /* pixels before p0 are done */
+#if defined(__AVX512VBMI__) && defined(__AVX512DQ__)
+        for (; vector && p0 + 8 <= plane; p0 += 8) {
+            __m512i v = _mm512_setzero_si512();
+            for (int64_t c = 0; c < channels; c++)
+                v = _mm512_mask_set1_epi64(
+                    v, (__mmask8)(1 << c),
+                    (long long)code_bytes8(x + (n * channels + c) * plane + p0, half, thr, base,
+                                           &bad));
+            _mm512_mask_storeu_epi8(b + (n * plane + p0) * channels, run,
+                                    _mm512_permutexvar_epi8(order, v));
+        }
+#endif
         for (int64_t c = 0; c < channels; c++) {
             const double *xc = x + (n * channels + c) * plane;
             uint8_t *bc = b + n * plane * channels + c;
-            for (int64_t p = 0; p < plane; p++) {
+            for (int64_t p = p0; p < plane; p++) {
                 bad += !isfinite(xc[p]);
                 bc[p * channels] = code_byte(xc[p], half, thr, base);
             }
         }
+    }
     return bad;
 }
 

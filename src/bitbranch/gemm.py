@@ -12,9 +12,11 @@ r / ((2^M - 1)(2^K - 1)) restores quantized-real units.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +64,22 @@ def encode_codes(codes: np.ndarray, bits: int) -> EncodedMatrix:
     return gather_codes(b.reshape(rows, 1, 1, cols), bits)
 
 
+def _addr(a: np.ndarray) -> int:
+    """The address of a C-contiguous array. A ctypes view of a writable one
+    costs less than half of ``a.ctypes.data``."""
+    if a.nbytes and a.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
+@functools.cache
+def _table(bits: int) -> tuple:
+    """``bb_quantize``'s arguments half, thr and base for
+    ``quant._odd_table(bits)``, and the table, which keeps them valid."""
+    tab = quant._odd_table(bits)
+    return tab.half, _addr(tab.thr), _addr(tab.base), tab
+
+
 def _reject_non_finite(bad: int) -> None:
     if bad:
         raise DomainError(f"{bad} non-finite values cannot be quantized")
@@ -76,7 +94,11 @@ def quantize_bytes(x: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
     is the channels-last view (B, H, W, C) of a C-contiguous (B, C, H, W)
     array that ``x.transpose(0, 2, 3, 1)`` makes of a conv input: then it
     reads each channel plane in turn and writes the bytes channels-last.
-    Other layouts, and the numpy fallback, take a C-contiguous copy first.
+    With AVX-512 VBMI and at most 8 channels, it quantizes 8 pixels of each
+    channel at a time and interleaves the channels with one ``vpermb``;
+    otherwise it stores each byte with a stride of C. A dense input takes
+    the contiguous pass. Other layouts, and the numpy fallback, take a
+    C-contiguous copy first.
     """
     quant._check_bits(bits)
     x = np.asarray(x, dtype=np.float64)
@@ -88,10 +110,9 @@ def quantize_bytes(x: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
             batch, channels, plane = 1, x.size, 1
         else:
             batch, channels, plane = x.shape[0], x.shape[-1], math.prod(x.shape[1:-1])
-        tab = quant._odd_table(bits)
         b = np.empty(x.shape, dtype=np.uint8)
-        return b, lib.bb_quantize(planar.ctypes.data, batch, channels, plane, tab.half,
-                                  tab.thr.ctypes.data, tab.base.ctypes.data, b.ctypes.data)
+        return b, lib.bb_quantize(_addr(planar), batch, channels, plane, *_table(bits)[:3],
+                                  _addr(b))
     x = np.ascontiguousarray(x)
     finite = np.isfinite(x)
     b = (quant.quantize_odd(np.where(finite, x, 0.0), bits).codes + (1 << bits) - 1) >> 1
@@ -126,6 +147,29 @@ def patch_grid(shape: tuple, kh: int, kw: int, stride: int, padding: int) -> tup
     return oh, ow
 
 
+def _pad_byte(bits: int) -> int:
+    """The byte of code -1, which ``quantize_odd`` gives 0.0: 2^(M-1) - 1."""
+    return (1 << (bits - 1)) - 1
+
+
+def _padded_image(b: np.ndarray, bits: int, padding: int) -> np.ndarray:
+    """b (B, H, W, C) with a border of ``padding`` pad bytes, or b itself at padding 0."""
+    if not padding:
+        return b
+    batch, h, w, c = b.shape
+    # np.pad is several times slower
+    image = np.full((batch, h + 2 * padding, w + 2 * padding, c), _pad_byte(bits), dtype=np.uint8)
+    image[:, padding:padding + h, padding:padding + w] = b
+    return image
+
+
+def _check_image(b, name: str) -> None:
+    if not (isinstance(b, np.ndarray) and b.dtype == np.uint8 and b.ndim == 4
+            and b.flags.c_contiguous):
+        raise ShapeError(f"{name} needs a C-contiguous uint8 (B, H, W, C) image, got "
+                         f"{getattr(b, 'dtype', None)} {getattr(b, 'shape', None)}")
+
+
 def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int = 1,
                  padding: int = 0) -> EncodedMatrix:
     """Pack the conv patches of a channels-last image of code bytes.
@@ -139,22 +183,18 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
     straight into the lanes of its 64-byte row words (AVX-512BW masked
     loads; elsewhere it copies them into a row buffer first) and tests each
     plane's bit, one instruction per word. The numpy fallback splits the
-    bytes into 0/1 planes for ``bitops.pack_bits``.
+    bytes into 0/1 planes for ``bitops.pack_bits``. The plan gathers dense
+    inputs, a conv's float input and every conv input on the numpy kernel;
+    on the native kernel, a conv whose producer folds into it reads a
+    ``PixelImage`` through ``direct_conv`` instead.
     """
     quant._check_bits(bits)
-    if not (isinstance(b, np.ndarray) and b.dtype == np.uint8 and b.ndim == 4
-            and b.flags.c_contiguous):
-        raise ShapeError("gather_codes needs a C-contiguous uint8 (B, H, W, C) image, got "
-                         f"{getattr(b, 'dtype', None)} {getattr(b, 'shape', None)}")
+    _check_image(b, "gather_codes")
     batch, h, w, c = b.shape
     oh, ow = patch_grid((batch, c, h, w), kh, kw, stride, padding)
     rows, cols = batch * oh * ow, c * kh * kw
-    if padding:
-        # the byte of code -1, which quantize_odd gives 0.0; np.pad is several times slower
-        image = np.full((batch, h + 2 * padding, w + 2 * padding, c), (1 << (bits - 1)) - 1,
-                        dtype=np.uint8)
-        image[:, padding:padding + h, padding:padding + w] = b
-        b, h, w = image, h + 2 * padding, w + 2 * padding
+    b = _padded_image(b, bits, padding)
+    h, w = b.shape[1:3]
     lib = _native.library()
     if lib is None:
         windows = np.lib.stride_tricks.sliding_window_view(b, (kh, kw), axis=(1, 2))
@@ -162,7 +202,7 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
         planes = (ijc[:, None, :] >> np.arange(bits, dtype=np.uint8)[:, None]) & 1
         return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=bitops.pack_bits(planes))
     words = np.empty((rows, bits, bitops.word_count(cols)), dtype=np.uint64)
-    if lib.bb_gather(b.ctypes.data, batch, h, w, c, kh, kw, stride, bits, words.ctypes.data):
+    if lib.bb_gather(_addr(b), batch, h, w, c, kh, kw, stride, bits, _addr(words)):
         raise MemoryError("no memory for a patch row")
     return EncodedMatrix(bits=bits, rows=rows, cols=cols, words=words)
 
@@ -270,23 +310,121 @@ TILE_Q = 16
 
 
 @dataclass(frozen=True)
-class GemmWeight:
-    """A right operand with its epilogue, laid out once for both kernels.
+class PixelImage:
+    """A conv input as channel-packed bit planes per pixel, padded for its conv.
 
-    The planes are stored transposed, wt[k, j, q], with the outputs
-    zero-padded to a multiple of ``TILE_Q``; ``fold``'s tables are padded
-    alike. Both kernels compute the popcount sums of every padded output
-    and drop the padding. The epilogue is ``fold``'s code bytes, or else the
-    float accumulator times ``scale``, or else the int64 accumulator.
+    pixels is uint32 (B, H + 2 padding, W + 2 padding, bits, units): plane m
+    of a pixel holds bit m of its C code bytes, channel c at bit c of a lane
+    of ``lane`` bits (``conv_lane``), so units = max(lane / 32, 1). A 16-bit
+    lane is stored twice in its uint32, so one 32-bit broadcast fills every
+    16-bit lane of a vector. Bits past C are zero. The ring holds the pad
+    byte's planes: every channel's bit in plane m < M - 1, none in plane M - 1.
+    """
+
+    bits: int
+    channels: int
+    lane: int
+    padding: int
+    pixels: np.ndarray
+
+
+def conv_lane(channels: int, kh: int, kw: int, x_bits: int, w_bits: int) -> int:
+    """The lane width L of ``direct_conv`` over C channels: 16 bits for
+    C <= 16, 32 for C <= 32, else ceil(C / 64) 64-bit words.
+
+    ``bb_conv`` sums a plane pair's counts over the kh kw offsets in L-bit
+    lanes and the shifted sums s <= full in 32-bit lanes, so a 16- or 32-bit
+    lane needs kh kw L < 2^L and full = C kh kw (2^M - 1)(2^K - 1) < 2^31. A
+    layer past either bound takes 64-bit words, whose sums are int64 as in
+    ``encoded_gemm``.
+    """
+    full = _full(channels * kh * kw, x_bits, w_bits)
+    for lane in (16, 32):
+        if channels <= lane and kh * kw * lane < 1 << lane and full < 1 << 31:
+            return lane
+    return 64 * -(-channels // 64)
+
+
+def _lane_bits(c: int, lane: int) -> tuple[int, list[slice]]:
+    """Bits per stored plane and where a plane's C bits go: a 16-bit lane twice in 32."""
+    return max(lane, 32), [slice(0, c)] + ([slice(16, 16 + c)] if lane == 16 else [])
+
+
+def pack_pixels(b: np.ndarray, bits: int, lane: int, padding: int = 0) -> PixelImage:
+    """The ``PixelImage`` of a channels-last image of code bytes, padded with
+    the pad byte as ``gather_codes`` pads it. numpy; it defines the layout
+    that the kernels' packed-pixel epilogue writes and ``bb_conv`` reads."""
+    quant._check_bits(bits)
+    _check_image(b, "pack_pixels")
+    image = _padded_image(b, bits, padding)
+    c = image.shape[3]
+    width, spans = _lane_bits(c, lane)
+    flat = np.zeros(image.shape[:3] + (bits, width), dtype=np.uint8)
+    for span in spans:
+        flat[..., span] = (image[:, :, :, None, :] >> np.arange(bits, dtype=np.uint8)[:, None]) & 1
+    words = np.packbits(flat, axis=-1, bitorder="little").view("<u4").astype(np.uint32)
+    return PixelImage(bits, c, lane, padding, words)
+
+
+@functools.cache
+def _ring_pixel(bits: int, channels: int, lane: int) -> np.ndarray:
+    """The pad byte's planes, uint32 (bits, units): plane m holds every
+    channel's bit where bit m of 2^(M-1) - 1 is set, and no bit past C."""
+    width, spans = _lane_bits(channels, lane)
+    mask = np.zeros(width, dtype=np.uint8)
+    for span in spans:
+        mask[span] = 1
+    mask = np.packbits(mask, bitorder="little").view("<u4")
+    ring = np.where((_pad_byte(bits) >> np.arange(bits))[:, None] & 1, mask, 0).astype(np.uint32)
+    ring.flags.writeable = False  # shared by every weight that writes this layout
+    return ring
+
+
+@dataclass(frozen=True)
+class GemmWeight:
+    """A right operand with its epilogue, laid out once for the kernels.
+
+    For ``encoded_gemm`` the planes are stored transposed, wt[k, j, q], with
+    the outputs zero-padded to a multiple of ``TILE_Q``; ``fold``'s tables are
+    padded alike. Both kernels compute the popcount sums of every padded
+    output and drop the padding. With ``conv`` = (channels, kh, kw, stride)
+    it is a weight of ``direct_conv`` instead: wt holds lanes of ``lane``
+    bits, wt[k, i, j, word, q] = channels of plane k at kernel offset (i, j),
+    with the outputs padded to a whole vector of lanes. The epilogue is
+    ``fold``'s code bytes, written as the next conv's ``PixelImage`` when
+    ``pixels`` = (lane, padding) names that conv's layout; or else the float
+    accumulator times ``scale``; or else the int64 accumulator.
     """
 
     bits: int
     rows: int
     cols: int
     x_bits: int  # M of the left operands it meets
-    wt: np.ndarray  # uint64 (K, words_per_row, Q padded)
+    wt: np.ndarray  # uint64 (K, words_per_row, Q padded), or the conv lanes
     fold: CodeThresholds | None  # s_max int64 and flip uint8, C-contiguous, Q padded
     scale: float | None = None  # set only without fold
+    conv: tuple[int, int, int, int] | None = None  # channels, kh, kw, stride
+    lane: int = 0  # of conv's lanes
+    pixels: tuple[int, int] | None = None  # lane and padding of the next conv's image
+    # for the native kernels: wt's address, and the epilogue's constant part
+    # with the ring it points to
+    _wt: int = field(default=0, init=False, repr=False, compare=False)
+    _out: object = field(default=None, init=False, repr=False, compare=False)
+    _ring: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        o, fold, ring = _native.Out(), self.fold, None
+        if fold is None:
+            o.scale = self.scale or 0.0
+        else:
+            o.th, o.flip, o.levels = _addr(fold.s_max), _addr(fold.flip), len(fold.s_max)
+        if self.pixels is not None:
+            lane, o.pad = self.pixels
+            ring = _ring_pixel(fold.bits, self.rows, lane)
+            o.ring, o.planes, o.units, o.dup = _addr(ring), fold.bits, ring.shape[1], lane == 16
+        object.__setattr__(self, "_wt", _addr(self.wt))
+        object.__setattr__(self, "_out", o)
+        object.__setattr__(self, "_ring", ring)
 
 
 def _padded(a: np.ndarray, q_pad: int, dtype) -> np.ndarray:
@@ -295,21 +433,51 @@ def _padded(a: np.ndarray, q_pad: int, dtype) -> np.ndarray:
     return out
 
 
+def _conv_lanes(w: EncodedMatrix, channels: int, kh: int, kw: int, lane: int,
+                q_pad: int) -> np.ndarray:
+    """wt[k, i, j, word, q] of a conv weight whose reduction is in (c, i, j) order."""
+    raw = np.ascontiguousarray(w.words, dtype="<u8").view(np.uint8)
+    planes = np.unpackbits(raw, axis=2, count=w.cols, bitorder="little")
+    planes = planes.reshape(w.rows, w.bits, channels, kh, kw).transpose(1, 3, 4, 0, 2)
+    flat = np.zeros((w.bits, kh, kw, q_pad, max(lane, 16)), dtype=np.uint8)
+    flat[:, :, :, :w.rows, :channels] = planes
+    dtype = {16: np.uint16, 32: np.uint32}.get(lane, np.uint64)
+    lanes = np.packbits(flat, axis=-1, bitorder="little").view(np.dtype(dtype).newbyteorder("<"))
+    return np.ascontiguousarray(lanes.transpose(0, 1, 2, 4, 3), dtype=dtype)
+
+
 def prepare_weight(w: EncodedMatrix, x_bits: int, fold: CodeThresholds | None = None,
-                   scale: float | None = None) -> GemmWeight:
+                   scale: float | None = None, conv: tuple[int, int, int, int] | None = None,
+                   pixels: tuple[int, int] | None = None) -> GemmWeight:
     """Check w and its epilogue and lay them out for ``encoded_gemm`` with M = x_bits.
 
     ``fold`` makes the GEMM write code bytes, and ``scale`` the accumulator
     as float64 times scale, as ``scale_output`` computes it; a weight takes
-    one of them or neither.
+    one of them or neither. ``pixels`` = (lane, padding), with ``fold``,
+    writes the bytes as the next conv's ``PixelImage`` instead. With
+    ``conv`` = (channels, kh, kw, stride), w is a conv weight with its
+    reduction in the model's (c, i, j) order, and is laid out per kernel
+    offset for ``direct_conv`` in lanes of ``conv_lane`` bits.
     """
     quant._check_bits(x_bits)
     _full(w.cols, x_bits, w.bits)
     _check_operand(w, "right")
     if fold is not None and scale is not None:
         raise ConfigError("a prepared weight takes thresholds or a scale, not both")
-    q_pad = -(-w.rows // TILE_Q) * TILE_Q
-    wt = _padded(w.words.transpose(1, 2, 0), q_pad, np.uint64)
+    if pixels is not None and fold is None:
+        raise ConfigError("a packed-pixel epilogue needs thresholds")
+    lane = 0
+    if conv is None:
+        q_pad = -(-w.rows // TILE_Q) * TILE_Q
+        wt = _padded(w.words.transpose(1, 2, 0), q_pad, np.uint64)
+    else:
+        channels, kh, kw, stride = conv
+        if min(conv) < 1 or channels * kh * kw != w.cols:
+            raise ShapeError(f"conv {conv} does not fit a weight of {w.cols} columns")
+        lane = conv_lane(channels, kh, kw, x_bits, w.bits)
+        block = 2 * TILE_Q if lane == 16 else TILE_Q  # the outputs of one zmm, or two
+        q_pad = -(-w.rows // block) * block
+        wt = _conv_lanes(w, channels, kh, kw, lane, q_pad)
     if fold is not None:
         quant._check_bits(fold.bits)
         levels = (1 << fold.bits) - 1
@@ -322,7 +490,8 @@ def prepare_weight(w: EncodedMatrix, x_bits: int, fold: CodeThresholds | None = 
         fold = CodeThresholds(fold.bits, _padded(s_max, q_pad, np.int64),
                               _padded(flip, q_pad, np.uint8))
     return GemmWeight(bits=w.bits, rows=w.rows, cols=w.cols, x_bits=x_bits, wt=wt, fold=fold,
-                      scale=None if scale is None else float(scale))
+                      scale=None if scale is None else float(scale), conv=conv, lane=lane,
+                      pixels=pixels)
 
 
 def _gemm_rows(x: EncodedMatrix, w: GemmWeight) -> np.ndarray:
@@ -337,21 +506,51 @@ def _gemm_rows(x: EncodedMatrix, w: GemmWeight) -> np.ndarray:
     return acc
 
 
-def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight) -> np.ndarray:
+def _epilogue(w: GemmWeight, grid: tuple[int, int, int]):
+    """The output array of w's epilogue for rows = B OH OW and its ``struct out``."""
+    o = _native.Out.from_buffer_copy(w._out)
+    batch, oh, ow = grid
+    shape = (batch * oh * ow, w.rows)
+    if w.pixels is not None:
+        padding = o.pad
+        pixels = np.empty((batch, oh + 2 * padding, ow + 2 * padding, o.planes, o.units),
+                          np.uint32)
+        o.pixels, o.oh, o.ow = _addr(pixels), oh, ow
+        return PixelImage(o.planes, w.rows, w.pixels[0], padding, pixels), o
+    if w.fold is not None:
+        out = np.empty(shape, dtype=np.uint8)
+        o.codes = _addr(out)
+    elif w.scale is not None:
+        out = np.empty(shape, dtype=np.float64)
+        o.real = _addr(out)
+    else:
+        out = np.empty(shape, dtype=np.int64)
+        o.acc = _addr(out)
+    return out, o
+
+
+def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight,
+                 grid: tuple[int, int, int] | None = None) -> np.ndarray | PixelImage:
     """Exact integer accumulator of the decomposed product, C-contiguous (P, Q).
 
     A w from ``prepare_weight`` with a fold turns each accumulator into the
     next layer's code byte instead, and the result is uint8 (P, Q),
-    channels-last; one with a scale returns the float64 accumulator times
+    channels-last; with ``pixels`` as well, x's rows are the output pixels
+    of a conv, grid = (B, OH, OW), and the result is the next conv's
+    ``PixelImage``. One with a scale returns the float64 accumulator times
     that scale. Any other w is prepared for this call, with neither.
     """
     if not isinstance(w, GemmWeight):
         w = prepare_weight(w, x.bits)
+    if w.conv is not None:
+        raise ConfigError("a weight laid out for direct_conv does not fit encoded_gemm")
     if x.cols != w.cols:
         raise ShapeError(f"reduction lengths differ: {x.cols} vs {w.cols}")
     if x.bits != w.x_bits:
         raise ShapeError(f"the weight was prepared for M={w.x_bits}, not M={x.bits}")
     _check_operand(x, "left")
+    if w.pixels is not None and (grid is None or math.prod(grid) != x.rows):
+        raise ShapeError(f"a packed-pixel epilogue needs the grid of {x.rows} rows, got {grid}")
     fold, scale = w.fold, w.scale
     lib = _native.library()
     if lib is None:
@@ -360,19 +559,54 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight) -> np.ndarray:
             out = fold.codes((_full(x.cols, x.bits, w.bits) - out) >> 1)
         elif scale is not None:
             out = out * scale  # the int64 -> float64 conversion, then one multiply
-        return np.ascontiguousarray(out[:, :w.rows])
-    if fold is not None:
-        out = np.empty((x.rows, w.rows), dtype=np.uint8)
-        epilogue = (fold.s_max.ctypes.data, fold.flip.ctypes.data, len(fold.s_max), 0.0, None,
-                    None, out.ctypes.data)
-    elif scale is not None:
-        out = np.empty((x.rows, w.rows), dtype=np.float64)
-        epilogue = (None, None, 0, scale, None, out.ctypes.data, None)
-    else:
-        out = np.empty((x.rows, w.rows), dtype=np.int64)
-        epilogue = (None, None, 0, 0.0, out.ctypes.data, None, None)
-    lib.bb_gemm(x.words.ctypes.data, w.wt.ctypes.data, x.rows, w.rows, w.wt.shape[2], x.bits,
-                w.bits, x.words_per_row, x.cols, *epilogue)
+        out = np.ascontiguousarray(out[:, :w.rows])
+        if w.pixels is None:
+            return out
+        return pack_pixels(out.reshape(*grid, w.rows), fold.bits, *w.pixels)
+    out, o = _epilogue(w, grid or (x.rows, 1, 1))
+    lib.bb_gemm(_addr(x.words), w._wt, x.rows, w.rows, w.wt.shape[2], x.bits,
+                w.bits, x.words_per_row, x.cols, ctypes.byref(o))
+    return out
+
+
+def direct_conv_available() -> bool:
+    """Whether ``direct_conv`` runs: the native library loads."""
+    return _native.library() is not None
+
+
+def direct_conv(x: PixelImage, w: GemmWeight) -> np.ndarray | PixelImage:
+    """The conv of a packed image with a weight prepared with ``conv``, on the
+    native kernel (``bb_conv``): no patch matrix, no gather.
+
+    For a tile of output pixels and each plane pair (m, k), each kernel
+    offset's plane word is XORed with that offset's weight lanes and the
+    lane popcounts are added; the sum is shifted by m + k once per pair. The
+    sums are those of ``encoded_gemm`` on the gathered patches, grouped by
+    offset, so every epilogue gives the same values; rows are the output
+    pixels (b, oh, ow), as there. The image's padding is its ring, so the
+    conv itself runs unpadded. Raises ConfigError without the library; the
+    plan builds ``PixelImage``s only when it loads.
+    """
+    if w.conv is None:
+        raise ConfigError("direct_conv needs a weight prepared with conv")
+    channels, kh, kw, stride = w.conv
+    px = x.pixels
+    if not (isinstance(px, np.ndarray) and px.dtype == np.uint32 and px.ndim == 5
+            and px.flags.c_contiguous and px.shape[3:] == (w.x_bits, max(w.lane // 32, 1))
+            and (x.bits, x.channels, x.lane) == (w.x_bits, channels, w.lane)):
+        raise ShapeError(f"a {x.bits}-bit image of {x.channels} channels in {x.lane}-bit lanes, "
+                         f"pixels {getattr(px, 'dtype', None)} {getattr(px, 'shape', None)}, "
+                         f"does not fit a {w.x_bits}-bit conv of {channels} channels in "
+                         f"{w.lane}-bit lanes")
+    lib = _native.library()
+    if lib is None:
+        raise ConfigError("direct_conv runs on the native kernel only")
+    batch, h, wd = px.shape[:3]
+    grid = (batch, *patch_grid((batch, channels, h, wd), kh, kw, stride, 0))
+    out, o = _epilogue(w, grid)
+    if lib.bb_conv(_addr(px), batch, h, wd, x.bits, w.lane, w._wt, w.rows, w.wt.shape[-1],
+                   w.bits, kh, kw, stride, channels, ctypes.byref(o)):
+        raise MemoryError("no memory for the row words of a conv")
     return out
 
 

@@ -313,11 +313,14 @@ def accuracy(m: ModelState, x: np.ndarray, y: np.ndarray) -> float:
 # next bit layer of its kind through batchnorm, htanh and hrelu only folds
 # that chain into per-channel thresholds, found by bisection on the
 # quantized stage's own functions: its GEMM writes the next layer's code
-# bytes, channels-last, and the next layer gathers its rows from them. A
-# bit layer's float input is quantized to code bytes channels-last and
-# gathered the same way, so a conv weight's reduction axis is re-encoded in
-# the gather's (i, j, c) order; the model keeps the file's (c, i, j).
-# Full-precision layers run the float GEMM, with their weights decoded once.
+# bytes. On the native kernel a conv that folds into a conv writes them as
+# that conv's padded image of channel-packed planes (``gemm.PixelImage``),
+# which it reads through ``gemm.direct_conv``, with the weight laid out per
+# kernel offset. Every other bit layer gathers its rows from code bytes,
+# channels-last: a float input is quantized to them first, so a conv
+# weight's reduction axis is re-encoded in the gather's (i, j, c) order; the
+# model keeps the file's (c, i, j). Full-precision layers run the float
+# GEMM, with their weights decoded once.
 
 # monotone under IEEE rounding; tanh and sigmoid go through libm or SIMD code
 _FOLDING_ACTS = ("htanh", "hrelu")
@@ -328,12 +331,13 @@ class _Plan:
     specs: list[LayerSpec]
     weights: list  # the weights it was built from; held, so their ids stay unique
     steps: list  # functions of the activation, run in order
+    direct: bool  # whether folded convs pass packed images
 
 
 def _plan(m: ModelState) -> _Plan:
-    """The model's plan, rebuilt if its layers changed."""
+    """The model's plan, rebuilt if its layers or the kernel changed."""
     p = m._plan
-    if (p is None or p.specs != m.specs
+    if (p is None or p.specs != m.specs or p.direct != gemm.direct_conv_available()
             or list(map(id, p.weights)) != list(map(id, m.weights))):
         p = m._plan = _build_plan(m)
     return p
@@ -400,9 +404,12 @@ def fold_thresholds(specs: list[LayerSpec], weights: list,
 
 def _build_plan(m: ModelState) -> _Plan:
     """The model's layers as steps. A bit layer's step holds its weight
-    prepared for the GEMM, a conv's reduction in (i, j, c) order, with the
-    epilogue to the next bit layer's code bytes if the chain folds."""
+    prepared for the GEMM, a conv's reduction in (i, j, c) order, or per
+    kernel offset when its input is a packed image, with the epilogue to
+    the next bit layer's input if the chain folds."""
+    direct = gemm.direct_conv_available()
     steps = []
+    packed = -1  # the layer whose input the previous step writes as a packed image
     i = 0
     while i < len(m.specs):
         spec, w = m.specs[i], m.weights[i]
@@ -419,33 +426,61 @@ def _build_plan(m: ModelState) -> _Plan:
             elif isinstance(w, gemm.EncodedMatrix):
                 fold, nxt = fold_thresholds(m.specs, m.weights, i)
                 scale = _output_scale(spec, w.bits) if fold is None else None
-                weight = gemm.prepare_weight(_reduction_ijc(spec, w), spec.m_bits, fold, scale)
+                pixels = None
+                if direct and fold is not None and spec.kind == "conv2d":
+                    to, w_to = m.specs[nxt], m.weights[nxt]
+                    pixels = (gemm.conv_lane(to.in_features, *to.kernel, to.m_bits, w_to.bits),
+                              to.padding)
+                if i == packed:
+                    conv = (spec.in_features, *spec.kernel, spec.stride)
+                    weight = gemm.prepare_weight(w, spec.m_bits, fold, scale, conv, pixels)
+                else:
+                    weight = gemm.prepare_weight(_reduction_ijc(spec, w), spec.m_bits, fold,
+                                                 scale, pixels=pixels)
+                packed = nxt if pixels else -1
                 step = functools.partial(_bit_layer_forward, spec=spec, weight=weight)
             else:
                 raise StageError("decomposed stage requires bit-plane weights")
         steps.append(step)
         i = nxt
-    return _Plan(list(m.specs), list(m.weights), steps)
+    return _Plan(list(m.specs), list(m.weights), steps, direct)
 
 
-def _bit_layer_forward(h: np.ndarray, spec: LayerSpec, weight: gemm.GemmWeight) -> np.ndarray:
-    """A bit layer of the plan on its float input, or on the code bytes of a
-    folded layer: uint8 (B, N) for dense, (B, H, W, C) for conv. Its weight
-    carries the epilogue, thresholds or the scale of ``_acc_output``."""
+def _bit_layer_forward(h, spec: LayerSpec, weight: gemm.GemmWeight):
+    """A bit layer of the plan on one of three input forms:
+
+    * its float input, which it quantizes to code bytes;
+    * the code bytes of a folded layer, uint8 (B, N) for dense or
+      (B, H, W, C) for conv: after a dense fold, and after a conv fold on
+      the numpy kernel;
+    * on the native kernel, after a conv that folds into this conv, the
+      padded ``gemm.PixelImage`` of its input, which ``gemm.direct_conv``
+      reads with no patch gather.
+
+    Code bytes are gathered into patch rows for ``gemm.encoded_gemm``. The
+    weight carries the epilogue: the next conv's packed image, code bytes,
+    or the float scale of ``_acc_output``."""
     conv = spec.kind == "conv2d"
     geometry = (*spec.kernel, spec.stride, spec.padding) if conv else (1, 1, 1, 0)
-    if h.dtype != np.uint8:
-        h = _checked_input(h, spec)
-        b, bad = gemm.quantize_bytes(h.transpose(0, 2, 3, 1) if conv else h, spec.m_bits)
-        if bad:  # count what the quantized stage counts; values outside every window pass
-            _reject_non_finite(_rows(h, spec), spec)
-        h = b
-    image = h if conv else h.reshape(len(h), 1, 1, h.shape[1])
-    out = gemm.encoded_gemm(gemm.gather_codes(image, spec.m_bits, *geometry), weight)
-    if not conv:
+    if isinstance(h, gemm.PixelImage):
+        batch, height, width = h.pixels.shape[:3]
+        grid = (batch, *gemm.patch_grid((batch, h.channels, height, width), *spec.kernel,
+                                        spec.stride, 0))
+        out = gemm.direct_conv(h, weight)
+    else:
+        if h.dtype != np.uint8:
+            h = _checked_input(h, spec)
+            b, bad = gemm.quantize_bytes(h.transpose(0, 2, 3, 1) if conv else h, spec.m_bits)
+            if bad:  # count what the quantized stage counts; values outside every window pass
+                _reject_non_finite(_rows(h, spec), spec)
+            h = b
+        image = h if conv else h.reshape(len(h), 1, 1, h.shape[1])
+        nchw = (image.shape[0], image.shape[3], *image.shape[1:3])
+        grid = (nchw[0], *gemm.patch_grid(nchw, *geometry))
+        out = gemm.encoded_gemm(gemm.gather_codes(image, spec.m_bits, *geometry), weight, grid)
+    if not conv or isinstance(out, gemm.PixelImage):
         return out
-    nchw = (image.shape[0], image.shape[3], *image.shape[1:3])
-    out = out.reshape(nchw[0], *gemm.patch_grid(nchw, *geometry), spec.out_features)
+    out = out.reshape(*grid, spec.out_features)
     return out if weight.fold is not None else out.transpose(0, 3, 1, 2)
 
 

@@ -1,0 +1,312 @@
+"""The direct binary conv between folded convs: channel-packed pixel images,
+``bb_conv`` and the packed-pixel epilogue, against the gather path, the
+numpy kernel and the quantized stage."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bitbranch import core, gemm, nn
+from test_native import (FIXTURE_OK, X86_ONLY, fresh_library, kernel, on_numpy,  # noqa: F401
+                         portable_pack, random_odd_codes, require_native, same_bits)
+
+
+def lanes_for(c):
+    """Every lane width that holds c channels."""
+    return [lane for lane in (16, 32, 64, 128) if c <= lane]
+
+
+def unpack_pixels(img):
+    """(code bytes (B, H, W, C), bits past C in each plane) of a PixelImage,
+    read bit by bit from its words: the layout's spec, apart from pack_pixels."""
+    bits = np.unpackbits(img.pixels.view(np.uint8), axis=-1, bitorder="little")
+    c = img.channels
+    b = np.zeros(img.pixels.shape[:3] + (c,), dtype=np.uint8)
+    for m in range(img.bits):
+        b |= bits[..., m, :c] << np.uint8(m)
+    if img.lane == 16:  # the upper half repeats the lower one
+        assert np.array_equal(bits[..., 16:32], bits[..., :16])
+        return b, bits[..., c:16]
+    return b, bits[..., c:]
+
+
+def check_image(img, interior, padding):
+    """img is ``interior``'s bytes inside a ring of the pad byte, no bit set past C."""
+    assert img.pixels.dtype == np.uint32 and img.pixels.flags.c_contiguous
+    assert img.padding == padding
+    b, rest = unpack_pixels(img)
+    assert not np.any(rest), "a bit past the channels is set"
+    h, w = interior.shape[1:3]
+    np.testing.assert_array_equal(b[:, padding:padding + h, padding:padding + w], interior)
+    ring = np.ones(b.shape[:3], dtype=bool)
+    ring[:, padding:padding + h, padding:padding + w] = False
+    assert np.all(b[ring] == (1 << (img.bits - 1)) - 1), "a ring pixel is not the pad byte"
+
+
+@st.composite
+def direct_cases(draw):
+    """(b, w codes, geometry, M, K, epilogue): a conv of C = 1..70 channels
+    over code bytes, Q = 1..70 outputs, kernel 1..4, stride 1..3, padding
+    0..2, M and K 1..8, and one of the four epilogues."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, q = draw(st.integers(1, 70)), draw(st.sampled_from([1, 16, 17, 32, 33, 70]) |
+                                         st.integers(1, 70))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, kh - 2 * padding), 9))
+    w = draw(st.integers(max(1, kw - 2 * padding), 9))
+    m_bits, k_bits = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    b = rng.integers(0, 1 << m_bits, (draw(st.integers(1, 3)), h, w, c)).astype(np.uint8)
+    codes = random_odd_codes(rng, (q, c, kh, kw), k_bits)
+    full = c * kh * kw * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+    kind = draw(st.sampled_from(["int", "float", "codes", "pixels"]))
+    fold = scale = pixels = None
+    if kind == "float":
+        scale = draw(st.sampled_from([1.0, -0.37]))
+    elif kind != "int":
+        bits = draw(st.integers(1, 8))
+        levels = (1 << bits) - 1
+        s_max = np.sort(rng.integers(-2, full + 2, (levels, q)), axis=0)
+        fold = gemm.CodeThresholds(bits, s_max, rng.choice([0, levels], q).astype(np.uint8))
+        if kind == "pixels":
+            pixels = (draw(st.sampled_from(lanes_for(q))), draw(st.integers(0, 2)))
+    return b, codes, (kh, kw, stride, padding), m_bits, k_bits, fold, scale, pixels
+
+
+def gather_path(b, codes, geometry, m_bits, k_bits, fold, scale):
+    """The numpy kernel on the gathered patches: the oracle of direct_conv."""
+    q, c, kh, kw = codes.shape
+    w_ijc = gemm.encode_codes(codes.transpose(0, 2, 3, 1).reshape(q, -1), k_bits)
+    patches = gemm.gather_codes(b, m_bits, *geometry)
+    return on_numpy(gemm.encoded_gemm, patches, gemm.prepare_weight(w_ijc, m_bits, fold, scale))
+
+
+class TestPixelImage:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_pack_pixels_layout(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        c, bits = data.draw(st.integers(1, 70)), data.draw(st.integers(1, 8))
+        lane, padding = data.draw(st.sampled_from(lanes_for(c))), data.draw(st.integers(0, 2))
+        b = rng.integers(0, 1 << bits, (2, data.draw(st.integers(1, 5)),
+                                        data.draw(st.integers(1, 5)), c)).astype(np.uint8)
+        img = gemm.pack_pixels(b, bits, lane, padding)
+        assert img.pixels.shape[3:] == (bits, max(lane // 32, 1))
+        check_image(img, b, padding)
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    @pytest.mark.parametrize("c", [1, 15, 16, 17, 32, 33, 64, 70])
+    def test_ring_planes(self, bits, c):
+        # plane m of the pad byte 2^(M-1) - 1 is set below the top plane only
+        lane = gemm.conv_lane(c, 3, 3, bits, 2)
+        ring = gemm._ring_pixel(bits, c, lane)
+        mask = (1 << c) - 1
+        for m in range(bits):
+            word = int.from_bytes(ring[m].astype("<u4").tobytes(), "little")
+            want = 0 if m == bits - 1 else mask | (mask << 16 if lane == 16 else 0)
+            assert word == want, (m, hex(word))
+
+    @pytest.mark.parametrize("c,kh,kw,bits,lane", [
+        (1, 3, 3, 2, 16), (16, 3, 3, 2, 16), (17, 3, 3, 2, 32), (32, 3, 3, 2, 32),
+        (33, 3, 3, 2, 64), (64, 1, 1, 8, 64), (65, 1, 1, 1, 128), (70, 4, 4, 8, 128),
+        # the 16-bit count of one plane pair: kh kw 16 < 2^16
+        (16, 63, 65, 1, 16), (16, 64, 64, 1, 32),
+        # full = C kh kw (2^M - 1)(2^K - 1) < 2^31 for 32-bit sums, at M = K = 8
+        (32, 24, 43, 8, 32), (32, 1, 1033, 8, 64), (16, 1, 2064, 8, 16),
+        (16, 1, 2065, 8, 64)])
+    def test_lane_rule(self, c, kh, kw, bits, lane):
+        assert gemm.conv_lane(c, kh, kw, bits, bits) == lane
+
+
+def check_direct_conv(case):
+    """direct_conv of a direct_cases() case against the numpy gather path."""
+    b, codes, geometry, m_bits, k_bits, fold, scale, pixels = case
+    q, c, kh, kw = codes.shape
+    w = gemm.encode_codes(codes.reshape(q, -1), k_bits)
+    weight = gemm.prepare_weight(w, m_bits, fold, scale, (c, kh, kw, geometry[2]), pixels)
+    got = gemm.direct_conv(gemm.pack_pixels(b, m_bits, weight.lane, geometry[3]), weight)
+    expect = gather_path(b, codes, geometry, m_bits, k_bits, fold, scale)
+    if pixels is None:
+        assert same_bits(got, expect)
+        return
+    oh, ow = gemm.patch_grid((len(b), c, *b.shape[1:3]), kh, kw, geometry[2], geometry[3])
+    check_image(got, expect.reshape(len(b), oh, ow, q), pixels[1])
+    expect = gemm.pack_pixels(expect.reshape(len(b), oh, ow, q), fold.bits, *pixels)
+    np.testing.assert_array_equal(got.pixels, expect.pixels)
+
+
+class TestDirectConv:
+    @settings(**FIXTURE_OK)  # the count comes from the profile
+    @given(case=direct_cases())
+    def test_equals_gather_path(self, case):
+        require_native()
+        check_direct_conv(case)
+
+    @settings(max_examples=100, **FIXTURE_OK)
+    @given(case=direct_cases())
+    def test_gemm_pixel_epilogue(self, kernel, case):
+        b, codes, geometry, m_bits, k_bits, fold, _, pixels = case
+        if fold is None:
+            return
+        pixels = pixels or (gemm.conv_lane(len(codes), 3, 3, fold.bits, 2), 1)
+        q = len(codes)
+        w_ijc = gemm.encode_codes(codes.transpose(0, 2, 3, 1).reshape(q, -1), k_bits)
+        grid = (len(b), *gemm.patch_grid((len(b), b.shape[3], *b.shape[1:3]), *geometry))
+        patches = gemm.gather_codes(b, m_bits, *geometry)
+        got = gemm.encoded_gemm(patches, gemm.prepare_weight(w_ijc, m_bits, fold, pixels=pixels),
+                                grid)
+        codes_out = gather_path(b, codes, geometry, m_bits, k_bits, fold, None)
+        check_image(got, codes_out.reshape(*grid, q), pixels[1])
+
+    @pytest.mark.parametrize("c,kh,kw,bits", [
+        (16, 63, 65, 1), (16, 64, 64, 1), (32, 24, 43, 8), (32, 1, 1033, 8), (16, 1, 2064, 8),
+        (16, 1, 2065, 8)])
+    @pytest.mark.parametrize("differ", [True, False])
+    def test_extreme_sums_at_lane_bounds(self, c, kh, kw, bits, differ):
+        # every bit of x against every bit of w: s is full, or 0
+        require_native()
+        top = (1 << bits) - 1
+        b = np.full((1, kh, kw, c), top, dtype=np.uint8)
+        codes = np.full((3, c, kh, kw), top if not differ else -top)
+        w = gemm.encode_codes(codes.reshape(3, -1), bits)
+        full = c * kh * kw * top * top
+        for scale in (None, 1.0):
+            weight = gemm.prepare_weight(w, bits, scale=scale, conv=(c, kh, kw, 1))
+            got = gemm.direct_conv(gemm.pack_pixels(b, bits, weight.lane), weight)
+            assert got.shape == (1, 3) and np.all(got == (-full if differ else full))
+
+    def test_checks(self):
+        require_native()
+        w = gemm.encode_codes(np.ones((2, 12), dtype=np.int64), 1)
+        weight = gemm.prepare_weight(w, 2, conv=(3, 2, 2, 1))
+        img = gemm.pack_pixels(np.zeros((1, 3, 3, 3), dtype=np.uint8), 2, weight.lane)
+        assert gemm.direct_conv(img, weight).shape == (4, 2)
+        with pytest.raises(core.ShapeError, match="does not fit"):
+            gemm.direct_conv(gemm.pack_pixels(np.zeros((1, 3, 3, 3), np.uint8), 1, 16), weight)
+        with pytest.raises(core.ShapeError, match="does not fit"):
+            gemm.prepare_weight(w, 2, conv=(4, 2, 2, 1))
+        with pytest.raises(core.ConfigError, match="direct_conv"):
+            gemm.encoded_gemm(gemm.encode_codes(np.ones((1, 12), np.int64), 2), weight)
+        with pytest.raises(core.ConfigError, match="prepared with conv"):
+            gemm.direct_conv(img, gemm.prepare_weight(w, 2))
+        with pytest.raises(core.ConfigError, match="needs thresholds"):
+            gemm.prepare_weight(w, 2, pixels=(16, 1))
+        with pytest.raises(core.ConfigError, match="native kernel only"):
+            on_numpy(gemm.direct_conv, img, weight)
+
+
+@st.composite
+def folded_chains(draw):
+    """(float model, input): 2-3 convs, each but the last followed by a
+    batchnorm with channels of either sign and by htanh or hrelu, so that
+    each folds into the next; C = 1..70, kernel 1..4, stride 1..3, padding
+    0..2, M and K 1..8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch, c = draw(st.integers(1, 2)), draw(st.integers(1, 70))
+    h0, w0 = h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    specs, weights = [], []
+    n = draw(st.integers(2, 3))
+    for i in range(n):
+        out = draw(st.sampled_from([1, 16, 17, 32, 33, 70]) | st.integers(1, 70))
+        padding, stride = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+        kh, kw = draw(st.integers(1, min(4, h + 2 * padding))), \
+            draw(st.integers(1, min(4, w + 2 * padding)))
+        m_bits, k_bits = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        follows_bn = draw(st.booleans())
+        spec = nn.conv2d(c, out, kh, kw, stride=stride, padding=padding, m_bits=m_bits,
+                         k_bits=k_bits, follows_bn=follows_bn)
+        specs.append(spec)
+        weights.append(rng.uniform(-1, 1, spec.weight_shape()))
+        h, w = gemm.patch_grid((batch, c, h, w), kh, kw, stride, padding)
+        c = out
+        if i == n - 1:
+            break
+        spread = spec.reduction_len() * 225.0 if follows_bn else 1.0
+        specs.append(nn.batchnorm(out))
+        weights.append({"gamma": rng.uniform(0.5, 1.5, out) * rng.choice([-1.0, 1.0], out),
+                        "beta": rng.uniform(-0.2, 0.2, out),
+                        "mean": rng.uniform(-0.5, 0.5, out),
+                        "var": rng.uniform(0.5, 2.0, out) * spread})
+        specs.append(nn.act_layer(draw(st.sampled_from(["htanh", "hrelu"]))))
+        weights.append(None)
+    x = rng.uniform(-1.5, 1.5, (batch, specs[0].in_features, h0, w0))
+    return nn.ModelState("float", specs, weights), x
+
+
+def plan_inputs(model, x):
+    """The input of each plan step and the output of the last."""
+    h, seen = x, []
+    for step in nn._plan(model).steps:
+        seen.append(h)
+        h = step(h)
+    return seen + [h]
+
+
+@X86_ONLY
+@settings(max_examples=100, **FIXTURE_OK)
+@given(case=direct_cases())
+def test_portable_direct_conv_matches_numpy(portable_pack, case):
+    check_direct_conv(case)
+
+
+class TestFoldedConvs:
+    @settings(**FIXTURE_OK)  # the count comes from the profile
+    @given(case=folded_chains())
+    def test_chains_agree(self, kernel, case):
+        model, x = case
+        quantized = nn.quantize_model(model)
+        decomposed = nn.decompose_model(quantized)
+        assert same_bits(nn.model_forward(decomposed, x), nn.model_forward(quantized, x))
+        if kernel == "numpy":
+            return
+        # the same code bytes on the numpy kernel, and the same floats; every
+        # step after the first reads a packed image, rings included
+        native = plan_inputs(decomposed, x)
+        numpy = on_numpy(plan_inputs, nn.decompose_model(quantized), x)
+        assert len(native) == len(numpy) == len(model.specs) // 3 + 2
+        for got, expect, step in zip(native[1:-1], numpy[1:-1], decomposed._plan.steps[1:]):
+            assert isinstance(got, gemm.PixelImage) and expect.dtype == np.uint8
+            assert step.keywords["weight"].conv is not None
+            check_image(got, expect, step.keywords["spec"].padding)
+        assert same_bits(native[-1], numpy[-1])
+
+    def test_which_steps_take_packed_images(self, kernel):
+        rng = core.make_rng(31)
+        specs = [nn.conv2d(3, 16, 3, 3, padding=1, m_bits=2, k_bits=2), nn.batchnorm(16),
+                 nn.act_layer("htanh"),
+                 nn.conv2d(16, 32, 3, 3, stride=2, padding=1, m_bits=2, k_bits=2),
+                 nn.act_layer("hrelu"),
+                 nn.conv2d(32, 20, 3, 3, padding=1, m_bits=3, k_bits=2), nn.act_layer("tanh"),
+                 nn.conv2d(20, 4, 1, 1, m_bits=2, k_bits=2)]
+        weights = [rng.uniform(-1, 1, s.weight_shape()) if s.weight_shape() else None
+                   for s in specs]
+        weights[1] = {"gamma": np.ones(16), "beta": np.zeros(16), "mean": np.zeros(16),
+                      "var": np.full(16, 4.0)}
+        quantized = nn.quantize_model(nn.ModelState("float", specs, weights))
+        decomposed = nn.decompose_model(quantized)
+        x = rng.uniform(-1, 1, (2, 3, 8, 8))
+        assert same_bits(nn.model_forward(decomposed, x), nn.model_forward(quantized, x))
+        forms = [(w.conv is not None, w.pixels, w.lane) for w in
+                 (step.keywords["weight"] for step in decomposed._plan.steps
+                  if "weight" in step.keywords)]
+        if kernel == "numpy":
+            assert forms == [(False, None, 0)] * 4
+        else:  # tanh does not fold: conv 3 ends in floats, conv 4 quantizes them
+            assert forms == [(False, (16, 1), 0), (True, (32, 1), 16), (True, None, 32),
+                             (False, None, 0)]
+
+    def test_plan_follows_the_kernel(self):
+        require_native()
+        rng = core.make_rng(32)
+        specs = [nn.conv2d(2, 3, 3, 3, padding=1, m_bits=2, k_bits=2), nn.act_layer("htanh"),
+                 nn.conv2d(3, 2, 3, 3, padding=1, m_bits=2, k_bits=2)]
+        weights = [rng.uniform(-1, 1, s.weight_shape()) if s.weight_shape() else None
+                   for s in specs]
+        quantized = nn.quantize_model(nn.ModelState("float", specs, weights))
+        decomposed = nn.decompose_model(quantized)
+        x = rng.uniform(-1, 1, (2, 2, 5, 5))
+        expect = nn.model_forward(quantized, x)
+        assert same_bits(nn.model_forward(decomposed, x), expect)
+        assert decomposed._plan.direct
+        assert same_bits(on_numpy(nn.model_forward, decomposed, x), expect)
+        assert not decomposed._plan.direct

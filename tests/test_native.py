@@ -1047,23 +1047,28 @@ class TestLibrary:
         assert [p.suffix for p in cache.iterdir()] == [".so"]
 
 
-@pytest.fixture(params=["-mno-avx512bw", "-mno-avx512vpopcntdq"],
-                ids=["no_avx512bw", "no_avx512vpopcntdq"])
-def portable_pack(request, monkeypatch, tmp_path, fresh_library):
-    """The library built without AVX-512BW or without VPOPCNTDQ, so gemm_tile
-    takes its portable branch, and without BW bb_gather copies each window
-    into a row buffer for the portable pack_word."""
+@pytest.fixture(params=["-mno-avx512bw", "-mno-avx512vpopcntdq", "-mno-avx512bitalg",
+                        "-mno-avx512vbmi"],
+                ids=["no_avx512bw", "no_avx512vpopcntdq", "no_avx512bitalg", "no_avx512vbmi"])
+def portable_pack(request, monkeypatch, tmp_path_factory, fresh_library):
+    """The library built without AVX-512BW, VPOPCNTDQ, BITALG or VBMI. Without
+    VPOPCNTDQ gemm_tile takes its portable branch, and without BW bb_gather
+    copies each window into a row buffer for the portable pack_word; without
+    either or BITALG bb_conv runs its portable tile, and without VBMI
+    bb_quantize its scalar NCHW loop. Each build is made once per session,
+    in its own cache."""
     if _native.library() is None:
         pytest.skip("no C compiler: the native kernels are not built")
+    cache = tmp_path_factory.getbasetemp() / f"portable{request.param}"
     monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + (request.param,))
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     _native._load.cache_clear()
     assert _native.library() is not None
-    assert len(list((tmp_path / "bitbranch").glob("*.so"))) == 1
+    assert len(list((cache / "bitbranch").glob("*.so"))) == 1
 
 
 X86_ONLY = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                              reason="-mno-avx512bw and -mno-avx512vpopcntdq are x86 flags")
+                              reason="the -mno-avx512* flags are x86 flags")
 
 
 @X86_ONLY
@@ -1095,14 +1100,33 @@ def test_portable_gemm_matches_numpy(portable_pack, case):
                      rows.astype(np.float64) * -0.37)
 
 
+@X86_ONLY
+@settings(max_examples=60, **FIXTURE_OK)
+@given(bits=st.integers(1, 8), shape=st.tuples(st.integers(1, 3), st.integers(1, 12),
+                                               st.integers(1, 9), st.integers(1, 9)),
+       data=st.data())
+def test_portable_quantize_matches_numpy(portable_pack, bits, shape, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1.5, 1.5, shape)
+    x[rng.random(shape) < 0.05] = np.nan
+    view = x.transpose(0, 2, 3, 1)
+    got, bad = gemm.quantize_bytes(view, bits)
+    expect, expect_bad = on_numpy(gemm.quantize_bytes, view, bits)
+    assert bad == expect_bad
+    np.testing.assert_array_equal(got, expect)
+
+
 # Run in a child built with -fsanitize=address,undefined: each kernel on
 # padding 0..3, stride 1..3, up to 70 channels, bits 1, 2 and 8, and partial
 # GEMM tiles of both widths (n <= 32 and n > 32) with all three epilogues,
 # against the numpy kernels; the quantizer on NCHW and contiguous input, also
 # on the values that index the ends of its table (+-1.0 reads entry B, the
-# last) at bits 1..8. On a host with AVX-512BW the gather is the masked-load
-# one. Checks raise SystemExit, not AssertionError, so that they hold under
-# python -O too.
+# last) at bits 1..8, and on NCHW input of 1..8 channels (the vpermb path
+# with AVX-512 VBMI) and planes that are not whole groups of 8 pixels;
+# bb_conv in lanes of 16, 32, 64 and 128 bits with every epilogue, and the
+# packed-pixel epilogue of bb_gemm, against the gather path on numpy. On a
+# host with AVX-512BW the gather is the masked-load one. Checks raise
+# SystemExit, not AssertionError, so that they hold under python -O too.
 SANITIZED_RUN = """
 import numpy as np
 from bitbranch import _native, gemm
@@ -1162,6 +1186,37 @@ for p, q, n in [(1, 1, 1), (7, 15, 27), (9, 33, 32), (9, 17, 65), (17, 33, 130),
             got, expect = both(gemm.encoded_gemm, xe, weight)
             check(got.dtype == expect.dtype and np.array_equal(got, expect), "gemm", p, q, n,
                   m_bits, k_bits, weight.fold is not None, weight.scale)
+for c in range(1, 9):
+    x = rng.uniform(-1.5, 1.5, (2, c, 3, 5))
+    x[1, c - 1, 2, 4] = np.inf
+    (b, bad), (b_np, bad_np) = both(gemm.quantize_bytes, x.transpose(0, 2, 3, 1), 2)
+    check(bad == bad_np == 1 and np.array_equal(b, b_np), "nchw quantize", c)
+for c, q, kh, kw, stride, padding, m_bits, k_bits in [
+        (3, 16, 3, 3, 1, 1, 2, 2), (16, 32, 3, 3, 2, 1, 2, 2), (32, 33, 3, 3, 1, 1, 2, 8),
+        (33, 17, 2, 3, 1, 0, 8, 1), (70, 70, 1, 4, 3, 2, 1, 2), (1, 1, 4, 1, 1, 2, 8, 8)]:
+    b = rng.integers(0, 1 << m_bits, (2, 7, 6, c)).astype(np.uint8)
+    codes = 2 * rng.integers(0, 1 << k_bits, (q, c, kh, kw)) - (1 << k_bits) + 1
+    w = gemm.encode_codes(codes.reshape(q, -1), k_bits)
+    w_ijc = gemm.encode_codes(codes.transpose(0, 2, 3, 1).reshape(q, -1), k_bits)
+    full = c * kh * kw * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+    fold = gemm.CodeThresholds(3, np.sort(rng.integers(-1, full + 1, (7, q)), axis=0),
+                               rng.choice([0, 7], q).astype(np.uint8))
+    grid = (2, *gemm.patch_grid((2, c, 7, 6), kh, kw, stride, padding))
+    patches = gemm.gather_codes(b, m_bits, kh, kw, stride, padding)
+    for epilogue in [(None, None, None), (None, 0.37, None), (fold, None, None),
+                     (fold, None, (gemm.conv_lane(q, 3, 3, 3, 2), 1)), (fold, None, (128, 2))]:
+        direct = gemm.prepare_weight(w, m_bits, *epilogue[:2], (c, kh, kw, stride), epilogue[2])
+        got = gemm.direct_conv(gemm.pack_pixels(b, m_bits, direct.lane, padding), direct)
+        got_gemm = gemm.encoded_gemm(patches, gemm.prepare_weight(w_ijc, m_bits, *epilogue[:2],
+                                                                  pixels=epilogue[2]), grid)
+        _native.library = lambda: None
+        expect = gemm.encoded_gemm(patches, gemm.prepare_weight(w_ijc, m_bits, *epilogue[:2],
+                                                                pixels=epilogue[2]), grid)
+        _native.library = lambda: native
+        if epilogue[2] is not None:
+            got, got_gemm, expect = got.pixels, got_gemm.pixels, expect.pixels
+        check(np.array_equal(got, expect) and np.array_equal(got_gemm, expect), "conv", c, q,
+              kh, kw, stride, padding, m_bits, k_bits, epilogue[2])
 print("ok")
 """
 
