@@ -6,11 +6,13 @@
  *
  * Activations travel between the kernels as code bytes
  * b = (code + 2^M - 1) / 2, whose bit m is digit plane m: bb_quantize writes
- * them channels-last from floats, bb_gemm from popcount sums, and bb_gather
- * packs them into the rows of the next GEMM. Between two convs that fold,
- * they travel as packed pixels instead (gemm.PixelImage): the epilogue
- * writes plane m of each pixel as one lane of channel bits into the next
- * conv's padded image, and bb_conv reads the lanes at each kernel offset.
+ * them channels-last from floats, bb_conv from popcount sums, and bb_gather
+ * packs them into the rows of the next product. Between two convs that
+ * fold, they travel as packed pixels instead (gemm.PixelImage): the
+ * epilogue writes plane m of each pixel as one lane of channel bits into
+ * the next conv's padded image, and bb_conv reads the lanes at each kernel
+ * offset. bb_conv is the one product kernel: a row GEMM is its 1 x 1 conv
+ * of P pixels of 1 x 1, each plane one lane of 32 or 64 n_words bits.
  *
  * bb_quantize reads the threshold table of quant._odd_table, the one that
  * quant.quantize_odd reads, so the quantizer's formula lives only in
@@ -29,16 +31,16 @@
 #error "the byte-gather in the portable pack_word assumes a little-endian host"
 #endif
 
-/* Outputs of one register tile: TILE_Q uint64 popcount sums are two 512-bit
- * vectors. Each of a tile's TILE_P rows reuses the weight words loaded for
- * it. gemm_tile has two builds, picked at compile time like bb_gather:
- * AVX-512 intrinsics where the CPU has VPOPCNTDQ, BW, VL and DQ, else
- * portable C, the only one that runs on other hosts (x86-64-v2 and -v4
- * included). bb_conv's AVX-512 tiles also need BITALG. */
+/* Outputs of one register tile: TILE_Q popcount sums are two zmm of int64,
+ * or one of int32. Each of a tile's TILE_P rows reuses the weight lanes
+ * loaded for it. The tiles have two builds, picked at compile time like
+ * bb_gather: AVX-512 intrinsics where the CPU has VPOPCNTDQ, BW, VL, DQ and
+ * BITALG (every core with the first four has BITALG: Ice Lake and later,
+ * Zen 4), else portable C, the only one on other hosts (x86-64-v4 too). */
 #define TILE_Q 16
 
-/* The epilogue that bb_gemm and bb_conv share. Output row p is one row of a
- * dense product, or output pixel (b, y, x) of a conv, rows in that order.
+/* The epilogue of bb_conv. Output row p is one row of a dense product, or
+ * output pixel (b, y, x) of a conv, rows in that order.
  * With th, a row's sums s become code bytes, the number of levels with
  * s <= th[level][q], XOR flip[q], written to codes, or with pixels set as
  * the next conv's input: plane m of pixel (b, y + pad, x + pad) of its
@@ -58,7 +60,8 @@ struct out {
     int64_t oh, ow, pad, planes, units, dup; /* dup: a 16-bit lane, stored twice */
 };
 
-/* Writes the ring of batch padded images: each pixel within pad of an edge. */
+/* Writes the ring of batch padded images: each pixel within pad of an edge.
+ * batch counts the epilogue's images, rows / (oh ow), not the operand's. */
 static void fill_ring(const struct out *o, int64_t batch)
 {
     const int64_t hp = o->oh + 2 * o->pad, wp = o->ow + 2 * o->pad, n = o->planes * o->units;
@@ -122,75 +125,47 @@ put_chunk(uint32_t *d, uint32_t v, int64_t q0, const struct out *o)
         d[u] = 0;
 }
 
-/* A direct conv's operands: the padded image of packed pixels
- * x[batch][height][width][x_bits][units], units uint32 per plane, and the
- * weight lanes w[w_bits][kh][kw][words][q_pad] of lane bits each, words = 1
- * for lanes of 16 and 32 bits. */
-struct conv {
-    const uint32_t *x;
-    const void *w;
-    int64_t height, width, stride, kh, kw, oh, ow, lane, units, q_pad, w_rows;
+/* A weight as gemm.GemmWeight lays it out once: lanes[w_bits][kh][kw][words]
+ * [q_pad] of lane bits each, words = 1 for lanes of 16 and 32 bits, and its
+ * conv of channels channels, units uint32 per plane of a pixel. A 16- or
+ * 32-bit lane is a plane's first uint32. */
+struct weight {
+    const void *lanes;
+    int64_t lane, units, q_pad, w_rows, kh, kw, stride, channels;
     int x_bits, w_bits;
 };
 
-/* The first word of rows p0 .. p0 + rows - 1's windows. */
+/* bb_conv's operands: a padded image x[batch][height][width][x_bits][units], oh x ow, wt */
+struct conv {
+    const uint32_t *x;
+    int64_t height, width, oh, ow;
+    struct weight wt;
+};
+
+/* The first word of rows p0 .. p0 + rows - 1's windows: with one offset at
+ * stride 1, as in a row GEMM, the rows' own pixels, found with no division. */
 static inline __attribute__((always_inline)) void
 windows(const struct conv *g, int rows, int64_t p0, const uint32_t **top)
 {
+    const int64_t px = g->wt.x_bits * g->wt.units;
+    if (g->wt.kh == 1 && g->wt.kw == 1 && g->wt.stride == 1) {
+        for (int r = 0; r < rows; r++)
+            top[r] = g->x + (p0 + r) * px;
+        return;
+    }
     int64_t b, y, x;
     pixel_of(p0, g->oh, g->ow, &b, &y, &x);
     for (int r = 0; r < rows; r++, next_pixel(g->oh, g->ow, &b, &y, &x))
-        top[r] = g->x + ((b * g->height + y * g->stride) * g->width + x * g->stride) *
-                            g->x_bits * g->units;
-}
-
-/* Row r's sums s of its len outputs from q0 on, of a tile from row p0,
- * portable: see struct out. d is the row's pixel for a packed-pixel
- * epilogue. */
-static inline __attribute__((always_inline)) void
-tile_out(const int64_t *restrict s, int len, int64_t p0, int r, int64_t q0, int64_t w_rows,
-         int64_t q_pad, int64_t full, const struct out *o, uint32_t *d)
-{
-    const int64_t at = (p0 + r) * w_rows + q0;
-    if (o->th == NULL) {
-        for (int t = 0; t < len; t++) { /* s <= full: no overflow */
-            if (o->real != NULL)
-                o->real[at + t] = (double)(full - s[t] - s[t]) * o->scale;
-            else
-                o->acc[at + t] = full - s[t] - s[t];
-        }
-        return;
-    }
-    /* 32-bit counts narrow to bytes in a few vector ops; 64-bit ones do not */
-    int32_t n[TILE_Q] = {0};
-    for (int64_t k = 0; k < o->levels; k++)
-        for (int t = 0; t < TILE_Q; t++)
-            n[t] += s[t] <= o->th[k * q_pad + q0 + t];
-    if (o->pixels == NULL) {
-        for (int t = 0; t < len; t++)
-            o->codes[at + t] = (uint8_t)n[t] ^ o->flip[q0 + t];
-        return;
-    }
-    uint8_t c[TILE_Q] = {0};
-    uint64_t v[2];
-    for (int t = 0; t < len; t++)
-        c[t] = (uint8_t)n[t] ^ o->flip[q0 + t];
-    memcpy(v, c, sizeof v);
-    for (int64_t m = 0; m < o->planes; m++) { /* bit m of 8 bytes to 8 bits, as pack_word */
-        uint32_t bits = 0;
-        for (int h = 0; h < 2; h++)
-            bits |= (uint32_t)((((v[h] >> m) & UINT64_C(0x0101010101010101)) *
-                                UINT64_C(0x0102040810204080)) >> 56) << 8 * h;
-        put_chunk(d + m * o->units, bits, q0, o);
-    }
+        top[r] = g->x + ((b * g->height + y * g->wt.stride) * g->width + x * g->wt.stride) * px;
 }
 
 #if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512BW__) && defined(__AVX512VL__) && \
-    defined(__AVX512DQ__)
+    defined(__AVX512DQ__) && defined(__AVX512BITALG__)
 /* 8 rows: the 16 per-pair sums fill half of the 32 zmm registers. Against
  * 4 rows it was faster on most shapes of BENCH_12.json (up to 1.13x in its
  * longest run) and never more than 4% slower. */
 #define TILE_P 8
+#define AVX512_TILES 1
 
 /* One row's accumulators full - 2 s, outputs q0 + 0..7 in a0 and q0 + 8..15
  * in a1, stored at [at] under keep: to real as doubles times scale, else to
@@ -313,16 +288,6 @@ out64(__m512i (*s)[2], int rows, int64_t p0, int64_t q0, int64_t w_rows, int64_t
     store_codes(n, rows, p0, q0, w_rows, keep, o);
 }
 
-/* The 16 int64 at p as the 32-bit lanes of one zmm: the low halves, or with
- * sat each value clamped to the int32 range. */
-static inline __attribute__((always_inline)) __m512i narrow(const int64_t *p, int sat)
-{
-    const __m512i lo = _mm512_loadu_si512(p), hi = _mm512_loadu_si512(p + 8);
-    return _mm512_inserti64x4(
-        _mm512_castsi256_si512(sat ? _mm512_cvtsepi64_epi32(lo) : _mm512_cvtepi64_epi32(lo)),
-        sat ? _mm512_cvtsepi64_epi32(hi) : _mm512_cvtepi64_epi32(hi), 1);
-}
-
 /* out64 for rows of 16 sums in int32 lanes, s <= full < 2^31. The
  * thresholds saturate as they narrow, which keeps s <= th exact for s in
  * [0, full]. */
@@ -347,129 +312,60 @@ out32(const __m512i *s, int rows, int64_t p0, int64_t q0, int64_t w_rows, int64_
     for (int r = 0; r < rows; r++)
         n[r] = _mm_setzero_si128();
     for (int64_t l = 0; l < o->levels; l++) {
-        const __m512i t = narrow(o->th + l * q_pad + q0, 1);
+        const int64_t *th = o->th + l * q_pad + q0;
+        const __m512i t = _mm512_inserti64x4(
+            _mm512_castsi256_si512(_mm512_cvtsepi64_epi32(_mm512_loadu_si512(th))),
+            _mm512_cvtsepi64_epi32(_mm512_loadu_si512(th + 8)), 1);
         for (int r = 0; r < rows; r++)
             n[r] = _mm_mask_sub_epi8(n[r], _mm512_cmple_epi32_mask(s[r], t), n[r], minus_one);
     }
     store_codes(n, rows, p0, q0, w_rows, keep, o);
 }
 
-/* The product of rows (TILE_P or 1) rows of x, from row p0 on, with all
- * w_rows outputs of w, as the portable gemm_tile below defines it. Each
- * row's TILE_Q sums live in two zmm registers. Per plane pair (m, k) the
- * plain popcounts are summed over the words and shifted by m + k once, not
- * once per word. Written with intrinsics because GCC 12 vectorizes the
- * portable tile at 256 bits and spills its sums to the stack on every word. */
-static inline __attribute__((always_inline)) void
-gemm_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *restrict wt,
-          int64_t w_rows, int64_t q_pad, int x_bits, int w_bits, int64_t n_words,
-          int64_t full, const struct out *o)
-{
-    const int64_t x_stride = x_bits * n_words;
-    const uint64_t *xp = x + p0 * x_stride;
-    for (int64_t q0 = 0; q0 < w_rows; q0 += TILE_Q) {
-        __m512i s[TILE_P][2];
-        for (int r = 0; r < rows; r++)
-            s[r][0] = s[r][1] = _mm512_setzero_si512();
-        for (int m = 0; m < x_bits; m++)
-            for (int k = 0; k < w_bits; k++) {
-                const uint64_t *xm = xp + m * n_words;
-                const uint64_t *wk = wt + k * n_words * q_pad + q0;
-                __m512i c[TILE_P][2];
-                for (int r = 0; r < rows; r++)
-                    c[r][0] = c[r][1] = _mm512_setzero_si512();
-                for (int64_t j = 0; j < n_words; j++) {
-                    const __m512i w0 = _mm512_loadu_si512(wk + j * q_pad);
-                    const __m512i w1 = _mm512_loadu_si512(wk + j * q_pad + 8);
-                    for (int r = 0; r < rows; r++) {
-                        const __m512i a = _mm512_set1_epi64((long long)xm[r * x_stride + j]);
-                        c[r][0] = _mm512_add_epi64(
-                            c[r][0], _mm512_popcnt_epi64(_mm512_xor_si512(a, w0)));
-                        c[r][1] = _mm512_add_epi64(
-                            c[r][1], _mm512_popcnt_epi64(_mm512_xor_si512(a, w1)));
-                    }
-                }
-                const __m128i shift = _mm_cvtsi32_si128(m + k);
-                for (int r = 0; r < rows; r++)
-                    for (int h = 0; h < 2; h++)
-                        s[r][h] = _mm512_add_epi64(s[r][h], _mm512_sll_epi64(c[r][h], shift));
-            }
-        out64(s, rows, p0, q0, w_rows, q_pad, full, o);
-    }
-}
-
-/* gemm_tile for n <= 32, one word per plane with its upper half clear: a
- * row's TILE_Q sums fit the 32-bit lanes of one zmm, since
- * s <= full <= 32 * 255 * 255 < 2^31. The weight words are narrowed once
- * per tile. */
-static inline __attribute__((always_inline)) void
-gemm_tile32(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *restrict wt,
-            int64_t w_rows, int64_t q_pad, int x_bits, int w_bits, int64_t full,
-            const struct out *o)
-{
-    const uint64_t *xp = x + p0 * x_bits;
-    for (int64_t q0 = 0; q0 < w_rows; q0 += TILE_Q) {
-        __m512i w[8]; /* w_bits <= 8 */
-        for (int k = 0; k < w_bits; k++)
-            w[k] = narrow((const int64_t *)wt + k * q_pad + q0, 0);
-        __m512i s[TILE_P];
-        for (int r = 0; r < rows; r++)
-            s[r] = _mm512_setzero_si512();
-        for (int m = 0; m < x_bits; m++) {
-            __m512i a[TILE_P];
-            for (int r = 0; r < rows; r++)
-                a[r] = _mm512_set1_epi32((int)xp[r * x_bits + m]);
-            for (int k = 0; k < w_bits; k++) {
-                /* vpsllvd is one uop, vpslld by an xmm count two */
-                const __m512i shift = _mm512_set1_epi32(m + k);
-                for (int r = 0; r < rows; r++)
-                    s[r] = _mm512_add_epi32(
-                        s[r], _mm512_sllv_epi32(_mm512_popcnt_epi32(_mm512_xor_si512(a[r], w[k])),
-                                                shift));
-            }
-        }
-        out32(s, rows, p0, q0, w_rows, q_pad, full, o);
-    }
-}
-#define SHORT_TILE 1
-
-#if defined(__AVX512BITALG__)
-/* Direct conv tiles: for each plane pair (m, k), each row broadcasts its
+/* The conv tiles. For each plane pair (m, k), each row broadcasts its
  * window's plane word at every kernel offset, XORs it with that offset's
- * weight lanes, and adds the lane popcounts; the count is shifted by m + k
- * once per pair. In lanes of 32 bits (lanes16 0) one zmm holds 16 outputs;
- * in lanes of 16 bits it holds 32, whose counts (at most kh kw 16 < 2^16)
- * widen to two zmm of 32-bit sums for the shift. */
+ * weight lanes and adds the lane popcounts; the count starts as the first
+ * offset's and is shifted by m + k once per pair. one, a compile-time
+ * constant, says that the kernel has one offset, as a row GEMM's has.
+ * count_short: c[r] (plus c[r] with add) = the popcounts of row r's word at
+ * offset at XOR the lanes w, in lanes of 16 bits (lanes16) or 32. */
+static inline __attribute__((always_inline)) void
+count_short(__m512i *c, int rows, const uint32_t *const *top, int64_t at, __m512i w, int lanes16,
+            int add)
+{
+    for (int r = 0; r < rows; r++) {
+        const __m512i d = _mm512_xor_si512(_mm512_set1_epi32((int)top[r][at]), w);
+        const __m512i n = lanes16 ? _mm512_popcnt_epi16(d) : _mm512_popcnt_epi32(d);
+        c[r] = !add ? n : lanes16 ? _mm512_add_epi16(c[r], n) : _mm512_add_epi32(c[r], n);
+    }
+}
+
+/* In lanes of 32 bits (lanes16 0) one zmm holds 16 outputs; in lanes of 16
+ * bits it holds 32, whose counts (at most kh kw 16 < 2^16) widen to two zmm
+ * of 32-bit sums for the shift. */
 static inline __attribute__((always_inline)) void
 conv_tile_short(int rows, int64_t p0, const struct conv *g, int64_t full, const struct out *o,
-                int lanes16)
+                int lanes16, int one)
 {
     const uint32_t *top[TILE_P];
     windows(g, rows, p0, top);
-    const int64_t line = g->width * g->x_bits, block = lanes16 ? 2 * TILE_Q : TILE_Q;
-    for (int64_t q0 = 0; q0 < g->w_rows; q0 += block) {
+    const int64_t kh = one ? 1 : g->wt.kh, kw = one ? 1 : g->wt.kw, q_pad = g->wt.q_pad;
+    const int64_t px = g->wt.x_bits * g->wt.units, line = g->width * px, size = lanes16 ? 2 : 4;
+    const int64_t block = lanes16 ? 2 * TILE_Q : TILE_Q;
+    for (int64_t q0 = 0; q0 < g->wt.w_rows; q0 += block) {
         __m512i lo[TILE_P], hi[TILE_P];
         for (int r = 0; r < rows; r++)
             lo[r] = hi[r] = _mm512_setzero_si512();
-        for (int m = 0; m < g->x_bits; m++)
-            for (int k = 0; k < g->w_bits; k++) {
-                const int64_t wk = k * g->kh * g->kw * g->q_pad + q0;
+        for (int m = 0; m < g->wt.x_bits; m++)
+            for (int k = 0; k < g->wt.w_bits; k++) {
+                const char *wk = (const char *)g->wt.lanes + (k * kh * kw * q_pad + q0) * size;
                 __m512i c[TILE_P];
-                for (int r = 0; r < rows; r++)
-                    c[r] = _mm512_setzero_si512();
-                for (int64_t i = 0; i < g->kh; i++)
-                    for (int64_t j = 0; j < g->kw; j++) {
-                        const int64_t at = wk + (i * g->kw + j) * g->q_pad;
-                        const __m512i w = lanes16 ? _mm512_loadu_si512((const uint16_t *)g->w + at)
-                                                  : _mm512_loadu_si512((const uint32_t *)g->w + at);
-                        const int64_t px = i * line + j * g->x_bits + m;
-                        for (int r = 0; r < rows; r++) {
-                            const __m512i a = _mm512_set1_epi32((int)top[r][px]);
-                            const __m512i d = _mm512_xor_si512(a, w);
-                            c[r] = lanes16 ? _mm512_add_epi16(c[r], _mm512_popcnt_epi16(d))
-                                           : _mm512_add_epi32(c[r], _mm512_popcnt_epi32(d));
-                        }
-                    }
+                count_short(c, rows, top, m * g->wt.units, _mm512_loadu_si512(wk), lanes16, 0);
+                for (int64_t i = 0; i < kh; i++)
+                    for (int64_t j = i == 0; j < kw; j++)
+                        count_short(c, rows, top, i * line + j * px + m * g->wt.units,
+                                    _mm512_loadu_si512(wk + (i * kw + j) * q_pad * size),
+                                    lanes16, 1);
                 const __m512i shift = _mm512_set1_epi32(m + k);
                 for (int r = 0; r < rows; r++) {
                     if (!lanes16) {
@@ -482,65 +378,107 @@ conv_tile_short(int rows, int64_t p0, const struct conv *g, int64_t full, const 
                     hi[r] = _mm512_add_epi32(hi[r], _mm512_sllv_epi32(c1, shift));
                 }
             }
-        out32(lo, rows, p0, q0, g->w_rows, g->q_pad, full, o);
-        if (lanes16 && q0 + TILE_Q < g->w_rows)
-            out32(hi, rows, p0, q0 + TILE_Q, g->w_rows, g->q_pad, full, o);
+        out32(lo, rows, p0, q0, g->wt.w_rows, q_pad, full, o);
+        if (lanes16 && q0 + TILE_Q < g->wt.w_rows)
+            out32(hi, rows, p0, q0 + TILE_Q, g->wt.w_rows, q_pad, full, o);
     }
 }
 
-/* Lanes of whole 64-bit words, 8 outputs per zmm and int64 sums, as in
- * gemm_tile. */
+/* count_short in 64-bit words, outputs q0 + 0..7 in c[r][0], q0 + 8..15 in c[r][1] */
 static inline __attribute__((always_inline)) void
-conv_tile64(int rows, int64_t p0, const struct conv *g, int64_t full, const struct out *o)
+count64(__m512i (*c)[2], int rows, const uint32_t *const *top, int64_t at, const uint64_t *w,
+        int add)
+{
+    const __m512i w0 = _mm512_loadu_si512(w), w1 = _mm512_loadu_si512(w + 8);
+    for (int r = 0; r < rows; r++) {
+        uint64_t v;
+        memcpy(&v, top[r] + at, 8);
+        const __m512i a = _mm512_set1_epi64((long long)v);
+        for (int h = 0; h < 2; h++) {
+            const __m512i n = _mm512_popcnt_epi64(_mm512_xor_si512(a, h ? w1 : w0));
+            c[r][h] = add ? _mm512_add_epi64(c[r][h], n) : n;
+        }
+    }
+}
+
+/* Lanes of whole 64-bit words, 8 outputs per zmm and int64 sums. */
+static inline __attribute__((always_inline)) void
+conv_tile64(int rows, int64_t p0, const struct conv *g, int64_t full, const struct out *o, int one)
 {
     const uint32_t *top[TILE_P];
     windows(g, rows, p0, top);
-    const int64_t words = g->units / 2, px = g->x_bits * g->units, line = g->width * px;
-    for (int64_t q0 = 0; q0 < g->w_rows; q0 += TILE_Q) {
+    const int64_t kh = one ? 1 : g->wt.kh, kw = one ? 1 : g->wt.kw, words = g->wt.lane / 64;
+    const int64_t px = g->wt.x_bits * g->wt.units, line = g->width * px, q_pad = g->wt.q_pad;
+    for (int64_t q0 = 0; q0 < g->wt.w_rows; q0 += TILE_Q) {
         __m512i s[TILE_P][2];
         for (int r = 0; r < rows; r++)
             s[r][0] = s[r][1] = _mm512_setzero_si512();
-        for (int m = 0; m < g->x_bits; m++)
-            for (int k = 0; k < g->w_bits; k++) {
+        for (int m = 0; m < g->wt.x_bits; m++)
+            for (int k = 0; k < g->wt.w_bits; k++) {
                 const uint64_t *wk =
-                    (const uint64_t *)g->w + k * g->kh * g->kw * words * g->q_pad + q0;
+                    (const uint64_t *)g->wt.lanes + k * kh * kw * words * q_pad + q0;
                 __m512i c[TILE_P][2];
-                for (int r = 0; r < rows; r++)
-                    c[r][0] = c[r][1] = _mm512_setzero_si512();
-                for (int64_t i = 0; i < g->kh; i++)
-                    for (int64_t j = 0; j < g->kw; j++)
-                        for (int64_t u = 0; u < words; u++) {
-                            const uint64_t *wu = wk + ((i * g->kw + j) * words + u) * g->q_pad;
-                            const __m512i w0 = _mm512_loadu_si512(wu);
-                            const __m512i w1 = _mm512_loadu_si512(wu + 8);
-                            const int64_t at = i * line + j * px + m * g->units + 2 * u;
-                            for (int r = 0; r < rows; r++) {
-                                uint64_t v;
-                                memcpy(&v, top[r] + at, 8);
-                                const __m512i a = _mm512_set1_epi64((long long)v);
-                                for (int h = 0; h < 2; h++) {
-                                    const __m512i d = _mm512_xor_si512(a, h ? w1 : w0);
-                                    c[r][h] = _mm512_add_epi64(c[r][h], _mm512_popcnt_epi64(d));
-                                }
-                            }
-                        }
+                count64(c, rows, top, m * g->wt.units, wk, 0);
+                for (int64_t i = 0; i < kh; i++)
+                    for (int64_t j = 0; j < kw; j++)
+                        for (int64_t u = i + j == 0; u < words; u++)
+                            count64(c, rows, top, i * line + j * px + m * g->wt.units + 2 * u,
+                                    wk + ((i * kw + j) * words + u) * q_pad, 1);
                 const __m128i shift = _mm_cvtsi32_si128(m + k);
                 for (int r = 0; r < rows; r++)
                     for (int h = 0; h < 2; h++)
                         s[r][h] = _mm512_add_epi64(s[r][h], _mm512_sll_epi64(c[r][h], shift));
             }
-        out64(s, rows, p0, q0, g->w_rows, g->q_pad, full, o);
+        out64(s, rows, p0, q0, g->wt.w_rows, q_pad, full, o);
     }
 }
-#define CONV_TILES 1
-#endif
 #else
-/* The portable tile: plain C with constant trip counts, which -O3
- * vectorizes over the TILE_Q outputs. It is slower than the tile above
+/* The portable tiles: plain C with constant trip counts, which -O3
+ * vectorizes over the TILE_Q outputs. They are slower than the tiles above
  * where both build: with AVX-512, GCC 12 uses 256-bit vectors, reloads the
  * strides and stores s back to the stack on every word. */
 #define TILE_P 4
-#endif
+
+/* Row r's sums s of its len outputs from q0 on, of a tile from row p0,
+ * portable: see struct out. d is the row's pixel for a packed-pixel
+ * epilogue. */
+static inline __attribute__((always_inline)) void
+tile_out(const int64_t *restrict s, int len, int64_t p0, int r, int64_t q0, int64_t w_rows,
+         int64_t q_pad, int64_t full, const struct out *o, uint32_t *d)
+{
+    const int64_t at = (p0 + r) * w_rows + q0;
+    if (o->th == NULL) {
+        for (int t = 0; t < len; t++) { /* s <= full: no overflow */
+            if (o->real != NULL)
+                o->real[at + t] = (double)(full - s[t] - s[t]) * o->scale;
+            else
+                o->acc[at + t] = full - s[t] - s[t];
+        }
+        return;
+    }
+    /* 32-bit counts narrow to bytes in a few vector ops; 64-bit ones do not */
+    int32_t n[TILE_Q] = {0};
+    for (int64_t k = 0; k < o->levels; k++)
+        for (int t = 0; t < TILE_Q; t++)
+            n[t] += s[t] <= o->th[k * q_pad + q0 + t];
+    if (o->pixels == NULL) {
+        for (int t = 0; t < len; t++)
+            o->codes[at + t] = (uint8_t)n[t] ^ o->flip[q0 + t];
+        return;
+    }
+    uint8_t c[TILE_Q] = {0};
+    uint64_t v[2];
+    for (int t = 0; t < len; t++)
+        c[t] = (uint8_t)n[t] ^ o->flip[q0 + t];
+    memcpy(v, c, sizeof v);
+    for (int64_t m = 0; m < o->planes; m++) { /* bit m of 8 bytes to 8 bits, as pack_word */
+        uint32_t bits = 0;
+        for (int h = 0; h < 2; h++)
+            bits |= (uint32_t)((((v[h] >> m) & UINT64_C(0x0101010101010101)) *
+                                UINT64_C(0x0102040810204080)) >> 56) << 8 * h;
+        put_chunk(d + m * o->units, bits, q0, o);
+    }
+}
 
 /* s[r][t] = sum 2^(m+k) popcount(x_m ^ w_k) of row r of x (rows of
  * x_stride words from x on) and output t of wt (columns q_pad apart),
@@ -597,46 +535,38 @@ portable_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *
     }
 }
 
-#ifndef SHORT_TILE
-static inline __attribute__((always_inline)) void
-gemm_tile(int rows, int64_t p0, const uint64_t *restrict x, const uint64_t *restrict wt,
-          int64_t w_rows, int64_t q_pad, int x_bits, int w_bits, int64_t n_words,
-          int64_t full, const struct out *o)
-{
-    portable_tile(rows, p0, x + p0 * x_bits * n_words, wt, w_rows, q_pad, x_bits, w_bits,
-                  n_words, full, o);
-}
-#endif
-
-#ifndef CONV_TILES
-/* The portable direct conv. A window's lanes end to end hold the bits of
- * its patch row in (i, j, c) order, each offset's channels padded to the
- * lane, and bb_conv lays the weight lanes out alike once per call,
- * wt[k][word][q]; so a tile concatenates its rows' lanes into the row words
- * x and runs the portable GEMM tile on them, 64 bits per scalar popcount. */
+/* The portable conv. A window's lanes end to end hold the bits of its
+ * patch row in (i, j, c) order, each offset's channels padded to the lane,
+ * and bb_conv lays the weight lanes out alike once per call, wt[k][word][q];
+ * so a tile concatenates its rows' lanes into the row words x (unless, as
+ * in a row GEMM, they are the row words) and runs portable_tile on them. */
 static inline __attribute__((always_inline)) void
 conv_tile(int rows, int64_t p0, const struct conv *g, const uint64_t *wt, uint64_t *x,
           int64_t n_words, int64_t full, const struct out *o)
 {
     const uint32_t *top[TILE_P];
     windows(g, rows, p0, top);
-    const int64_t px = g->x_bits * g->units;
-    memset(x, 0, (size_t)(rows * g->x_bits * n_words) * 8);
-    for (int r = 0; r < rows; r++)
-        for (int m = 0; m < g->x_bits; m++) {
-            uint64_t *row = x + (r * g->x_bits + m) * n_words;
-            for (int64_t i = 0; i < g->kh; i++)
-                for (int64_t j = 0; j < g->kw; j++) {
-                    const uint32_t *lane = top[r] + (i * g->width + j) * px + m * g->units;
-                    const int64_t at = (i * g->kw + j) * g->lane; /* no lane crosses a word */
-                    if (g->lane > 32)
-                        memcpy(row + at / 64, lane, (size_t)g->lane / 8);
+    const struct weight *k = &g->wt;
+    const int64_t px = k->x_bits * k->units;
+    const int in_place = k->kh * k->kw == 1 && k->stride == 1 && k->units == 2 * n_words;
+    if (!in_place)
+        memset(x, 0, (size_t)(rows * k->x_bits * n_words) * 8);
+    for (int r = 0; !in_place && r < rows; r++)
+        for (int m = 0; m < k->x_bits; m++) {
+            uint64_t *row = x + (r * k->x_bits + m) * n_words;
+            for (int64_t i = 0; i < k->kh; i++)
+                for (int64_t j = 0; j < k->kw; j++) {
+                    const uint32_t *lane = top[r] + (i * g->width + j) * px + m * k->units;
+                    const int64_t at = (i * k->kw + j) * k->lane; /* no lane crosses a word */
+                    if (k->lane > 32)
+                        memcpy(row + at / 64, lane, (size_t)k->lane / 8);
                     else /* a 16-bit lane's upper half is its copy */
-                        row[at / 64] |= (uint64_t)(g->lane == 16 ? lane[0] & 0xFFFF : lane[0])
+                        row[at / 64] |= (uint64_t)(k->lane == 16 ? lane[0] & 0xFFFF : lane[0])
                                         << at % 64;
                 }
         }
-    portable_tile(rows, p0, x, wt, g->w_rows, g->q_pad, g->x_bits, g->w_bits, n_words, full, o);
+    portable_tile(rows, p0, in_place ? (const uint64_t *)top[0] : x, wt, k->w_rows, k->q_pad,
+                  k->x_bits, k->w_bits, n_words, full, o);
 }
 #endif
 
@@ -650,61 +580,55 @@ conv_tile(int rows, int64_t p0, const struct conv *g, const uint64_t *wt, uint64
             tile(1, p, __VA_ARGS__);                                                           \
     } while (0)
 
-void bb_gemm(const uint64_t *x, const uint64_t *wt, int64_t rows, int64_t w_rows, int64_t q_pad,
-             int x_bits, int w_bits, int64_t n_words, int64_t n, const struct out *o)
+/* The conv of a padded image of packed pixels with the weight k, rows
+ * batch * oh * ow, with the epilogue o. Lanes of 16 or 32 bits need
+ * full < 2^31 and kh kw lane < 2^lane; gemm.conv_lane picks 64-bit words
+ * where they do not hold. Returns 0, or -1 if the portable build cannot
+ * allocate its row and weight words. */
+int bb_conv(const uint32_t *x, int64_t batch, int64_t height, int64_t width,
+            const struct weight *k, const struct out *o)
 {
-    const int64_t full = n * ((INT64_C(1) << x_bits) - 1) * ((INT64_C(1) << w_bits) - 1);
+    const int64_t kh = k->kh, kw = k->kw, lane = k->lane;
+    const struct conv g = {x, height, width, (height - kh) / k->stride + 1,
+                           (width - kw) / k->stride + 1, *k};
+    const int64_t rows = batch * g.oh * g.ow;
+    const int64_t full = k->channels * kh * kw * ((INT64_C(1) << k->x_bits) - 1) *
+                         ((INT64_C(1) << k->w_bits) - 1);
     if (o->pixels != NULL && o->pad > 0 && rows > 0)
         fill_ring(o, rows / (o->oh * o->ow));
-#ifdef SHORT_TILE
-    if (n_words == 1 && n <= 32)
-        ROW_TILES(gemm_tile32, x, wt, w_rows, q_pad, x_bits, w_bits, full, o);
-    else
-#endif
-        ROW_TILES(gemm_tile, x, wt, w_rows, q_pad, x_bits, w_bits, n_words, full, o);
-}
-
-/* The conv of a padded image of packed pixels (struct conv), stride and
- * kernel as given, rows batch * oh * ow, with the epilogue o. Lanes of 16 or
- * 32 bits need full < 2^31 and kh kw lane < 2^lane; gemm.conv_lane picks
- * 64-bit words where they do not hold. Returns 0, or -1 if the portable
- * build cannot allocate its row and weight words. */
-int bb_conv(const uint32_t *x, int64_t batch, int64_t height, int64_t width, int x_bits,
-            int64_t lane, const void *w, int64_t w_rows, int64_t q_pad, int w_bits, int64_t kh,
-            int64_t kw, int64_t stride, int64_t channels, const struct out *o)
-{
-    const struct conv g = {x, w, height, width, stride, kh, kw, (height - kh) / stride + 1,
-                           (width - kw) / stride + 1, lane, lane > 32 ? lane / 32 : 1, q_pad,
-                           w_rows, x_bits, w_bits};
-    const int64_t rows = batch * g.oh * g.ow;
-    const int64_t full =
-        channels * kh * kw * ((INT64_C(1) << x_bits) - 1) * ((INT64_C(1) << w_bits) - 1);
-    if (o->pixels != NULL && o->pad > 0)
-        fill_ring(o, batch);
-#ifdef CONV_TILES
+#ifdef AVX512_TILES
+/* tile, told by a constant last argument whether the kernel has one offset */
+#define TAPS(tile, ...)                                                                        \
+    do {                                                                                       \
+        if (kh * kw == 1) ROW_TILES(tile, __VA_ARGS__, 1);                                     \
+        else ROW_TILES(tile, __VA_ARGS__, 0);                                                  \
+    } while (0)
     if (lane == 16)
-        ROW_TILES(conv_tile_short, &g, full, o, 1);
+        TAPS(conv_tile_short, &g, full, o, 1);
     else if (lane == 32)
-        ROW_TILES(conv_tile_short, &g, full, o, 0);
+        TAPS(conv_tile_short, &g, full, o, 0);
     else
-        ROW_TILES(conv_tile64, &g, full, o);
+        TAPS(conv_tile64, &g, full, o);
 #else
     const int64_t n_words = (kh * kw * lane + 63) / 64, words = lane > 32 ? lane / 64 : 1;
-    uint64_t *wt = calloc((size_t)((w_bits * q_pad + TILE_P * x_bits) * n_words), 8);
+    /* with one offset in 64-bit words the weight lanes are the row words already */
+    const int64_t q_pad = k->q_pad, w_bits = k->w_bits, copy = kh * kw > 1 || lane <= 32;
+    uint64_t *wt = calloc((size_t)((copy * w_bits * q_pad + TILE_P * k->x_bits) * n_words), 8);
     if (wt == NULL)
         return -1;
-    for (int64_t k = 0; k < w_bits; k++)
+    for (int64_t b = 0; copy && b < w_bits; b++)
         for (int64_t ij = 0; ij < kh * kw; ij++)
             for (int64_t u = 0; u < words; u++)
                 for (int64_t q = 0; q < q_pad; q++) {
-                    const int64_t from = ((k * kh * kw + ij) * words + u) * q_pad + q;
-                    const uint64_t v = lane == 16 ? ((const uint16_t *)w)[from]
-                                       : lane == 32 ? ((const uint32_t *)w)[from]
-                                                    : ((const uint64_t *)w)[from];
+                    const int64_t from = ((b * kh * kw + ij) * words + u) * q_pad + q;
+                    const uint64_t v = lane == 16 ? ((const uint16_t *)k->lanes)[from]
+                                       : lane == 32 ? ((const uint32_t *)k->lanes)[from]
+                                                    : ((const uint64_t *)k->lanes)[from];
                     const int64_t at = ij * lane + 64 * u;
-                    wt[(k * n_words + at / 64) * q_pad + q] |= v << at % 64;
+                    wt[(b * n_words + at / 64) * q_pad + q] |= v << at % 64;
                 }
-    ROW_TILES(conv_tile, &g, wt, wt + w_bits * n_words * q_pad, n_words, full, o);
+    const uint64_t *lanes = copy ? wt : k->lanes;
+    ROW_TILES(conv_tile, &g, lanes, wt + copy * w_bits * n_words * q_pad, n_words, full, o);
     free(wt);
 #endif
     return 0;

@@ -30,12 +30,20 @@ _lock = threading.Lock()
 
 
 class Out(ctypes.Structure):
-    """``struct out`` of ``_native.c``: the epilogue of ``bb_gemm`` and ``bb_conv``."""
+    """``struct out`` of ``_native.c``: the epilogue of ``bb_conv``, the one product kernel."""
 
     _fields_ = [("th", ctypes.c_void_p), ("flip", ctypes.c_void_p), ("levels", ctypes.c_int64),
                 ("scale", ctypes.c_double), ("acc", ctypes.c_void_p), ("real", ctypes.c_void_p),
                 ("codes", ctypes.c_void_p), ("pixels", ctypes.c_void_p), ("ring", ctypes.c_void_p),
                 *[(name, ctypes.c_int64) for name in ("oh", "ow", "pad", "planes", "units", "dup")]]
+
+
+class Weight(ctypes.Structure):
+    """``struct weight`` of ``_native.c``: a prepared weight's lanes and its conv."""
+
+    _fields_ = [("lanes", ctypes.c_void_p), *[(name, ctypes.c_int64) for name in
+                ("lane", "units", "q_pad", "w_rows", "kh", "kw", "stride", "channels")],
+                ("x_bits", ctypes.c_int), ("w_bits", ctypes.c_int)]
 
 
 def _cpu_flags() -> str:
@@ -82,13 +90,8 @@ def _build() -> ctypes.CDLL:
     # arrays go in as addresses: ndpointer's own checks cost about 10 us a call,
     # so the callers in gemm check dtype, shape and contiguity instead
     ptr, i64, cint, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double
-    # x, wt, rows, w_rows, q_pad, x_bits, w_bits, n_words, n, epilogue
-    lib.bb_gemm.argtypes = [ptr, ptr, i64, i64, i64, cint, cint, i64, i64, ctypes.POINTER(Out)]
-    lib.bb_gemm.restype = None
-    # x, batch, height, width, x_bits, lane, w, w_rows, q_pad, w_bits, kh, kw, stride,
-    # channels, epilogue
-    lib.bb_conv.argtypes = [ptr, i64, i64, i64, cint, i64, ptr, i64, i64, cint, i64, i64, i64,
-                            i64, ctypes.POINTER(Out)]
+    # x, batch, height, width, weight, epilogue: 6 arguments, as each costs about 0.3 us
+    lib.bb_conv.argtypes = [ptr, i64, i64, i64, ctypes.POINTER(Weight), ctypes.POINTER(Out)]
     lib.bb_conv.restype = cint
     # x, batch, channels, plane, half, thr, base, b
     lib.bb_quantize.argtypes = [ptr, i64, i64, i64, double, ptr, ptr, ptr]

@@ -387,28 +387,30 @@ class GemmWeight:
     For ``encoded_gemm`` the planes are stored transposed, wt[k, j, q], with
     the outputs zero-padded to a multiple of ``TILE_Q``; ``fold``'s tables are
     padded alike. Both kernels compute the popcount sums of every padded
-    output and drop the padding. With ``conv`` = (channels, kh, kw, stride)
-    it is a weight of ``direct_conv`` instead: wt holds lanes of ``lane``
-    bits, wt[k, i, j, word, q] = channels of plane k at kernel offset (i, j),
-    with the outputs padded to a whole vector of lanes. The epilogue is
-    ``fold``'s code bytes, written as the next conv's ``PixelImage`` when
-    ``pixels`` = (lane, padding) names that conv's layout; or else the float
-    accumulator times ``scale``; or else the int64 accumulator.
+    output and drop the padding. These words are the lanes of a 1 x 1 conv
+    whose pixels are the rows, narrowed to uint32 at N <= 32. With ``conv``
+    = (channels, kh, kw, stride) it is a weight of ``direct_conv`` instead:
+    wt holds lanes of ``lane`` bits, wt[k, i, j, word, q] = channels of plane
+    k at kernel offset (i, j), with the outputs padded to a whole vector of
+    lanes. The epilogue is ``fold``'s code bytes, written as the next conv's
+    ``PixelImage`` when ``pixels`` = (lane, padding) names that conv's
+    layout; or else the float accumulator times ``scale``; or else the int64
+    accumulator.
     """
 
     bits: int
     rows: int
     cols: int
     x_bits: int  # M of the left operands it meets
-    wt: np.ndarray  # uint64 (K, words_per_row, Q padded), or the conv lanes
+    wt: np.ndarray  # uint64 (K, words_per_row, Q padded), uint32 at N <= 32, or the conv lanes
     fold: CodeThresholds | None  # s_max int64 and flip uint8, C-contiguous, Q padded
     scale: float | None = None  # set only without fold
     conv: tuple[int, int, int, int] | None = None  # channels, kh, kw, stride
     lane: int = 0  # of conv's lanes
     pixels: tuple[int, int] | None = None  # lane and padding of the next conv's image
-    # for the native kernels: wt's address, and the epilogue's constant part
+    # for bb_conv: the weight with its conv, and the epilogue's constant part
     # with the ring it points to
-    _wt: int = field(default=0, init=False, repr=False, compare=False)
+    _kernel: object = field(default=None, init=False, repr=False, compare=False)
     _out: object = field(default=None, init=False, repr=False, compare=False)
     _ring: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -422,7 +424,12 @@ class GemmWeight:
             lane, o.pad = self.pixels
             ring = _ring_pixel(fold.bits, self.rows, lane)
             o.ring, o.planes, o.units, o.dup = _addr(ring), fold.bits, ring.shape[1], lane == 16
-        object.__setattr__(self, "_wt", _addr(self.wt))
+        channels, kh, kw, stride = self.conv or (self.cols, 1, 1, 1)
+        lane = self.lane or (32 if self.wt.dtype == np.uint32 else 64 * self.wt.shape[1])
+        units = max(lane // 32, 1) if self.conv else 2 * self.wt.shape[1]
+        object.__setattr__(self, "_kernel", _native.Weight(
+            _addr(self.wt), lane, units, self.wt.shape[-1], self.rows, kh, kw, stride, channels,
+            self.x_bits, self.bits))
         object.__setattr__(self, "_out", o)
         object.__setattr__(self, "_ring", ring)
 
@@ -454,7 +461,8 @@ def prepare_weight(w: EncodedMatrix, x_bits: int, fold: CodeThresholds | None = 
     ``fold`` makes the GEMM write code bytes, and ``scale`` the accumulator
     as float64 times scale, as ``scale_output`` computes it; a weight takes
     one of them or neither. ``pixels`` = (lane, padding), with ``fold``,
-    writes the bytes as the next conv's ``PixelImage`` instead. With
+    writes the bytes as the next conv's ``PixelImage`` instead; its lane
+    must hold the Q outputs: 16 or 32 bits, or whole 64-bit words. With
     ``conv`` = (channels, kh, kw, stride), w is a conv weight with its
     reduction in the model's (c, i, j) order, and is laid out per kernel
     offset for ``direct_conv`` in lanes of ``conv_lane`` bits.
@@ -466,10 +474,13 @@ def prepare_weight(w: EncodedMatrix, x_bits: int, fold: CodeThresholds | None = 
         raise ConfigError("a prepared weight takes thresholds or a scale, not both")
     if pixels is not None and fold is None:
         raise ConfigError("a packed-pixel epilogue needs thresholds")
+    if pixels is not None and (pixels[0] not in (16, 32) and pixels[0] % 64 or pixels[0] < w.rows
+                               or pixels[1] < 0):
+        raise ShapeError(f"{w.rows} outputs do not fit packed pixels of lane and padding {pixels}")
     lane = 0
     if conv is None:
         q_pad = -(-w.rows // TILE_Q) * TILE_Q
-        wt = _padded(w.words.transpose(1, 2, 0), q_pad, np.uint64)
+        wt = _padded(w.words.transpose(1, 2, 0), q_pad, np.uint32 if w.cols <= 32 else np.uint64)
     else:
         channels, kh, kw, stride = conv
         if min(conv) < 1 or channels * kh * kw != w.cols:
@@ -498,7 +509,7 @@ def _gemm_rows(x: EncodedMatrix, w: GemmWeight) -> np.ndarray:
     """numpy kernel: the int64 accumulator of x and every padded output of w, (P, Q padded)."""
     acc = np.zeros((x.rows, w.wt.shape[2]), dtype=np.int64)
     # m-major then k; the order is irrelevant to the exact result but fixed
-    # for reproducible timing.
+    # for reproducible timing. A uint32 wt widens to uint64 in the XOR.
     for m in range(x.bits):
         a = x.words[:, None, m, :]  # (P, 1, nw)
         for k in range(w.bits):
@@ -538,7 +549,11 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight,
     channels-last; with ``pixels`` as well, x's rows are the output pixels
     of a conv, grid = (B, OH, OW), and the result is the next conv's
     ``PixelImage``. One with a scale returns the float64 accumulator times
-    that scale. Any other w is prepared for this call, with neither.
+    that scale. Any other w is prepared for this call, with neither. A grid
+    must have x.rows pixels, whatever the epilogue. The native kernel is
+    ``bb_conv`` with a 1 x 1 kernel over x's rows as pixels of 1 x 1, each
+    plane one lane: 32 bits at N <= 32, the low half of its word, else
+    64 words_per_row bits; never 16, as a word does not hold its lane twice.
     """
     if not isinstance(w, GemmWeight):
         w = prepare_weight(w, x.bits)
@@ -549,8 +564,9 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight,
     if x.bits != w.x_bits:
         raise ShapeError(f"the weight was prepared for M={w.x_bits}, not M={x.bits}")
     _check_operand(x, "left")
-    if w.pixels is not None and (grid is None or math.prod(grid) != x.rows):
-        raise ShapeError(f"a packed-pixel epilogue needs the grid of {x.rows} rows, got {grid}")
+    if (grid is None and w.pixels is not None
+            or grid is not None and (len(grid) != 3 or min(grid) < 0 or math.prod(grid) != x.rows)):
+        raise ShapeError(f"the epilogue needs a grid (B, OH, OW) of {x.rows} rows, got {grid}")
     fold, scale = w.fold, w.scale
     lib = _native.library()
     if lib is None:
@@ -564,8 +580,8 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight,
             return out
         return pack_pixels(out.reshape(*grid, w.rows), fold.bits, *w.pixels)
     out, o = _epilogue(w, grid or (x.rows, 1, 1))
-    lib.bb_gemm(_addr(x.words), w._wt, x.rows, w.rows, w.wt.shape[2], x.bits,
-                w.bits, x.words_per_row, x.cols, ctypes.byref(o))
+    if lib.bb_conv(_addr(x.words), x.rows, 1, 1, ctypes.byref(w._kernel), ctypes.byref(o)):
+        raise MemoryError("no memory for the row words of a product")
     return out
 
 
@@ -576,7 +592,8 @@ def direct_conv_available() -> bool:
 
 def direct_conv(x: PixelImage, w: GemmWeight) -> np.ndarray | PixelImage:
     """The conv of a packed image with a weight prepared with ``conv``, on the
-    native kernel (``bb_conv``): no patch matrix, no gather.
+    native kernel (``bb_conv``, which ``encoded_gemm`` runs too, on rows as
+    pixels of 1 x 1): no patch matrix, no gather.
 
     For a tile of output pixels and each plane pair (m, k), each kernel
     offset's plane word is XORed with that offset's weight lanes and the
@@ -604,8 +621,7 @@ def direct_conv(x: PixelImage, w: GemmWeight) -> np.ndarray | PixelImage:
     batch, h, wd = px.shape[:3]
     grid = (batch, *patch_grid((batch, channels, h, wd), kh, kw, stride, 0))
     out, o = _epilogue(w, grid)
-    if lib.bb_conv(_addr(px), batch, h, wd, x.bits, w.lane, w._wt, w.rows, w.wt.shape[-1],
-                   w.bits, kh, kw, stride, channels, ctypes.byref(o)):
+    if lib.bb_conv(_addr(px), batch, h, wd, ctypes.byref(w._kernel), ctypes.byref(o)):
         raise MemoryError("no memory for the row words of a conv")
     return out
 

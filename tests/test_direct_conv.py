@@ -60,6 +60,13 @@ def direct_cases(draw):
     codes = random_odd_codes(rng, (q, c, kh, kw), k_bits)
     full = c * kh * kw * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
     kind = draw(st.sampled_from(["int", "float", "codes", "pixels"]))
+    return (b, codes, (kh, kw, stride, padding), m_bits, k_bits,
+            *draw_epilogue(draw, rng, kind, q, full))
+
+
+def draw_epilogue(draw, rng, kind, q, full):
+    """(fold, scale, pixels) of an epilogue of q outputs of the kind "int",
+    "float", "codes" or "pixels", with thresholds across 0 <= s <= full."""
     fold = scale = pixels = None
     if kind == "float":
         scale = draw(st.sampled_from([1.0, -0.37]))
@@ -70,7 +77,7 @@ def direct_cases(draw):
         fold = gemm.CodeThresholds(bits, s_max, rng.choice([0, levels], q).astype(np.uint8))
         if kind == "pixels":
             pixels = (draw(st.sampled_from(lanes_for(q))), draw(st.integers(0, 2)))
-    return b, codes, (kh, kw, stride, padding), m_bits, k_bits, fold, scale, pixels
+    return fold, scale, pixels
 
 
 def gather_path(b, codes, geometry, m_bits, k_bits, fold, scale):
@@ -193,6 +200,67 @@ class TestDirectConv:
             gemm.prepare_weight(w, 2, pixels=(16, 1))
         with pytest.raises(core.ConfigError, match="native kernel only"):
             on_numpy(gemm.direct_conv, img, weight)
+
+
+@st.composite
+def row_cases(draw):
+    """(x codes, w codes, M, K, fold, scale, pixels, grid): a row GEMM of N
+    on both sides of the 16-, 32- and 64-bit lanes, M and K 1..8 and one of
+    the four epilogues. Its rows are the pixels of grid: (P, 1, 1), P = 1..20,
+    or for packed pixels a batch of 2..4 images of up to 3 x 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 16, 17, 27, 31, 32, 33, 63, 64, 65, 784]))
+    q = draw(st.sampled_from([1, 16, 17, 32, 33, 70]) | st.integers(1, 70))
+    m_bits, k_bits = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["int", "float", "codes", "pixels"]))
+    if kind == "pixels":
+        grid = (draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    else:
+        grid = (draw(st.integers(1, 20)), 1, 1)
+    xc = random_odd_codes(rng, (grid[0] * grid[1] * grid[2], n), m_bits)
+    wc = random_odd_codes(rng, (q, n), k_bits)
+    full = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+    return (xc, wc, m_bits, k_bits, *draw_epilogue(draw, rng, kind, q, full), grid)
+
+
+def check_row_gemm(case):
+    """encoded_gemm of a row_cases() case equals direct_conv of its rows as an
+    image of grid's pixels with a 1 x 1 kernel, and the numpy kernel, bit for
+    bit; the row weight's words are the 1 x 1 conv lanes at the row lane."""
+    xc, wc, m_bits, k_bits, fold, scale, pixels, grid = case
+    n = xc.shape[1]
+    xe, we = gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits)
+    rows = gemm.prepare_weight(we, m_bits, fold, scale, pixels=pixels)
+    got = gemm.encoded_gemm(xe, rows, grid)
+    expect = on_numpy(gemm.encoded_gemm, xe, rows, grid)
+    one = gemm.prepare_weight(we, m_bits, fold, scale, (n, 1, 1, 1), pixels)
+    b = ((xc + (1 << m_bits) - 1) >> 1).astype(np.uint8).reshape(*grid, n)
+    conv = gemm.direct_conv(gemm.pack_pixels(b, m_bits, one.lane), one)
+    if pixels is not None:
+        check_image(got, on_numpy(gemm.encoded_gemm, xe, gemm.prepare_weight(
+            we, m_bits, fold)).reshape(*grid, len(wc)), pixels[1])
+        got, expect, conv = got.pixels, expect.pixels, conv.pixels
+    assert same_bits(got, expect) and same_bits(conv, expect)
+    lane = 32 if n <= 32 else 64 * we.words_per_row
+    lanes = gemm._conv_lanes(we, n, 1, 1, lane, rows.wt.shape[-1])
+    assert same_bits(rows.wt.reshape(lanes.shape), lanes)
+
+
+class TestRowGemm:
+    """A row GEMM is bb_conv of its rows as 1 x 1 pixels with a 1 x 1 kernel."""
+
+    @settings(**FIXTURE_OK)  # the count comes from the profile
+    @given(case=row_cases())
+    def test_row_gemm_is_a_one_by_one_conv(self, case):
+        require_native()
+        check_row_gemm(case)
+
+
+@X86_ONLY
+@settings(max_examples=60, **FIXTURE_OK)
+@given(case=row_cases())
+def test_portable_row_gemm_is_a_one_by_one_conv(portable_pack, case):
+    check_row_gemm(case)
 
 
 @st.composite

@@ -775,6 +775,31 @@ class TestFold:
         np.testing.assert_array_equal(got, fold.codes((full - xc @ wc.T) >> 1))
 
 
+# Every epilogue of encoded_gemm against grids whose pixels are not its rows;
+# argv[1] picks the kernel.
+GRID_RUN = """
+import sys
+import numpy as np
+from bitbranch import _native, core, gemm
+
+if sys.argv[1] == "numpy":
+    _native.library = lambda: None
+x = gemm.encode_codes(np.ones((4096, 27), dtype=np.int64), 2)
+w = gemm.encode_codes(np.ones((16, 27), dtype=np.int64), 2)
+fold = gemm.CodeThresholds(2, np.zeros((3, 16), np.int64), np.zeros(16, np.uint8))
+for weight in (gemm.prepare_weight(w, 2), gemm.prepare_weight(w, 2, scale=0.5),
+               gemm.prepare_weight(w, 2, fold), gemm.prepare_weight(w, 2, fold, pixels=(16, 1))):
+    for grid in [(1, 1, 1), (2, 2048, 2), (4097, 1, 1), (-1, -64, 64), (4096, 1)]:
+        try:
+            gemm.encoded_gemm(x, weight, grid)
+        except core.ShapeError:
+            continue
+        raise SystemExit(f"grid {grid} passed")
+    gemm.encoded_gemm(x, weight, (4, 32, 32))
+print("ok")
+"""
+
+
 def same_bits(a, b):
     """Equal dtype, shape and bytes: -0.0 differs from 0.0."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -810,6 +835,26 @@ class TestEpilogues:
                          exact.astype(np.float64) * scale)
         assert same_bits(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits, fold)),
                          fold.codes((full - exact) >> 1).astype(np.uint8))
+
+    @pytest.mark.parametrize("which", ["native", "numpy"])
+    def test_grid_must_have_every_row(self, which):
+        # in a child: a grid of too few rows once overran the output buffer
+        # and aborted the process
+        if which == "native":
+            require_native()
+        out = subprocess.run([sys.executable, "-c", GRID_RUN, which], capture_output=True,
+                             text=True, env={**XDG_ONLY, "PYTHONPATH": SRC}, timeout=120)
+        assert out.returncode == 0, out.stderr[-3000:]
+        assert out.stdout == "ok\n"
+
+    def test_pixel_lane_must_hold_the_outputs(self):
+        we = gemm.encode_codes(np.ones((20, 5), dtype=np.int64), 1)
+        fold = gemm.CodeThresholds(2, np.zeros((3, 20), np.int64), np.zeros(20, np.uint8))
+        for pixels in [(16, 1), (48, 1), (0, 0), (-64, 0), (96, 1), (32, -1)]:
+            with pytest.raises(core.ShapeError, match="do not fit packed pixels"):
+                gemm.prepare_weight(we, 1, fold, pixels=pixels)
+        for lane in (32, 64, 128):
+            assert gemm.prepare_weight(we, 1, fold, pixels=(lane, 1)).pixels == (lane, 1)
 
     def test_one_epilogue_per_weight(self, kernel):
         we = gemm.encode_codes(np.ones((4, 5), dtype=np.int64), 1)
@@ -1052,11 +1097,11 @@ class TestLibrary:
                 ids=["no_avx512bw", "no_avx512vpopcntdq", "no_avx512bitalg", "no_avx512vbmi"])
 def portable_pack(request, monkeypatch, tmp_path_factory, fresh_library):
     """The library built without AVX-512BW, VPOPCNTDQ, BITALG or VBMI. Without
-    VPOPCNTDQ gemm_tile takes its portable branch, and without BW bb_gather
-    copies each window into a row buffer for the portable pack_word; without
-    either or BITALG bb_conv runs its portable tile, and without VBMI
-    bb_quantize its scalar NCHW loop. Each build is made once per session,
-    in its own cache."""
+    any of the first three bb_conv, which runs every product, takes its
+    portable tiles; without BW bb_gather copies each window into a row
+    buffer for the portable pack_word, and without VBMI bb_quantize runs its
+    scalar NCHW loop. Each build is made once per session, in its own
+    cache."""
     if _native.library() is None:
         pytest.skip("no C compiler: the native kernels are not built")
     cache = tmp_path_factory.getbasetemp() / f"portable{request.param}"
@@ -1117,16 +1162,18 @@ def test_portable_quantize_matches_numpy(portable_pack, bits, shape, data):
 
 
 # Run in a child built with -fsanitize=address,undefined: each kernel on
-# padding 0..3, stride 1..3, up to 70 channels, bits 1, 2 and 8, and partial
-# GEMM tiles of both widths (n <= 32 and n > 32) with all three epilogues,
-# against the numpy kernels; the quantizer on NCHW and contiguous input, also
-# on the values that index the ends of its table (+-1.0 reads entry B, the
-# last) at bits 1..8, and on NCHW input of 1..8 channels (the vpermb path
-# with AVX-512 VBMI) and planes that are not whole groups of 8 pixels;
-# bb_conv in lanes of 16, 32, 64 and 128 bits with every epilogue, and the
-# packed-pixel epilogue of bb_gemm, against the gather path on numpy. On a
-# host with AVX-512BW the gather is the masked-load one. Checks raise
-# SystemExit, not AssertionError, so that they hold under python -O too.
+# padding 0..3, stride 1..3, up to 70 channels, bits 1, 2 and 8, and row
+# GEMMs through bb_conv in partial tiles, at N on both sides of the 32- and
+# 64-bit lanes, with all four epilogues, the packed-pixel one also on a grid
+# of two 3 x 3 images, against the numpy kernels; the quantizer on NCHW and
+# contiguous input, also on the values that index the ends of its table
+# (+-1.0 reads entry B, the last) at bits 1..8, and on NCHW input of 1..8
+# channels (the vpermb path with AVX-512 VBMI) and planes that are not whole
+# groups of 8 pixels; bb_conv in lanes of 16, 32, 64 and 128 bits with every
+# epilogue, and the packed-pixel epilogue of a row GEMM, against the gather
+# path on numpy. On a host with AVX-512BW the gather is the masked-load one.
+# Checks raise SystemExit, not AssertionError, so that they hold under
+# python -O too.
 SANITIZED_RUN = """
 import numpy as np
 from bitbranch import _native, gemm
@@ -1172,7 +1219,8 @@ for padding in range(4):
             got, expect = both(gemm.gather_codes, b, bits, kh, kw, stride, padding)
             check(np.array_equal(got.words, expect.words), "gather", b.shape, bits, kh, kw,
                   stride, padding)
-for p, q, n in [(1, 1, 1), (7, 15, 27), (9, 33, 32), (9, 17, 65), (17, 33, 130), (8, 16, 784)]:
+for p, q, n in [(1, 1, 1), (7, 15, 27), (18, 17, 31), (9, 33, 32), (18, 33, 33), (8, 16, 64),
+                (18, 17, 65), (17, 33, 130), (8, 16, 784)]:
     for m_bits, k_bits in [(1, 1), (2, 2), (8, 3), (3, 8)]:
         xe = gemm.encode_codes(2 * rng.integers(0, 1 << m_bits, (p, n)) - (1 << m_bits) + 1,
                                m_bits)
@@ -1181,11 +1229,17 @@ for p, q, n in [(1, 1, 1), (7, 15, 27), (9, 33, 32), (9, 17, 65), (17, 33, 130),
         full = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
         s_max = np.sort(rng.integers(-1, full + 1, (255, q)), axis=0)
         fold = gemm.CodeThresholds(8, s_max, rng.choice([0, 255], q).astype(np.uint8))
-        for weight in (gemm.prepare_weight(we, m_bits), gemm.prepare_weight(we, m_bits, fold),
-                       gemm.prepare_weight(we, m_bits, scale=0.37)):
-            got, expect = both(gemm.encoded_gemm, xe, weight)
+        pixels = (16 if q <= 16 else 32 if q <= 32 else 64 * -(-q // 64), 1)
+        for weight, grid in [(gemm.prepare_weight(we, m_bits), None),
+                             (gemm.prepare_weight(we, m_bits, fold), None),
+                             (gemm.prepare_weight(we, m_bits, scale=0.37), None),
+                             (gemm.prepare_weight(we, m_bits, fold, pixels=pixels),
+                              (2, 3, 3) if p == 18 else (p, 1, 1))]:
+            got, expect = both(gemm.encoded_gemm, xe, weight, grid)
+            if grid is not None:
+                got, expect = got.pixels, expect.pixels
             check(got.dtype == expect.dtype and np.array_equal(got, expect), "gemm", p, q, n,
-                  m_bits, k_bits, weight.fold is not None, weight.scale)
+                  m_bits, k_bits, weight.fold is not None, weight.scale, grid)
 for c in range(1, 9):
     x = rng.uniform(-1.5, 1.5, (2, c, 3, 5))
     x[1, c - 1, 2, 4] = np.inf
