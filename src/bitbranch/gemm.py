@@ -184,9 +184,8 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
     loads; elsewhere it copies them into a row buffer first) and tests each
     plane's bit, one instruction per word. The numpy fallback splits the
     bytes into 0/1 planes for ``bitops.pack_bits``. The plan gathers dense
-    inputs, a conv's float input and every conv input on the numpy kernel;
-    on the native kernel, a conv whose producer folds into it reads a
-    ``PixelImage`` through ``direct_conv`` instead.
+    inputs and a conv's float input; a conv whose producer folds into it
+    reads a ``PixelImage`` through ``direct_conv`` instead.
     """
     quant._check_bits(bits)
     _check_image(b, "gather_codes")
@@ -350,12 +349,20 @@ def _lane_bits(c: int, lane: int) -> tuple[int, list[slice]]:
     return max(lane, 32), [slice(0, c)] + ([slice(16, 16 + c)] if lane == 16 else [])
 
 
+def _check_pixels(channels: int, lane: int, padding: int) -> None:
+    """A lane of 16 or 32 bits with C <= lane, or of whole 64-bit words >= C; padding >= 0."""
+    if not (lane in (16, 32) or lane > 0 and lane % 64 == 0) or lane < channels or padding < 0:
+        raise ShapeError(f"{channels} channels do not fit packed pixels of lane {lane} and "
+                         f"padding {padding}")
+
+
 def pack_pixels(b: np.ndarray, bits: int, lane: int, padding: int = 0) -> PixelImage:
     """The ``PixelImage`` of a channels-last image of code bytes, padded with
     the pad byte as ``gather_codes`` pads it. numpy; it defines the layout
-    that the kernels' packed-pixel epilogue writes and ``bb_conv`` reads."""
+    that the kernels' packed-pixel epilogue writes and ``direct_conv`` reads."""
     quant._check_bits(bits)
     _check_image(b, "pack_pixels")
+    _check_pixels(b.shape[3], lane, padding)
     image = _padded_image(b, bits, padding)
     c = image.shape[3]
     width, spans = _lane_bits(c, lane)
@@ -474,9 +481,8 @@ def prepare_weight(w: EncodedMatrix, x_bits: int, fold: CodeThresholds | None = 
         raise ConfigError("a prepared weight takes thresholds or a scale, not both")
     if pixels is not None and fold is None:
         raise ConfigError("a packed-pixel epilogue needs thresholds")
-    if pixels is not None and (pixels[0] not in (16, 32) and pixels[0] % 64 or pixels[0] < w.rows
-                               or pixels[1] < 0):
-        raise ShapeError(f"{w.rows} outputs do not fit packed pixels of lane and padding {pixels}")
+    if pixels is not None:
+        _check_pixels(w.rows, *pixels)
     lane = 0
     if conv is None:
         q_pad = -(-w.rows // TILE_Q) * TILE_Q
@@ -505,29 +511,16 @@ def prepare_weight(w: EncodedMatrix, x_bits: int, fold: CodeThresholds | None = 
                       pixels=pixels)
 
 
-def _gemm_rows(x: EncodedMatrix, w: GemmWeight) -> np.ndarray:
-    """numpy kernel: the int64 accumulator of x and every padded output of w, (P, Q padded)."""
-    acc = np.zeros((x.rows, w.wt.shape[2]), dtype=np.int64)
-    # m-major then k; the order is irrelevant to the exact result but fixed
-    # for reproducible timing. A uint32 wt widens to uint64 in the XOR.
-    for m in range(x.bits):
-        a = x.words[:, None, m, :]  # (P, 1, nw)
-        for k in range(w.bits):
-            acc += (1 << (m + k)) * bitops.xnor_popcount_words(a, w.wt[k].T, x.cols)
-    return acc
-
-
 def _epilogue(w: GemmWeight, grid: tuple[int, int, int]):
     """The output array of w's epilogue for rows = B OH OW and its ``struct out``."""
     o = _native.Out.from_buffer_copy(w._out)
     batch, oh, ow = grid
     shape = (batch * oh * ow, w.rows)
     if w.pixels is not None:
-        padding = o.pad
-        pixels = np.empty((batch, oh + 2 * padding, ow + 2 * padding, o.planes, o.units),
-                          np.uint32)
+        pad = o.pad
+        pixels = np.empty((batch, oh + 2 * pad, ow + 2 * pad, o.planes, o.units), np.uint32)
         o.pixels, o.oh, o.ow = _addr(pixels), oh, ow
-        return PixelImage(o.planes, w.rows, w.pixels[0], padding, pixels), o
+        return PixelImage(o.planes, w.rows, w.pixels[0], pad, pixels), o
     if w.fold is not None:
         out = np.empty(shape, dtype=np.uint8)
         o.codes = _addr(out)
@@ -540,6 +533,49 @@ def _epilogue(w: GemmWeight, grid: tuple[int, int, int]):
     return out, o
 
 
+def _conv_sums(px: np.ndarray, w: GemmWeight) -> np.ndarray:
+    """numpy kernel: the popcount sums of packed pixels px (B, H, W, M, units)
+    and every padded output of w, int64 (B OH OW, Q padded), offset by offset
+    and plane pair by plane pair. A row weight wt[k, word, q] is a 1 x 1 conv's."""
+    _, kh, kw, stride = w.conv or (0, 1, 1, 1)
+    wt = w.wt.reshape(w.bits, kh, kw, *w.wt.shape[-2:])
+    # a 16-bit lane is stored twice in its uint32, a 32-bit one is a row word's low half
+    px = px.view(np.uint64) if wt.dtype == np.uint64 else px[..., :1]
+    if wt.dtype == np.uint16:
+        px = px & 0xFFFF
+    oh, ow = (px.shape[1] - kh) // stride + 1, (px.shape[2] - kw) // stride + 1
+    s = np.zeros((len(px), oh, ow, wt.shape[-1]), dtype=np.int64)
+    for i, j in np.ndindex(kh, kw):
+        window = px[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+        for m in range(w.x_bits):
+            a = window[..., m, :, None]  # (B, OH, OW, words, 1)
+            for k in range(w.bits):
+                s += np.bitwise_count(a ^ wt[k, i, j]).sum(axis=-2, dtype=np.int64) << m + k
+    return s.reshape(-1, wt.shape[-1])
+
+
+def _product(px: np.ndarray, w: GemmWeight, grid: tuple[int, int, int]) -> np.ndarray | PixelImage:
+    """The product of packed pixels px (B, H, W, M, units) with w through
+    w's epilogue, with rows the B OH OW pixels of ``grid``: ``bb_conv`` when
+    the library loads, else ``_conv_sums`` and the same epilogue in numpy."""
+    lib = _native.library()
+    if lib is not None:
+        out, o = _epilogue(w, grid)
+        if lib.bb_conv(_addr(px), *px.shape[:3], ctypes.byref(w._kernel), ctypes.byref(o)):
+            raise MemoryError("no memory for the row words of a product")
+        return out
+    s = _conv_sums(px, w)
+    out = _full(w.cols, w.x_bits, w.bits) - 2 * s
+    if w.fold is not None:
+        out = w.fold.codes(s)
+    elif w.scale is not None:
+        out = out * w.scale  # the int64 -> float64 conversion, then one multiply
+    out = np.ascontiguousarray(out[:, :w.rows])
+    if w.pixels is None:
+        return out
+    return pack_pixels(out.reshape(*grid, w.rows), w.fold.bits, *w.pixels)
+
+
 def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight,
                  grid: tuple[int, int, int] | None = None) -> np.ndarray | PixelImage:
     """Exact integer accumulator of the decomposed product, C-contiguous (P, Q).
@@ -550,9 +586,9 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight,
     of a conv, grid = (B, OH, OW), and the result is the next conv's
     ``PixelImage``. One with a scale returns the float64 accumulator times
     that scale. Any other w is prepared for this call, with neither. A grid
-    must have x.rows pixels, whatever the epilogue. The native kernel is
-    ``bb_conv`` with a 1 x 1 kernel over x's rows as pixels of 1 x 1, each
-    plane one lane: 32 bits at N <= 32, the low half of its word, else
+    must have x.rows pixels, whatever the epilogue. Both kernels run it as
+    the 1 x 1 conv of x's rows as pixels of 1 x 1 (``_product``), each plane
+    one lane: 32 bits at N <= 32, the low half of its word, else
     64 words_per_row bits; never 16, as a word does not hold its lane twice.
     """
     if not isinstance(w, GemmWeight):
@@ -567,42 +603,19 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight,
     if (grid is None and w.pixels is not None
             or grid is not None and (len(grid) != 3 or min(grid) < 0 or math.prod(grid) != x.rows)):
         raise ShapeError(f"the epilogue needs a grid (B, OH, OW) of {x.rows} rows, got {grid}")
-    fold, scale = w.fold, w.scale
-    lib = _native.library()
-    if lib is None:
-        out = _gemm_rows(x, w)
-        if fold is not None:
-            out = fold.codes((_full(x.cols, x.bits, w.bits) - out) >> 1)
-        elif scale is not None:
-            out = out * scale  # the int64 -> float64 conversion, then one multiply
-        out = np.ascontiguousarray(out[:, :w.rows])
-        if w.pixels is None:
-            return out
-        return pack_pixels(out.reshape(*grid, w.rows), fold.bits, *w.pixels)
-    out, o = _epilogue(w, grid or (x.rows, 1, 1))
-    if lib.bb_conv(_addr(x.words), x.rows, 1, 1, ctypes.byref(w._kernel), ctypes.byref(o)):
-        raise MemoryError("no memory for the row words of a product")
-    return out
-
-
-def direct_conv_available() -> bool:
-    """Whether ``direct_conv`` runs: the native library loads."""
-    return _native.library() is not None
+    # the last axis written out: -1 does not reshape an empty batch
+    px = x.words.view(np.uint32).reshape(x.rows, 1, 1, x.bits, 2 * x.words_per_row)
+    return _product(px, w, grid or (x.rows, 1, 1))
 
 
 def direct_conv(x: PixelImage, w: GemmWeight) -> np.ndarray | PixelImage:
-    """The conv of a packed image with a weight prepared with ``conv``, on the
-    native kernel (``bb_conv``, which ``encoded_gemm`` runs too, on rows as
-    pixels of 1 x 1): no patch matrix, no gather.
+    """The conv of a packed image with a weight prepared with ``conv``: no
+    patch matrix, no gather. ``_product`` runs it, as it runs ``encoded_gemm``.
 
-    For a tile of output pixels and each plane pair (m, k), each kernel
-    offset's plane word is XORed with that offset's weight lanes and the
-    lane popcounts are added; the sum is shifted by m + k once per pair. The
-    sums are those of ``encoded_gemm`` on the gathered patches, grouped by
-    offset, so every epilogue gives the same values; rows are the output
-    pixels (b, oh, ow), as there. The image's padding is its ring, so the
-    conv itself runs unpadded. Raises ConfigError without the library; the
-    plan builds ``PixelImage``s only when it loads.
+    The sums are those of ``encoded_gemm`` on the gathered patches, grouped
+    by kernel offset, so every epilogue gives the same values; rows are the
+    output pixels (b, oh, ow), as there. The image's padding is its ring, so
+    the conv itself runs unpadded.
     """
     if w.conv is None:
         raise ConfigError("direct_conv needs a weight prepared with conv")
@@ -615,15 +628,8 @@ def direct_conv(x: PixelImage, w: GemmWeight) -> np.ndarray | PixelImage:
                          f"pixels {getattr(px, 'dtype', None)} {getattr(px, 'shape', None)}, "
                          f"does not fit a {w.x_bits}-bit conv of {channels} channels in "
                          f"{w.lane}-bit lanes")
-    lib = _native.library()
-    if lib is None:
-        raise ConfigError("direct_conv runs on the native kernel only")
     batch, h, wd = px.shape[:3]
-    grid = (batch, *patch_grid((batch, channels, h, wd), kh, kw, stride, 0))
-    out, o = _epilogue(w, grid)
-    if lib.bb_conv(_addr(px), batch, h, wd, ctypes.byref(w._kernel), ctypes.byref(o)):
-        raise MemoryError("no memory for the row words of a conv")
-    return out
+    return _product(px, w, (batch, *patch_grid((batch, channels, h, wd), kh, kw, stride, 0)))
 
 
 def output_scale(m_bits: int, k_bits: int, r: float = 1.0) -> float:

@@ -313,14 +313,14 @@ def accuracy(m: ModelState, x: np.ndarray, y: np.ndarray) -> float:
 # next bit layer of its kind through batchnorm, htanh and hrelu only folds
 # that chain into per-channel thresholds, found by bisection on the
 # quantized stage's own functions: its GEMM writes the next layer's code
-# bytes. On the native kernel a conv that folds into a conv writes them as
-# that conv's padded image of channel-packed planes (``gemm.PixelImage``),
-# which it reads through ``gemm.direct_conv``, with the weight laid out per
-# kernel offset. Every other bit layer gathers its rows from code bytes,
-# channels-last: a float input is quantized to them first, so a conv
-# weight's reduction axis is re-encoded in the gather's (i, j, c) order; the
-# model keeps the file's (c, i, j). Full-precision layers run the float
-# GEMM, with their weights decoded once.
+# bytes. A conv that folds into a conv writes them as that conv's padded
+# image of channel-packed planes (``gemm.PixelImage``), which it reads
+# through ``gemm.direct_conv``, with the weight laid out per kernel offset.
+# Every other bit layer gathers its rows from code bytes, channels-last: a
+# float input is quantized to them first, so a conv weight's reduction axis
+# is re-encoded in the gather's (i, j, c) order; the model keeps the file's
+# (c, i, j). Full-precision layers run the float GEMM, with their weights
+# decoded once. A plan runs on either kernel.
 
 # monotone under IEEE rounding; tanh and sigmoid go through libm or SIMD code
 _FOLDING_ACTS = ("htanh", "hrelu")
@@ -331,14 +331,12 @@ class _Plan:
     specs: list[LayerSpec]
     weights: list  # the weights it was built from; held, so their ids stay unique
     steps: list  # functions of the activation, run in order
-    direct: bool  # whether folded convs pass packed images
 
 
 def _plan(m: ModelState) -> _Plan:
-    """The model's plan, rebuilt if its layers or the kernel changed."""
+    """The model's plan, rebuilt if its layers changed."""
     p = m._plan
-    if (p is None or p.specs != m.specs or p.direct != gemm.direct_conv_available()
-            or list(map(id, p.weights)) != list(map(id, m.weights))):
+    if p is None or p.specs != m.specs or list(map(id, p.weights)) != list(map(id, m.weights)):
         p = m._plan = _build_plan(m)
     return p
 
@@ -407,7 +405,6 @@ def _build_plan(m: ModelState) -> _Plan:
     prepared for the GEMM, a conv's reduction in (i, j, c) order, or per
     kernel offset when its input is a packed image, with the epilogue to
     the next bit layer's input if the chain folds."""
-    direct = gemm.direct_conv_available()
     steps = []
     packed = -1  # the layer whose input the previous step writes as a packed image
     i = 0
@@ -427,7 +424,7 @@ def _build_plan(m: ModelState) -> _Plan:
                 fold, nxt = fold_thresholds(m.specs, m.weights, i)
                 scale = _output_scale(spec, w.bits) if fold is None else None
                 pixels = None
-                if direct and fold is not None and spec.kind == "conv2d":
+                if fold is not None and spec.kind == "conv2d":
                     to, w_to = m.specs[nxt], m.weights[nxt]
                     pixels = (gemm.conv_lane(to.in_features, *to.kernel, to.m_bits, w_to.bits),
                               to.padding)
@@ -443,19 +440,18 @@ def _build_plan(m: ModelState) -> _Plan:
                 raise StageError("decomposed stage requires bit-plane weights")
         steps.append(step)
         i = nxt
-    return _Plan(list(m.specs), list(m.weights), steps, direct)
+    return _Plan(list(m.specs), list(m.weights), steps)
 
 
 def _bit_layer_forward(h, spec: LayerSpec, weight: gemm.GemmWeight):
     """A bit layer of the plan on one of three input forms:
 
     * its float input, which it quantizes to code bytes;
-    * the code bytes of a folded layer, uint8 (B, N) for dense or
-      (B, H, W, C) for conv: after a dense fold, and after a conv fold on
-      the numpy kernel;
-    * on the native kernel, after a conv that folds into this conv, the
-      padded ``gemm.PixelImage`` of its input, which ``gemm.direct_conv``
-      reads with no patch gather.
+    * after a dense layer that folds into this dense layer, its code
+      bytes, uint8 (B, N);
+    * after a conv that folds into this conv, the padded
+      ``gemm.PixelImage`` of its input, which ``gemm.direct_conv`` reads
+      with no patch gather.
 
     Code bytes are gathered into patch rows for ``gemm.encoded_gemm``. The
     weight carries the epilogue: the next conv's packed image, code bytes,
@@ -464,8 +460,7 @@ def _bit_layer_forward(h, spec: LayerSpec, weight: gemm.GemmWeight):
     geometry = (*spec.kernel, spec.stride, spec.padding) if conv else (1, 1, 1, 0)
     if isinstance(h, gemm.PixelImage):
         batch, height, width = h.pixels.shape[:3]
-        grid = (batch, *gemm.patch_grid((batch, h.channels, height, width), *spec.kernel,
-                                        spec.stride, 0))
+        grid = (batch, *gemm.patch_grid((batch, h.channels, height, width), *geometry[:3], 0))
         out = gemm.direct_conv(h, weight)
     else:
         if h.dtype != np.uint8:
@@ -480,8 +475,7 @@ def _bit_layer_forward(h, spec: LayerSpec, weight: gemm.GemmWeight):
         out = gemm.encoded_gemm(gemm.gather_codes(image, spec.m_bits, *geometry), weight, grid)
     if not conv or isinstance(out, gemm.PixelImage):
         return out
-    out = out.reshape(*grid, spec.out_features)
-    return out if weight.fold is not None else out.transpose(0, 3, 1, 2)
+    return out.reshape(*grid, spec.out_features).transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """The direct binary conv between folded convs: channel-packed pixel images,
-``bb_conv`` and the packed-pixel epilogue, against the gather path, the
-numpy kernel and the quantized stage."""
+the one product of both kernels (``bb_conv`` and ``gemm._conv_sums``) and
+the packed-pixel epilogue, against exact integer products and the quantized
+stage."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bitbranch import core, gemm, nn
-from test_native import (FIXTURE_OK, X86_ONLY, fresh_library, kernel, on_numpy,  # noqa: F401
-                         portable_pack, random_odd_codes, require_native, same_bits)
+from bitbranch import _native, core, gemm, nn, quant
+from test_native import (FIXTURE_OK, X86_ONLY, examples, fresh_library, kernel,  # noqa: F401
+                         on_numpy, portable_pack, random_odd_codes, same_bits)
 
 
 def lanes_for(c):
@@ -80,16 +81,33 @@ def draw_epilogue(draw, rng, kind, q, full):
     return fold, scale, pixels
 
 
-def gather_path(b, codes, geometry, m_bits, k_bits, fold, scale):
-    """The numpy kernel on the gathered patches: the oracle of direct_conv."""
+def on_each_kernel(check, *args):
+    """check(*args) on the native kernel when it builds, and on the numpy kernel."""
+    if _native.library() is not None:
+        check(*args)
+    on_numpy(check, *args)
+
+
+def exact_epilogue(acc, full, fold, scale):
+    """An epilogue's output by its formula, from the exact accumulators acc (P, Q)."""
+    if fold is not None:
+        return fold.codes((full - acc) >> 1).astype(np.uint8)
+    return acc if scale is None else acc * scale
+
+
+def exact_conv(b, codes, geometry, m_bits, k_bits, fold, scale):
+    """The oracle of direct_conv, on neither kernel: im2col of the input's
+    codes, padded with code -1, times the weight codes, in integers, through
+    the epilogue's formula."""
     q, c, kh, kw = codes.shape
-    w_ijc = gemm.encode_codes(codes.transpose(0, 2, 3, 1).reshape(q, -1), k_bits)
-    patches = gemm.gather_codes(b, m_bits, *geometry)
-    return on_numpy(gemm.encoded_gemm, patches, gemm.prepare_weight(w_ijc, m_bits, fold, scale))
+    x = 2 * b.transpose(0, 3, 1, 2).astype(np.int64) - ((1 << m_bits) - 1)
+    acc = nn.im2col(x, *geometry, fill=-1) @ codes.reshape(q, -1).T
+    full = c * kh * kw * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+    return exact_epilogue(acc, full, fold, scale)
 
 
 class TestPixelImage:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(data=st.data())
     def test_pack_pixels_layout(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -100,6 +118,18 @@ class TestPixelImage:
         img = gemm.pack_pixels(b, bits, lane, padding)
         assert img.pixels.shape[3:] == (bits, max(lane // 32, 1))
         check_image(img, b, padding)
+
+    def test_lane_must_hold_the_channels(self):
+        # the rule of prepare_weight's packed-pixel epilogue: 16 or 32 bits
+        # with C <= lane, or whole 64-bit words of at least C bits
+        b = np.zeros((1, 2, 2, 20), dtype=np.uint8)
+        for lane, padding in [(8, 0), (0, 0), (-5, 0), (16, 0), (48, 1), (-64, 0), (32, -1)]:
+            with pytest.raises(core.ShapeError, match="do not fit packed pixels"):
+                gemm.pack_pixels(b, 2, lane, padding)
+        with pytest.raises(core.ShapeError, match="do not fit packed pixels"):
+            gemm.pack_pixels(np.zeros((1, 2, 2, 70), dtype=np.uint8), 2, 64)
+        for lane in (32, 64, 128):
+            assert gemm.pack_pixels(b, 2, lane, 1).pixels.shape == (1, 4, 4, 2, max(lane // 32, 1))
 
     @pytest.mark.parametrize("bits", range(1, 9))
     @pytest.mark.parametrize("c", [1, 15, 16, 17, 32, 33, 64, 70])
@@ -126,13 +156,13 @@ class TestPixelImage:
 
 
 def check_direct_conv(case):
-    """direct_conv of a direct_cases() case against the numpy gather path."""
+    """direct_conv of a direct_cases() case against the exact integer conv."""
     b, codes, geometry, m_bits, k_bits, fold, scale, pixels = case
     q, c, kh, kw = codes.shape
     w = gemm.encode_codes(codes.reshape(q, -1), k_bits)
     weight = gemm.prepare_weight(w, m_bits, fold, scale, (c, kh, kw, geometry[2]), pixels)
     got = gemm.direct_conv(gemm.pack_pixels(b, m_bits, weight.lane, geometry[3]), weight)
-    expect = gather_path(b, codes, geometry, m_bits, k_bits, fold, scale)
+    expect = exact_conv(b, codes, geometry, m_bits, k_bits, fold, scale)
     if pixels is None:
         assert same_bits(got, expect)
         return
@@ -146,10 +176,9 @@ class TestDirectConv:
     @settings(**FIXTURE_OK)  # the count comes from the profile
     @given(case=direct_cases())
     def test_equals_gather_path(self, case):
-        require_native()
-        check_direct_conv(case)
+        on_each_kernel(check_direct_conv, case)
 
-    @settings(max_examples=100, **FIXTURE_OK)
+    @settings(max_examples=examples(100), **FIXTURE_OK)
     @given(case=direct_cases())
     def test_gemm_pixel_epilogue(self, kernel, case):
         b, codes, geometry, m_bits, k_bits, fold, _, pixels = case
@@ -162,7 +191,7 @@ class TestDirectConv:
         patches = gemm.gather_codes(b, m_bits, *geometry)
         got = gemm.encoded_gemm(patches, gemm.prepare_weight(w_ijc, m_bits, fold, pixels=pixels),
                                 grid)
-        codes_out = gather_path(b, codes, geometry, m_bits, k_bits, fold, None)
+        codes_out = exact_conv(b, codes, geometry, m_bits, k_bits, fold, None)
         check_image(got, codes_out.reshape(*grid, q), pixels[1])
 
     @pytest.mark.parametrize("c,kh,kw,bits", [
@@ -171,19 +200,24 @@ class TestDirectConv:
     @pytest.mark.parametrize("differ", [True, False])
     def test_extreme_sums_at_lane_bounds(self, c, kh, kw, bits, differ):
         # every bit of x against every bit of w: s is full, or 0
-        require_native()
         top = (1 << bits) - 1
         b = np.full((1, kh, kw, c), top, dtype=np.uint8)
         codes = np.full((3, c, kh, kw), top if not differ else -top)
         w = gemm.encode_codes(codes.reshape(3, -1), bits)
         full = c * kh * kw * top * top
-        for scale in (None, 1.0):
-            weight = gemm.prepare_weight(w, bits, scale=scale, conv=(c, kh, kw, 1))
-            got = gemm.direct_conv(gemm.pack_pixels(b, bits, weight.lane), weight)
-            assert got.shape == (1, 3) and np.all(got == (-full if differ else full))
+
+        def check():
+            for scale in (None, 1.0):
+                weight = gemm.prepare_weight(w, bits, scale=scale, conv=(c, kh, kw, 1))
+                got = gemm.direct_conv(gemm.pack_pixels(b, bits, weight.lane), weight)
+                assert got.shape == (1, 3) and np.all(got == (-full if differ else full))
+        on_each_kernel(check)
 
     def test_checks(self):
-        require_native()
+        on_each_kernel(self.check_errors)
+
+    @staticmethod
+    def check_errors():
         w = gemm.encode_codes(np.ones((2, 12), dtype=np.int64), 1)
         weight = gemm.prepare_weight(w, 2, conv=(3, 2, 2, 1))
         img = gemm.pack_pixels(np.zeros((1, 3, 3, 3), dtype=np.uint8), 2, weight.lane)
@@ -198,8 +232,6 @@ class TestDirectConv:
             gemm.direct_conv(img, gemm.prepare_weight(w, 2))
         with pytest.raises(core.ConfigError, match="needs thresholds"):
             gemm.prepare_weight(w, 2, pixels=(16, 1))
-        with pytest.raises(core.ConfigError, match="native kernel only"):
-            on_numpy(gemm.direct_conv, img, weight)
 
 
 @st.composite
@@ -225,20 +257,22 @@ def row_cases(draw):
 
 def check_row_gemm(case):
     """encoded_gemm of a row_cases() case equals direct_conv of its rows as an
-    image of grid's pixels with a 1 x 1 kernel, and the numpy kernel, bit for
-    bit; the row weight's words are the 1 x 1 conv lanes at the row lane."""
+    image of grid's pixels with a 1 x 1 kernel, and the exact integer
+    product, bit for bit; the row weight's words are the 1 x 1 conv lanes at
+    the row lane."""
     xc, wc, m_bits, k_bits, fold, scale, pixels, grid = case
     n = xc.shape[1]
     xe, we = gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits)
     rows = gemm.prepare_weight(we, m_bits, fold, scale, pixels=pixels)
     got = gemm.encoded_gemm(xe, rows, grid)
-    expect = on_numpy(gemm.encoded_gemm, xe, rows, grid)
+    full = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
+    expect = exact_epilogue(xc @ wc.T, full, fold, scale)
     one = gemm.prepare_weight(we, m_bits, fold, scale, (n, 1, 1, 1), pixels)
     b = ((xc + (1 << m_bits) - 1) >> 1).astype(np.uint8).reshape(*grid, n)
     conv = gemm.direct_conv(gemm.pack_pixels(b, m_bits, one.lane), one)
     if pixels is not None:
-        check_image(got, on_numpy(gemm.encoded_gemm, xe, gemm.prepare_weight(
-            we, m_bits, fold)).reshape(*grid, len(wc)), pixels[1])
+        check_image(got, expect.reshape(*grid, len(wc)), pixels[1])
+        expect = gemm.pack_pixels(expect.reshape(*grid, len(wc)), fold.bits, *pixels)
         got, expect, conv = got.pixels, expect.pixels, conv.pixels
     assert same_bits(got, expect) and same_bits(conv, expect)
     lane = 32 if n <= 32 else 64 * we.words_per_row
@@ -252,12 +286,11 @@ class TestRowGemm:
     @settings(**FIXTURE_OK)  # the count comes from the profile
     @given(case=row_cases())
     def test_row_gemm_is_a_one_by_one_conv(self, case):
-        require_native()
-        check_row_gemm(case)
+        on_each_kernel(check_row_gemm, case)
 
 
 @X86_ONLY
-@settings(max_examples=60, **FIXTURE_OK)
+@settings(max_examples=examples(60), **FIXTURE_OK)
 @given(case=row_cases())
 def test_portable_row_gemm_is_a_one_by_one_conv(portable_pack, case):
     check_row_gemm(case)
@@ -311,10 +344,23 @@ def plan_inputs(model, x):
 
 
 @X86_ONLY
-@settings(max_examples=100, **FIXTURE_OK)
+@settings(max_examples=examples(100), **FIXTURE_OK)
 @given(case=direct_cases())
 def test_portable_direct_conv_matches_numpy(portable_pack, case):
     check_direct_conv(case)
+
+
+def conv_input_bytes(model, x):
+    """The code bytes, channels-last, of each conv's input in the quantized
+    stage: what a plan step that reads a packed image must find there."""
+    h, seen = x, []
+    for spec, w in zip(model.specs, model.weights):
+        if spec.kind == "conv2d":
+            codes = quant.quantize_odd(h, spec.m_bits).codes
+            seen.append(((codes + (1 << spec.m_bits) - 1) >> 1).astype(np.uint8)
+                        .transpose(0, 2, 3, 1))
+        h = nn._layer_forward(h, spec, w, "quantized")
+    return seen
 
 
 class TestFoldedConvs:
@@ -324,19 +370,21 @@ class TestFoldedConvs:
         model, x = case
         quantized = nn.quantize_model(model)
         decomposed = nn.decompose_model(quantized)
-        assert same_bits(nn.model_forward(decomposed, x), nn.model_forward(quantized, x))
-        if kernel == "numpy":
-            return
-        # the same code bytes on the numpy kernel, and the same floats; every
-        # step after the first reads a packed image, rings included
-        native = plan_inputs(decomposed, x)
-        numpy = on_numpy(plan_inputs, nn.decompose_model(quantized), x)
-        assert len(native) == len(numpy) == len(model.specs) // 3 + 2
-        for got, expect, step in zip(native[1:-1], numpy[1:-1], decomposed._plan.steps[1:]):
-            assert isinstance(got, gemm.PixelImage) and expect.dtype == np.uint8
+        # every step after the first reads a packed image, rings included,
+        # of the quantized stage's code bytes
+        seen = plan_inputs(decomposed, x)
+        assert len(seen) == len(model.specs) // 3 + 2
+        for got, expect, step in zip(seen[1:-1], conv_input_bytes(quantized, x)[1:],
+                                     decomposed._plan.steps[1:]):
+            assert isinstance(got, gemm.PixelImage)
             assert step.keywords["weight"].conv is not None
             check_image(got, expect, step.keywords["spec"].padding)
-        assert same_bits(native[-1], numpy[-1])
+        assert same_bits(seen[-1], nn.model_forward(quantized, x))
+        if kernel == "native":  # the same images on the numpy kernel, and the same floats
+            numpy = on_numpy(plan_inputs, nn.decompose_model(quantized), x)
+            for got, expect in zip(seen[1:-1], numpy[1:-1]):
+                assert same_bits(got.pixels, expect.pixels)
+            assert same_bits(seen[-1], numpy[-1])
 
     def test_which_steps_take_packed_images(self, kernel):
         rng = core.make_rng(31)
@@ -357,14 +405,12 @@ class TestFoldedConvs:
         forms = [(w.conv is not None, w.pixels, w.lane) for w in
                  (step.keywords["weight"] for step in decomposed._plan.steps
                   if "weight" in step.keywords)]
-        if kernel == "numpy":
-            assert forms == [(False, None, 0)] * 4
-        else:  # tanh does not fold: conv 3 ends in floats, conv 4 quantizes them
-            assert forms == [(False, (16, 1), 0), (True, (32, 1), 16), (True, None, 32),
-                             (False, None, 0)]
+        # tanh does not fold: conv 3 ends in floats, conv 4 quantizes them
+        assert forms == [(False, (16, 1), 0), (True, (32, 1), 16), (True, None, 32),
+                         (False, None, 0)]
 
-    def test_plan_follows_the_kernel(self):
-        require_native()
+    def test_plan_runs_on_either_kernel(self):
+        # a plan built on the native kernel, where it builds, runs as it is on numpy
         rng = core.make_rng(32)
         specs = [nn.conv2d(2, 3, 3, 3, padding=1, m_bits=2, k_bits=2), nn.act_layer("htanh"),
                  nn.conv2d(3, 2, 3, 3, padding=1, m_bits=2, k_bits=2)]
@@ -375,6 +421,7 @@ class TestFoldedConvs:
         x = rng.uniform(-1, 1, (2, 2, 5, 5))
         expect = nn.model_forward(quantized, x)
         assert same_bits(nn.model_forward(decomposed, x), expect)
-        assert decomposed._plan.direct
+        plan = decomposed._plan
+        assert plan.steps[1].keywords["weight"].conv is not None
         assert same_bits(on_numpy(nn.model_forward, decomposed, x), expect)
-        assert not decomposed._plan.direct
+        assert decomposed._plan is plan
