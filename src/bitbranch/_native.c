@@ -4,15 +4,15 @@
  * meaning digit +1, with every pad bit past the last column zero. Python
  * checks shapes, dtypes and contiguity before calling in.
  *
- * Activations travel between the kernels as code bytes
- * b = (code + 2^M - 1) / 2, whose bit m is digit plane m: bb_quantize writes
- * them channels-last from floats, bb_conv from popcount sums, and bb_gather
- * packs them into the rows of the next product. Between two convs that
- * fold, they travel as packed pixels instead (gemm.PixelImage): the
- * epilogue writes plane m of each pixel as one lane of channel bits into
- * the next conv's padded image, and bb_conv reads the lanes at each kernel
- * offset. bb_conv is the one product kernel: a row GEMM is its 1 x 1 conv
- * of P pixels of 1 x 1, each plane one lane of 32 or 64 n_words bits.
+ * A layer's float input becomes code bytes b = (code + 2^M - 1) / 2, whose
+ * bit m is digit plane m: bb_quantize writes them channels-last, and
+ * bb_gather packs them into the rows of the layer's product. Between two bit
+ * layers that fold, activations travel as packed pixels (gemm.PixelImage):
+ * the epilogue writes plane m of each pixel as one lane of channel bits into
+ * the next layer's padded image, a dense layer's being 1 x 1 pixels, and
+ * bb_conv reads the lanes at each kernel offset; it never writes code bytes.
+ * bb_conv is the one product kernel: a row GEMM is its 1 x 1 conv of P
+ * pixels of 1 x 1, each plane one lane of 32 or 64 n_words bits.
  *
  * bb_quantize reads the threshold table of quant._odd_table, the one that
  * quant.quantize_odd reads, so the quantizer's formula lives only in
@@ -42,9 +42,9 @@
 /* The epilogue of bb_conv. Output row p is one row of a dense product, or
  * output pixel (b, y, x) of a conv, rows in that order.
  * With th, a row's sums s become code bytes, the number of levels with
- * s <= th[level][q], XOR flip[q], written to codes, or with pixels set as
- * the next conv's input: plane m of pixel (b, y + pad, x + pad) of its
- * padded image holds bit m of each output's byte, bit q for output q. Else
+ * s <= th[level][q], XOR flip[q], written to pixels as the next layer's
+ * input: plane m of pixel (b, y + pad, x + pad) of its padded image holds
+ * bit m of each output's byte, bit q for output q. Else
  * acc = full - 2 s: to real times scale, one int64 -> double conversion and
  * one IEEE multiply, as gemm.scale_output does them; else to acc as int64. */
 struct out {
@@ -54,7 +54,6 @@ struct out {
     double scale;
     int64_t *acc; /* [rows][w_rows] */
     double *real;
-    uint8_t *codes;
     uint32_t *pixels; /* [batch][oh + 2 pad][ow + 2 pad][planes][units] */
     const uint32_t *ring; /* [planes][units], the pad byte's planes */
     int64_t oh, ow, pad, planes, units, dup; /* dup: a 16-bit lane, stored twice */
@@ -228,17 +227,11 @@ store_pixels8(const __m128i *c, uint32_t *const *d, int64_t q0, __mmask16 keep,
     return 1;
 }
 
-/* Each row's 16 code bytes n[r], XOR flip, to codes or to its pixel. */
+/* Each row's 16 code bytes n[r], XOR flip, to its pixel. */
 static inline __attribute__((always_inline)) void
-store_codes(const __m128i *n, int rows, int64_t p0, int64_t q0, int64_t w_rows, __mmask16 keep,
-            const struct out *o)
+store_codes(const __m128i *n, int rows, int64_t p0, int64_t q0, __mmask16 keep, const struct out *o)
 {
     const __m128i fl = _mm_loadu_si128((const __m128i *)(o->flip + q0));
-    if (o->pixels == NULL) {
-        for (int r = 0; r < rows; r++)
-            _mm_mask_storeu_epi8(o->codes + (p0 + r) * w_rows + q0, keep, _mm_xor_si128(n[r], fl));
-        return;
-    }
     uint32_t *d[TILE_P];
     __m128i c[TILE_P];
     pixel_rows(o, rows, p0, d);
@@ -285,7 +278,7 @@ out64(__m512i (*s)[2], int rows, int64_t p0, int64_t q0, int64_t w_rows, int64_t
             n[r] = _mm_mask_sub_epi8(n[r], le, n[r], minus_one);
         }
     }
-    store_codes(n, rows, p0, q0, w_rows, keep, o);
+    store_codes(n, rows, p0, q0, keep, o);
 }
 
 /* out64 for rows of 16 sums in int32 lanes, s <= full < 2^31. The
@@ -319,7 +312,7 @@ out32(const __m512i *s, int rows, int64_t p0, int64_t q0, int64_t w_rows, int64_
         for (int r = 0; r < rows; r++)
             n[r] = _mm_mask_sub_epi8(n[r], _mm512_cmple_epi32_mask(s[r], t), n[r], minus_one);
     }
-    store_codes(n, rows, p0, q0, w_rows, keep, o);
+    store_codes(n, rows, p0, q0, keep, o);
 }
 
 /* The conv tiles. For each plane pair (m, k), each row broadcasts its
@@ -440,7 +433,7 @@ conv_tile64(int rows, int64_t p0, const struct conv *g, int64_t full, const stru
 #define TILE_P 4
 
 /* Row r's sums s of its len outputs from q0 on, of a tile from row p0,
- * portable: see struct out. d is the row's pixel for a packed-pixel
+ * portable: see struct out. d is the row's pixel for the threshold
  * epilogue. */
 static inline __attribute__((always_inline)) void
 tile_out(const int64_t *restrict s, int len, int64_t p0, int r, int64_t q0, int64_t w_rows,
@@ -461,11 +454,6 @@ tile_out(const int64_t *restrict s, int len, int64_t p0, int r, int64_t q0, int6
     for (int64_t k = 0; k < o->levels; k++)
         for (int t = 0; t < TILE_Q; t++)
             n[t] += s[t] <= o->th[k * q_pad + q0 + t];
-    if (o->pixels == NULL) {
-        for (int t = 0; t < len; t++)
-            o->codes[at + t] = (uint8_t)n[t] ^ o->flip[q0 + t];
-        return;
-    }
     uint8_t c[TILE_Q] = {0};
     uint64_t v[2];
     for (int t = 0; t < len; t++)

@@ -34,7 +34,7 @@ class Out(ctypes.Structure):
 
     _fields_ = [("th", ctypes.c_void_p), ("flip", ctypes.c_void_p), ("levels", ctypes.c_int64),
                 ("scale", ctypes.c_double), ("acc", ctypes.c_void_p), ("real", ctypes.c_void_p),
-                ("codes", ctypes.c_void_p), ("pixels", ctypes.c_void_p), ("ring", ctypes.c_void_p),
+                ("pixels", ctypes.c_void_p), ("ring", ctypes.c_void_p),
                 *[(name, ctypes.c_int64) for name in ("oh", "ow", "pad", "planes", "units", "dup")]]
 
 

@@ -183,9 +183,9 @@ def gather_codes(b: np.ndarray, bits: int, kh: int = 1, kw: int = 1, stride: int
     straight into the lanes of its 64-byte row words (AVX-512BW masked
     loads; elsewhere it copies them into a row buffer first) and tests each
     plane's bit, one instruction per word. The numpy fallback splits the
-    bytes into 0/1 planes for ``bitops.pack_bits``. The plan gathers dense
-    inputs and a conv's float input; a conv whose producer folds into it
-    reads a ``PixelImage`` through ``direct_conv`` instead.
+    bytes into 0/1 planes for ``bitops.pack_bits``. The plan gathers a
+    bit layer's float input; a layer whose producer folds into it reads a
+    ``PixelImage`` through ``direct_conv`` instead.
     """
     quant._check_bits(bits)
     _check_image(b, "gather_codes")
@@ -219,8 +219,7 @@ def _check_operand(enc: EncodedMatrix, name: str) -> None:
 def decode_codes(enc: EncodedMatrix) -> np.ndarray:
     """Recover the odd code grid: code = 2 * sum_m 2^m * bit_m - (2^M - 1)."""
     _check_operand(enc, "decoded")
-    raw = np.ascontiguousarray(enc.words, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(raw, axis=2, count=enc.cols, bitorder="little")
+    bits = bitops.unpack_bits(enc.words, enc.cols)
     # sum_m 2^m * bit_m <= 255 at 8 bits, so it fits the uint8 the bits come in
     b = np.einsum("m,rmc->rc", np.left_shift(1, np.arange(enc.bits, dtype=np.uint8)), bits)
     return 2 * b.astype(np.int64) - ((1 << enc.bits) - 1)
@@ -310,7 +309,8 @@ TILE_Q = 16
 
 @dataclass(frozen=True)
 class PixelImage:
-    """A conv input as channel-packed bit planes per pixel, padded for its conv.
+    """A bit layer's input as channel-packed bit planes per pixel, padded for
+    its conv; a dense layer's input is a batch of 1 x 1 pixels, padding 0.
 
     pixels is uint32 (B, H + 2 padding, W + 2 padding, bits, units): plane m
     of a pixel holds bit m of its C code bytes, channel c at bit c of a lane
@@ -399,9 +399,9 @@ class GemmWeight:
     = (channels, kh, kw, stride) it is a weight of ``direct_conv`` instead:
     wt holds lanes of ``lane`` bits, wt[k, i, j, word, q] = channels of plane
     k at kernel offset (i, j), with the outputs padded to a whole vector of
-    lanes. The epilogue is ``fold``'s code bytes, written as the next conv's
-    ``PixelImage`` when ``pixels`` = (lane, padding) names that conv's
-    layout; or else the float accumulator times ``scale``; or else the int64
+    lanes. The epilogue is ``fold``'s code bytes, written as the next bit
+    layer's ``PixelImage`` in the layout ``pixels`` = (lane, padding); or
+    else the float accumulator times ``scale``; or else the int64
     accumulator.
     """
 
@@ -414,7 +414,7 @@ class GemmWeight:
     scale: float | None = None  # set only without fold
     conv: tuple[int, int, int, int] | None = None  # channels, kh, kw, stride
     lane: int = 0  # of conv's lanes
-    pixels: tuple[int, int] | None = None  # lane and padding of the next conv's image
+    pixels: tuple[int, int] | None = None  # lane and padding of the next layer's image, with fold
     # for bb_conv: the weight with its conv, and the epilogue's constant part
     # with the ring it points to
     _kernel: object = field(default=None, init=False, repr=False, compare=False)
@@ -427,7 +427,6 @@ class GemmWeight:
             o.scale = self.scale or 0.0
         else:
             o.th, o.flip, o.levels = _addr(fold.s_max), _addr(fold.flip), len(fold.s_max)
-        if self.pixels is not None:
             lane, o.pad = self.pixels
             ring = _ring_pixel(fold.bits, self.rows, lane)
             o.ring, o.planes, o.units, o.dup = _addr(ring), fold.bits, ring.shape[1], lane == 16
@@ -450,8 +449,7 @@ def _padded(a: np.ndarray, q_pad: int, dtype) -> np.ndarray:
 def _conv_lanes(w: EncodedMatrix, channels: int, kh: int, kw: int, lane: int,
                 q_pad: int) -> np.ndarray:
     """wt[k, i, j, word, q] of a conv weight whose reduction is in (c, i, j) order."""
-    raw = np.ascontiguousarray(w.words, dtype="<u8").view(np.uint8)
-    planes = np.unpackbits(raw, axis=2, count=w.cols, bitorder="little")
+    planes = bitops.unpack_bits(w.words, w.cols)
     planes = planes.reshape(w.rows, w.bits, channels, kh, kw).transpose(1, 3, 4, 0, 2)
     flat = np.zeros((w.bits, kh, kw, q_pad, max(lane, 16)), dtype=np.uint8)
     flat[:, :, :, :w.rows, :channels] = planes
@@ -465,11 +463,11 @@ def prepare_weight(w: EncodedMatrix, x_bits: int, fold: CodeThresholds | None = 
                    pixels: tuple[int, int] | None = None) -> GemmWeight:
     """Check w and its epilogue and lay them out for ``encoded_gemm`` with M = x_bits.
 
-    ``fold`` makes the GEMM write code bytes, and ``scale`` the accumulator
-    as float64 times scale, as ``scale_output`` computes it; a weight takes
-    one of them or neither. ``pixels`` = (lane, padding), with ``fold``,
-    writes the bytes as the next conv's ``PixelImage`` instead; its lane
-    must hold the Q outputs: 16 or 32 bits, or whole 64-bit words. With
+    ``fold`` with ``pixels`` = (lane, padding) makes the GEMM write code
+    bytes as the next bit layer's ``PixelImage``, whose lane must hold the Q
+    outputs: 16 or 32 bits, or whole 64-bit words. ``scale`` makes it write
+    the accumulator as float64 times scale, as ``scale_output`` computes it.
+    A weight takes the two together, or scale, or none of them. With
     ``conv`` = (channels, kh, kw, stride), w is a conv weight with its
     reduction in the model's (c, i, j) order, and is laid out per kernel
     offset for ``direct_conv`` in lanes of ``conv_lane`` bits.
@@ -479,8 +477,8 @@ def prepare_weight(w: EncodedMatrix, x_bits: int, fold: CodeThresholds | None = 
     _check_operand(w, "right")
     if fold is not None and scale is not None:
         raise ConfigError("a prepared weight takes thresholds or a scale, not both")
-    if pixels is not None and fold is None:
-        raise ConfigError("a packed-pixel epilogue needs thresholds")
+    if (pixels is None) != (fold is None):
+        raise ConfigError("thresholds and packed pixels go together: fold writes pixels")
     if pixels is not None:
         _check_pixels(w.rows, *pixels)
     lane = 0
@@ -515,28 +513,26 @@ def _epilogue(w: GemmWeight, grid: tuple[int, int, int]):
     """The output array of w's epilogue for rows = B OH OW and its ``struct out``."""
     o = _native.Out.from_buffer_copy(w._out)
     batch, oh, ow = grid
-    shape = (batch * oh * ow, w.rows)
-    if w.pixels is not None:
+    if w.fold is not None:
         pad = o.pad
         pixels = np.empty((batch, oh + 2 * pad, ow + 2 * pad, o.planes, o.units), np.uint32)
         o.pixels, o.oh, o.ow = _addr(pixels), oh, ow
         return PixelImage(o.planes, w.rows, w.pixels[0], pad, pixels), o
-    if w.fold is not None:
-        out = np.empty(shape, dtype=np.uint8)
-        o.codes = _addr(out)
-    elif w.scale is not None:
-        out = np.empty(shape, dtype=np.float64)
-        o.real = _addr(out)
-    else:
-        out = np.empty(shape, dtype=np.int64)
+    out = np.empty((batch * oh * ow, w.rows), dtype=np.int64 if w.scale is None else np.float64)
+    if w.scale is None:
         o.acc = _addr(out)
+    else:
+        o.real = _addr(out)
     return out, o
 
 
 def _conv_sums(px: np.ndarray, w: GemmWeight) -> np.ndarray:
     """numpy kernel: the popcount sums of packed pixels px (B, H, W, M, units)
-    and every padded output of w, int64 (B OH OW, Q padded), offset by offset
-    and plane pair by plane pair. A row weight wt[k, word, q] is a 1 x 1 conv's."""
+    and every padded output of w, int64 (B OH OW, Q padded): per kernel
+    offset, one XOR of every plane m of the strided window against every
+    plane k of the weight's lanes; each pair's counts sum over the offsets
+    and words before the shift by m + k. A row weight wt[k, word, q] is a
+    1 x 1 conv's."""
     _, kh, kw, stride = w.conv or (0, 1, 1, 1)
     wt = w.wt.reshape(w.bits, kh, kw, *w.wt.shape[-2:])
     # a 16-bit lane is stored twice in its uint32, a 32-bit one is a row word's low half
@@ -544,13 +540,12 @@ def _conv_sums(px: np.ndarray, w: GemmWeight) -> np.ndarray:
     if wt.dtype == np.uint16:
         px = px & 0xFFFF
     oh, ow = (px.shape[1] - kh) // stride + 1, (px.shape[2] - kw) // stride + 1
-    s = np.zeros((len(px), oh, ow, wt.shape[-1]), dtype=np.int64)
+    counts = np.zeros((len(px), oh, ow, w.x_bits, w.bits, wt.shape[-1]), dtype=np.int64)
     for i, j in np.ndindex(kh, kw):
-        window = px[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
-        for m in range(w.x_bits):
-            a = window[..., m, :, None]  # (B, OH, OW, words, 1)
-            for k in range(w.bits):
-                s += np.bitwise_count(a ^ wt[k, i, j]).sum(axis=-2, dtype=np.int64) << m + k
+        window = px[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :, None, :, None]
+        counts += np.bitwise_count(window ^ wt[:, i, j]).sum(axis=-2, dtype=np.int64)
+    shift = np.add.outer(np.arange(w.x_bits), np.arange(w.bits))[..., None]
+    s = (counts << shift).sum(axis=(3, 4))
     return s.reshape(-1, wt.shape[-1])
 
 
@@ -565,15 +560,13 @@ def _product(px: np.ndarray, w: GemmWeight, grid: tuple[int, int, int]) -> np.nd
             raise MemoryError("no memory for the row words of a product")
         return out
     s = _conv_sums(px, w)
-    out = _full(w.cols, w.x_bits, w.bits) - 2 * s
     if w.fold is not None:
-        out = w.fold.codes(s)
-    elif w.scale is not None:
+        b = np.ascontiguousarray(w.fold.codes(s)[:, :w.rows]).reshape(*grid, w.rows)
+        return pack_pixels(b, w.fold.bits, *w.pixels)
+    out = _full(w.cols, w.x_bits, w.bits) - 2 * s
+    if w.scale is not None:
         out = out * w.scale  # the int64 -> float64 conversion, then one multiply
-    out = np.ascontiguousarray(out[:, :w.rows])
-    if w.pixels is None:
-        return out
-    return pack_pixels(out.reshape(*grid, w.rows), w.fold.bits, *w.pixels)
+    return np.ascontiguousarray(out[:, :w.rows])
 
 
 def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight,
@@ -581,15 +574,15 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight,
     """Exact integer accumulator of the decomposed product, C-contiguous (P, Q).
 
     A w from ``prepare_weight`` with a fold turns each accumulator into the
-    next layer's code byte instead, and the result is uint8 (P, Q),
-    channels-last; with ``pixels`` as well, x's rows are the output pixels
-    of a conv, grid = (B, OH, OW), and the result is the next conv's
-    ``PixelImage``. One with a scale returns the float64 accumulator times
-    that scale. Any other w is prepared for this call, with neither. A grid
-    must have x.rows pixels, whatever the epilogue. Both kernels run it as
-    the 1 x 1 conv of x's rows as pixels of 1 x 1 (``_product``), each plane
-    one lane: 32 bits at N <= 32, the low half of its word, else
-    64 words_per_row bits; never 16, as a word does not hold its lane twice.
+    next layer's code byte instead, and x's rows are the output pixels of a
+    layer, grid = (B, OH, OW), (B, 1, 1) for a dense one; the result is the
+    next layer's ``PixelImage``. One with a scale returns the float64
+    accumulator times that scale. Any other w is prepared for this call,
+    with neither. A grid must have x.rows pixels, whatever the epilogue, and
+    a fold needs one. Both kernels run it as the 1 x 1 conv of x's rows as
+    pixels of 1 x 1 (``_product``), each plane one lane: 32 bits at N <= 32,
+    the low half of its word, else 64 words_per_row bits; never 16, as a
+    word does not hold its lane twice.
     """
     if not isinstance(w, GemmWeight):
         w = prepare_weight(w, x.bits)
@@ -610,7 +603,9 @@ def encoded_gemm(x: EncodedMatrix, w: EncodedMatrix | GemmWeight,
 
 def direct_conv(x: PixelImage, w: GemmWeight) -> np.ndarray | PixelImage:
     """The conv of a packed image with a weight prepared with ``conv``: no
-    patch matrix, no gather. ``_product`` runs it, as it runs ``encoded_gemm``.
+    patch matrix, no gather; a dense layer's is the 1 x 1 conv of its 1 x 1
+    pixels, conv = (N, 1, 1, 1). ``_product`` runs it, as it runs
+    ``encoded_gemm``.
 
     The sums are those of ``encoded_gemm`` on the gathered patches, grouped
     by kernel offset, so every epilogue gives the same values; rows are the

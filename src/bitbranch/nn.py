@@ -16,7 +16,8 @@ and lives in exactly one stage:
 
 Convolution is lowered to patch extraction followed by the same GEMM as
 dense layers: im2col of the activation in the float stage and of its codes
-in the quantized stage, a gather of code bytes in the decomposed stage.
+in the quantized stage, a gather of code bytes in the decomposed stage, or
+after a fold a direct conv of packed pixels.
 ``gemm`` picks the C or the numpy kernel; this module does not know which
 one runs.
 """
@@ -313,14 +314,14 @@ def accuracy(m: ModelState, x: np.ndarray, y: np.ndarray) -> float:
 # next bit layer of its kind through batchnorm, htanh and hrelu only folds
 # that chain into per-channel thresholds, found by bisection on the
 # quantized stage's own functions: its GEMM writes the next layer's code
-# bytes. A conv that folds into a conv writes them as that conv's padded
-# image of channel-packed planes (``gemm.PixelImage``), which it reads
+# bytes as that layer's padded image of channel-packed planes
+# (``gemm.PixelImage``; 1 x 1 pixels for a dense layer), which it reads
 # through ``gemm.direct_conv``, with the weight laid out per kernel offset.
-# Every other bit layer gathers its rows from code bytes, channels-last: a
-# float input is quantized to them first, so a conv weight's reduction axis
-# is re-encoded in the gather's (i, j, c) order; the model keeps the file's
-# (c, i, j). Full-precision layers run the float GEMM, with their weights
-# decoded once. A plan runs on either kernel.
+# Every other bit layer quantizes its float input to code bytes,
+# channels-last, and gathers its rows from them, so a conv weight's
+# reduction axis is re-encoded in the gather's (i, j, c) order; the model
+# keeps the file's (c, i, j). Full-precision layers run the float GEMM, with
+# their weights decoded once. A plan runs on either kernel.
 
 # monotone under IEEE rounding; tanh and sigmoid go through libm or SIMD code
 _FOLDING_ACTS = ("htanh", "hrelu")
@@ -354,6 +355,11 @@ def _reduction_ijc(spec: LayerSpec, w: gemm.EncodedMatrix) -> gemm.EncodedMatrix
         return w
     codes = gemm.decode_codes(w).reshape(spec.out_features, spec.in_features, *spec.kernel)
     return gemm.encode_codes(codes.transpose(0, 2, 3, 1).reshape(spec.out_features, -1), w.bits)
+
+
+def _geometry(spec: LayerSpec) -> tuple[int, int, int, int]:
+    """(kh, kw, stride, padding) of a bit layer; a dense layer is a 1 x 1 conv of 1 x 1 pixels."""
+    return (*spec.kernel, spec.stride, spec.padding) if spec.kind == "conv2d" else (1, 1, 1, 0)
 
 
 def _chain_folds(spec: LayerSpec, w, channels: int) -> bool:
@@ -404,7 +410,7 @@ def _build_plan(m: ModelState) -> _Plan:
     """The model's layers as steps. A bit layer's step holds its weight
     prepared for the GEMM, a conv's reduction in (i, j, c) order, or per
     kernel offset when its input is a packed image, with the epilogue to
-    the next bit layer's input if the chain folds."""
+    the next bit layer's packed image if the chain folds."""
     steps = []
     packed = -1  # the layer whose input the previous step writes as a packed image
     i = 0
@@ -424,12 +430,13 @@ def _build_plan(m: ModelState) -> _Plan:
                 fold, nxt = fold_thresholds(m.specs, m.weights, i)
                 scale = _output_scale(spec, w.bits) if fold is None else None
                 pixels = None
-                if fold is not None and spec.kind == "conv2d":
-                    to, w_to = m.specs[nxt], m.weights[nxt]
-                    pixels = (gemm.conv_lane(to.in_features, *to.kernel, to.m_bits, w_to.bits),
-                              to.padding)
+                if fold is not None:
+                    to = m.specs[nxt]
+                    kh, kw, _, padding = _geometry(to)
+                    pixels = (gemm.conv_lane(to.in_features, kh, kw, to.m_bits,
+                                             m.weights[nxt].bits), padding)
                 if i == packed:
-                    conv = (spec.in_features, *spec.kernel, spec.stride)
+                    conv = (spec.in_features, *_geometry(spec)[:3])
                     weight = gemm.prepare_weight(w, spec.m_bits, fold, scale, conv, pixels)
                 else:
                     weight = gemm.prepare_weight(_reduction_ijc(spec, w), spec.m_bits, fold,
@@ -444,32 +451,28 @@ def _build_plan(m: ModelState) -> _Plan:
 
 
 def _bit_layer_forward(h, spec: LayerSpec, weight: gemm.GemmWeight):
-    """A bit layer of the plan on one of three input forms:
+    """A bit layer of the plan on one of two input forms:
 
-    * its float input, which it quantizes to code bytes;
-    * after a dense layer that folds into this dense layer, its code
-      bytes, uint8 (B, N);
-    * after a conv that folds into this conv, the padded
-      ``gemm.PixelImage`` of its input, which ``gemm.direct_conv`` reads
-      with no patch gather.
+    * its float input, which it quantizes to code bytes and gathers into
+      patch rows for ``gemm.encoded_gemm``;
+    * after a bit layer that folds into this one, the padded
+      ``gemm.PixelImage`` of its input, (B, 1, 1) pixels for a dense layer,
+      which ``gemm.direct_conv`` reads with no patch gather.
 
-    Code bytes are gathered into patch rows for ``gemm.encoded_gemm``. The
-    weight carries the epilogue: the next conv's packed image, code bytes,
-    or the float scale of ``_acc_output``."""
+    The weight carries the epilogue: the next bit layer's packed image, or
+    the float scale of ``_acc_output``."""
     conv = spec.kind == "conv2d"
-    geometry = (*spec.kernel, spec.stride, spec.padding) if conv else (1, 1, 1, 0)
+    geometry = _geometry(spec)
     if isinstance(h, gemm.PixelImage):
         batch, height, width = h.pixels.shape[:3]
         grid = (batch, *gemm.patch_grid((batch, h.channels, height, width), *geometry[:3], 0))
         out = gemm.direct_conv(h, weight)
     else:
-        if h.dtype != np.uint8:
-            h = _checked_input(h, spec)
-            b, bad = gemm.quantize_bytes(h.transpose(0, 2, 3, 1) if conv else h, spec.m_bits)
-            if bad:  # count what the quantized stage counts; values outside every window pass
-                _reject_non_finite(_rows(h, spec), spec)
-            h = b
-        image = h if conv else h.reshape(len(h), 1, 1, h.shape[1])
+        h = _checked_input(h, spec)
+        b, bad = gemm.quantize_bytes(h.transpose(0, 2, 3, 1) if conv else h, spec.m_bits)
+        if bad:  # count what the quantized stage counts; values outside every window pass
+            _reject_non_finite(_rows(h, spec), spec)
+        image = b if conv else b.reshape(len(b), 1, 1, b.shape[1])
         nchw = (image.shape[0], image.shape[3], *image.shape[1:3])
         grid = (nchw[0], *gemm.patch_grid(nchw, *geometry))
         out = gemm.encoded_gemm(gemm.gather_codes(image, spec.m_bits, *geometry), weight, grid)

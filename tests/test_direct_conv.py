@@ -1,4 +1,4 @@
-"""The direct binary conv between folded convs: channel-packed pixel images,
+"""The direct binary conv between folded layers: channel-packed pixel images,
 the one product of both kernels (``bb_conv`` and ``gemm._conv_sums``) and
 the packed-pixel epilogue, against exact integer products and the quantized
 stage."""
@@ -8,40 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bitbranch import _native, core, gemm, nn, quant
-from test_native import (FIXTURE_OK, X86_ONLY, examples, fresh_library, kernel,  # noqa: F401
-                         on_numpy, portable_pack, random_odd_codes, same_bits)
-
-
-def lanes_for(c):
-    """Every lane width that holds c channels."""
-    return [lane for lane in (16, 32, 64, 128) if c <= lane]
-
-
-def unpack_pixels(img):
-    """(code bytes (B, H, W, C), bits past C in each plane) of a PixelImage,
-    read bit by bit from its words: the layout's spec, apart from pack_pixels."""
-    bits = np.unpackbits(img.pixels.view(np.uint8), axis=-1, bitorder="little")
-    c = img.channels
-    b = np.zeros(img.pixels.shape[:3] + (c,), dtype=np.uint8)
-    for m in range(img.bits):
-        b |= bits[..., m, :c] << np.uint8(m)
-    if img.lane == 16:  # the upper half repeats the lower one
-        assert np.array_equal(bits[..., 16:32], bits[..., :16])
-        return b, bits[..., c:16]
-    return b, bits[..., c:]
-
-
-def check_image(img, interior, padding):
-    """img is ``interior``'s bytes inside a ring of the pad byte, no bit set past C."""
-    assert img.pixels.dtype == np.uint32 and img.pixels.flags.c_contiguous
-    assert img.padding == padding
-    b, rest = unpack_pixels(img)
-    assert not np.any(rest), "a bit past the channels is set"
-    h, w = interior.shape[1:3]
-    np.testing.assert_array_equal(b[:, padding:padding + h, padding:padding + w], interior)
-    ring = np.ones(b.shape[:3], dtype=bool)
-    ring[:, padding:padding + h, padding:padding + w] = False
-    assert np.all(b[ring] == (1 << (img.bits - 1)) - 1), "a ring pixel is not the pad byte"
+from test_native import (FIXTURE_OK, X86_ONLY, check_image, examples,  # noqa: F401
+                         fresh_library, kernel, lanes_for, on_numpy, portable_pack,
+                         random_odd_codes, same_bits)
 
 
 @st.composite
@@ -60,14 +29,16 @@ def direct_cases(draw):
     b = rng.integers(0, 1 << m_bits, (draw(st.integers(1, 3)), h, w, c)).astype(np.uint8)
     codes = random_odd_codes(rng, (q, c, kh, kw), k_bits)
     full = c * kh * kw * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
-    kind = draw(st.sampled_from(["int", "float", "codes", "pixels"]))
+    kind = draw(st.sampled_from(["int", "float", "unpadded", "pixels"]))
     return (b, codes, (kh, kw, stride, padding), m_bits, k_bits,
             *draw_epilogue(draw, rng, kind, q, full))
 
 
 def draw_epilogue(draw, rng, kind, q, full):
     """(fold, scale, pixels) of an epilogue of q outputs of the kind "int",
-    "float", "codes" or "pixels", with thresholds across 0 <= s <= full."""
+    "float", "unpadded" (packed pixels at padding 0, as a dense layer's fold
+    writes them) or "pixels" (padding 0..2), with thresholds across
+    0 <= s <= full."""
     fold = scale = pixels = None
     if kind == "float":
         scale = draw(st.sampled_from([1.0, -0.37]))
@@ -76,8 +47,8 @@ def draw_epilogue(draw, rng, kind, q, full):
         levels = (1 << bits) - 1
         s_max = np.sort(rng.integers(-2, full + 2, (levels, q)), axis=0)
         fold = gemm.CodeThresholds(bits, s_max, rng.choice([0, levels], q).astype(np.uint8))
-        if kind == "pixels":
-            pixels = (draw(st.sampled_from(lanes_for(q))), draw(st.integers(0, 2)))
+        pixels = (draw(st.sampled_from(lanes_for(q))),
+                  0 if kind == "unpadded" else draw(st.integers(0, 2)))
     return fold, scale, pixels
 
 
@@ -184,7 +155,6 @@ class TestDirectConv:
         b, codes, geometry, m_bits, k_bits, fold, _, pixels = case
         if fold is None:
             return
-        pixels = pixels or (gemm.conv_lane(len(codes), 3, 3, fold.bits, 2), 1)
         q = len(codes)
         w_ijc = gemm.encode_codes(codes.transpose(0, 2, 3, 1).reshape(q, -1), k_bits)
         grid = (len(b), *gemm.patch_grid((len(b), b.shape[3], *b.shape[1:3]), *geometry))
@@ -230,7 +200,7 @@ class TestDirectConv:
             gemm.encoded_gemm(gemm.encode_codes(np.ones((1, 12), np.int64), 2), weight)
         with pytest.raises(core.ConfigError, match="prepared with conv"):
             gemm.direct_conv(img, gemm.prepare_weight(w, 2))
-        with pytest.raises(core.ConfigError, match="needs thresholds"):
+        with pytest.raises(core.ConfigError, match="go together"):
             gemm.prepare_weight(w, 2, pixels=(16, 1))
 
 
@@ -239,12 +209,12 @@ def row_cases(draw):
     """(x codes, w codes, M, K, fold, scale, pixels, grid): a row GEMM of N
     on both sides of the 16-, 32- and 64-bit lanes, M and K 1..8 and one of
     the four epilogues. Its rows are the pixels of grid: (P, 1, 1), P = 1..20,
-    or for packed pixels a batch of 2..4 images of up to 3 x 3."""
+    or for padded packed pixels a batch of 2..4 images of up to 3 x 3."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.sampled_from([1, 16, 17, 27, 31, 32, 33, 63, 64, 65, 784]))
     q = draw(st.sampled_from([1, 16, 17, 32, 33, 70]) | st.integers(1, 70))
     m_bits, k_bits = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["int", "float", "codes", "pixels"]))
+    kind = draw(st.sampled_from(["int", "float", "unpadded", "pixels"]))
     if kind == "pixels":
         grid = (draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     else:
@@ -298,27 +268,34 @@ def test_portable_row_gemm_is_a_one_by_one_conv(portable_pack, case):
 
 @st.composite
 def folded_chains(draw):
-    """(float model, input): 2-3 convs, each but the last followed by a
-    batchnorm with channels of either sign and by htanh or hrelu, so that
-    each folds into the next; C = 1..70, kernel 1..4, stride 1..3, padding
-    0..2, M and K 1..8."""
+    """(float model, input): 2-3 convs or dense layers, each but the last
+    followed by a batchnorm with channels of either sign and by htanh or
+    hrelu, so that each folds into the next. Convs have C = 1..70, kernel
+    1..4, stride 1..3 and padding 0..2; dense layers widths from 1 to 520,
+    across the 16-, 32- and multi-word lanes; M and K 1..8."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    batch, c = draw(st.integers(1, 2)), draw(st.integers(1, 70))
+    dense = draw(st.booleans())
+    widths = st.sampled_from([1, 16, 17, 32, 33, 70, 520]) if dense else \
+        st.sampled_from([1, 16, 17, 32, 33, 70]) | st.integers(1, 70)
+    batch, c = draw(st.integers(1, 2)), draw(widths if dense else st.integers(1, 70))
     h0, w0 = h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     specs, weights = [], []
     n = draw(st.integers(2, 3))
     for i in range(n):
-        out = draw(st.sampled_from([1, 16, 17, 32, 33, 70]) | st.integers(1, 70))
-        padding, stride = draw(st.integers(0, 2)), draw(st.integers(1, 3))
-        kh, kw = draw(st.integers(1, min(4, h + 2 * padding))), \
-            draw(st.integers(1, min(4, w + 2 * padding)))
+        out = draw(widths)
         m_bits, k_bits = draw(st.integers(1, 8)), draw(st.integers(1, 8))
         follows_bn = draw(st.booleans())
-        spec = nn.conv2d(c, out, kh, kw, stride=stride, padding=padding, m_bits=m_bits,
-                         k_bits=k_bits, follows_bn=follows_bn)
+        if dense:
+            spec = nn.dense(c, out, m_bits, k_bits, follows_bn=follows_bn)
+        else:
+            padding, stride = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+            kh, kw = draw(st.integers(1, min(4, h + 2 * padding))), \
+                draw(st.integers(1, min(4, w + 2 * padding)))
+            spec = nn.conv2d(c, out, kh, kw, stride=stride, padding=padding, m_bits=m_bits,
+                             k_bits=k_bits, follows_bn=follows_bn)
+            h, w = gemm.patch_grid((batch, c, h, w), kh, kw, stride, padding)
         specs.append(spec)
         weights.append(rng.uniform(-1, 1, spec.weight_shape()))
-        h, w = gemm.patch_grid((batch, c, h, w), kh, kw, stride, padding)
         c = out
         if i == n - 1:
             break
@@ -330,7 +307,7 @@ def folded_chains(draw):
                         "var": rng.uniform(0.5, 2.0, out) * spread})
         specs.append(nn.act_layer(draw(st.sampled_from(["htanh", "hrelu"]))))
         weights.append(None)
-    x = rng.uniform(-1.5, 1.5, (batch, specs[0].in_features, h0, w0))
+    x = rng.uniform(-1.5, 1.5, (batch, specs[0].in_features, *(() if dense else (h0, w0))))
     return nn.ModelState("float", specs, weights), x
 
 
@@ -350,15 +327,16 @@ def test_portable_direct_conv_matches_numpy(portable_pack, case):
     check_direct_conv(case)
 
 
-def conv_input_bytes(model, x):
-    """The code bytes, channels-last, of each conv's input in the quantized
-    stage: what a plan step that reads a packed image must find there."""
+def bit_layer_input_bytes(model, x):
+    """The code bytes, channels-last, of each bit layer's input in the
+    quantized stage, (B, 1, 1, N) for a dense layer: what a plan step that
+    reads a packed image must find there."""
     h, seen = x, []
     for spec, w in zip(model.specs, model.weights):
-        if spec.kind == "conv2d":
-            codes = quant.quantize_odd(h, spec.m_bits).codes
-            seen.append(((codes + (1 << spec.m_bits) - 1) >> 1).astype(np.uint8)
-                        .transpose(0, 2, 3, 1))
+        if spec.kind in ("dense", "conv2d"):
+            b = ((quant.quantize_odd(h, spec.m_bits).codes + (1 << spec.m_bits) - 1) >> 1)
+            b = b.astype(np.uint8)
+            seen.append(b.transpose(0, 2, 3, 1) if spec.kind == "conv2d" else b[:, None, None])
         h = nn._layer_forward(h, spec, w, "quantized")
     return seen
 
@@ -374,7 +352,7 @@ class TestFoldedConvs:
         # of the quantized stage's code bytes
         seen = plan_inputs(decomposed, x)
         assert len(seen) == len(model.specs) // 3 + 2
-        for got, expect, step in zip(seen[1:-1], conv_input_bytes(quantized, x)[1:],
+        for got, expect, step in zip(seen[1:-1], bit_layer_input_bytes(quantized, x)[1:],
                                      decomposed._plan.steps[1:]):
             assert isinstance(got, gemm.PixelImage)
             assert step.keywords["weight"].conv is not None
@@ -408,6 +386,25 @@ class TestFoldedConvs:
         # tanh does not fold: conv 3 ends in floats, conv 4 quantizes them
         assert forms == [(False, (16, 1), 0), (True, (32, 1), 16), (True, None, 32),
                          (False, None, 0)]
+        # the same in an MLP: a dense fold writes 1 x 1 pixels, which the next
+        # dense layer reads as a 1 x 1 conv in the lanes of its N
+        specs = [nn.dense(20, 33, m_bits=2, k_bits=2), nn.batchnorm(33), nn.act_layer("htanh"),
+                 nn.dense(33, 520, m_bits=2, k_bits=2), nn.act_layer("hrelu"),
+                 nn.dense(520, 16, m_bits=3, k_bits=2), nn.act_layer("tanh"),
+                 nn.dense(16, 4, m_bits=2, k_bits=2)]
+        weights = [rng.uniform(-1, 1, s.weight_shape()) if s.weight_shape() else None
+                   for s in specs]
+        weights[1] = {"gamma": np.ones(33), "beta": np.zeros(33), "mean": np.zeros(33),
+                      "var": np.full(33, 4.0)}
+        quantized = nn.quantize_model(nn.ModelState("float", specs, weights))
+        decomposed = nn.decompose_model(quantized)
+        x = rng.uniform(-1, 1, (5, 20))
+        assert same_bits(nn.model_forward(decomposed, x), nn.model_forward(quantized, x))
+        forms = [(w.conv, w.pixels, w.lane) for w in
+                 (step.keywords["weight"] for step in decomposed._plan.steps
+                  if "weight" in step.keywords)]
+        assert forms == [(None, (64, 0), 0), ((33, 1, 1, 1), (576, 0), 64),
+                         ((520, 1, 1, 1), None, 576), (None, None, 0)]
 
     def test_plan_runs_on_either_kernel(self):
         # a plan built on the native kernel, where it builds, runs as it is on numpy

@@ -92,6 +92,48 @@ def examples(n):
     return n * settings().max_examples // settings.get_profile("default").max_examples
 
 
+def lanes_for(c):
+    """Every lane width that holds c channels."""
+    return [lane for lane in (16, 32, 64, 128) if c <= lane]
+
+
+def unpack_pixels(img):
+    """(code bytes (B, H, W, C), bits past C in each plane) of a PixelImage,
+    read bit by bit from its words: the layout's spec, apart from pack_pixels."""
+    bits = np.unpackbits(img.pixels.view(np.uint8), axis=-1, bitorder="little")
+    c = img.channels
+    b = np.zeros(img.pixels.shape[:3] + (c,), dtype=np.uint8)
+    for m in range(img.bits):
+        b |= bits[..., m, :c] << np.uint8(m)
+    if img.lane == 16:  # the upper half repeats the lower one
+        assert np.array_equal(bits[..., 16:32], bits[..., :16])
+        return b, bits[..., c:16]
+    return b, bits[..., c:]
+
+
+def check_image(img, interior, padding):
+    """img is ``interior``'s bytes inside a ring of the pad byte, no bit set past C."""
+    assert img.pixels.dtype == np.uint32 and img.pixels.flags.c_contiguous
+    assert img.padding == padding
+    b, rest = unpack_pixels(img)
+    assert not np.any(rest), "a bit past the channels is set"
+    h, w = interior.shape[1:3]
+    np.testing.assert_array_equal(b[:, padding:padding + h, padding:padding + w], interior)
+    ring = np.ones(b.shape[:3], dtype=bool)
+    ring[:, padding:padding + h, padding:padding + w] = False
+    assert np.all(b[ring] == (1 << (img.bits - 1)) - 1), "a ring pixel is not the pad byte"
+
+
+def check_folded_gemm(xe, we, m_bits, fold, expect):
+    """encoded_gemm's threshold epilogue writes the code bytes expect (P, Q)
+    as the unpadded image of P pixels of 1 x 1, as a dense layer's fold
+    does, in every lane that holds the Q outputs."""
+    for lane in lanes_for(we.rows):
+        weight = gemm.prepare_weight(we, m_bits, fold, pixels=(lane, 0))
+        check_image(gemm.encoded_gemm(xe, weight, (xe.rows, 1, 1)),
+                    expect.reshape(xe.rows, 1, 1, we.rows), 0)
+
+
 class TestNativeGemm:
     @settings(max_examples=examples(60), deadline=None)
     @given(p=st.integers(1, 12), q=st.integers(1, 70),
@@ -658,7 +700,7 @@ def quantized_code(specs, weights, acc):
 
 
 class TestFold:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(n=st.integers(1, 40), m_bits=st.integers(1, 3), k_bits=st.integers(1, 3),
            channels=st.integers(1, 4), next_bits=st.integers(1, 4),
            follows_bn=st.booleans(), r=st.sampled_from([1.0, 0.5, 3.0, -1.0]),
@@ -734,32 +776,31 @@ class TestFold:
         we = gemm.encode_codes(np.ones((4, 5), dtype=np.int64), 1)
         fold = gemm.CodeThresholds(bits=2, s_max=np.zeros((t_rows, t_cols), dtype=np.int64),
                                    flip=np.zeros(flips, dtype=np.uint8))
-        with pytest.raises(core.ShapeError, match="thresholds"):
-            gemm.prepare_weight(we, 1, fold)
+        for lane in lanes_for(4):
+            with pytest.raises(core.ShapeError, match="thresholds"):
+                gemm.prepare_weight(we, 1, fold, pixels=(lane, 0))
 
     def test_prepared_weight_checks(self, kernel):
-        xe = gemm.encode_codes(np.ones((2, 5), dtype=np.int64), 1)
-        we = gemm.encode_codes(np.ones((4, 5), dtype=np.int64), 1)
+        xc, wc = np.ones((2, 5), dtype=np.int64), np.ones((4, 5), dtype=np.int64)
+        xe, we = gemm.encode_codes(xc, 1), gemm.encode_codes(wc, 1)
         s_max = np.array([[0, 2, 5, 7]] * 3)
         for flip in ([0, 1, 3, 0], [0, 3, 3, -1], [0, 3, 3, 255]):
-            with pytest.raises(core.DomainError, match="flips"):
-                gemm.prepare_weight(we, 1, gemm.CodeThresholds(2, s_max, np.array(flip)))
+            for lane in lanes_for(4):
+                with pytest.raises(core.DomainError, match="flips"):
+                    gemm.prepare_weight(we, 1, gemm.CodeThresholds(2, s_max, np.array(flip)),
+                                        pixels=(lane, 0))
         fold = gemm.CodeThresholds(2, s_max, np.array([0, 3, 3, 0], dtype=np.uint8))
-        prepared = gemm.prepare_weight(we, 1, fold)
-        s = (5 - gemm.encoded_gemm(xe, we)) >> 1
-        np.testing.assert_array_equal(gemm.encoded_gemm(xe, prepared), fold.codes(s))
+        check_folded_gemm(xe, we, 1, fold, fold.codes((5 - xc @ wc.T) >> 1))
         with pytest.raises(core.ShapeError, match="prepared for M=2"):
             gemm.encoded_gemm(xe, gemm.prepare_weight(we, 2))
 
-    @settings(max_examples=60, **FIXTURE_OK)
+    @settings(max_examples=examples(60), **FIXTURE_OK)
     @given(case=gemm_cases())
     def test_gemm_epilogue_matches_numpy(self, kernel, case):
         xc, wc, m_bits, k_bits, fold = case
         full = xc.shape[1] * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
-        got = gemm.encoded_gemm(gemm.encode_codes(xc, m_bits),
-                                gemm.prepare_weight(gemm.encode_codes(wc, k_bits), m_bits, fold))
-        assert got.dtype == np.uint8 and got.flags.c_contiguous
-        np.testing.assert_array_equal(got, fold.codes((full - xc @ wc.T) >> 1))
+        check_folded_gemm(gemm.encode_codes(xc, m_bits), gemm.encode_codes(wc, k_bits), m_bits,
+                          fold, fold.codes((full - xc @ wc.T) >> 1))
 
     @pytest.mark.parametrize("layout", ["int32", "fortran", "strided"])
     def test_threshold_layouts(self, kernel, layout):
@@ -775,9 +816,8 @@ class TestFold:
         else:
             s_max, flip = np.repeat(s_max, 2, axis=1)[:, ::2], np.repeat(flip, 2)[::2]
         fold = gemm.CodeThresholds(bits=2, s_max=s_max, flip=flip)
-        got = gemm.encoded_gemm(gemm.encode_codes(xc, 2),
-                                gemm.prepare_weight(gemm.encode_codes(wc, 2), 2, fold))
-        np.testing.assert_array_equal(got, fold.codes((full - xc @ wc.T) >> 1))
+        check_folded_gemm(gemm.encode_codes(xc, 2), gemm.encode_codes(wc, 2), 2, fold,
+                          fold.codes((full - xc @ wc.T) >> 1))
 
 
 # Every epilogue of encoded_gemm against grids whose pixels are not its rows;
@@ -793,7 +833,8 @@ x = gemm.encode_codes(np.ones((4096, 27), dtype=np.int64), 2)
 w = gemm.encode_codes(np.ones((16, 27), dtype=np.int64), 2)
 fold = gemm.CodeThresholds(2, np.zeros((3, 16), np.int64), np.zeros(16, np.uint8))
 for weight in (gemm.prepare_weight(w, 2), gemm.prepare_weight(w, 2, scale=0.5),
-               gemm.prepare_weight(w, 2, fold), gemm.prepare_weight(w, 2, fold, pixels=(16, 1))):
+               gemm.prepare_weight(w, 2, fold, pixels=(16, 0)),
+               gemm.prepare_weight(w, 2, fold, pixels=(16, 1))):
     for grid in [(1, 1, 1), (2, 2048, 2), (4097, 1, 1), (-1, -64, 64), (4096, 1)]:
         try:
             gemm.encoded_gemm(x, weight, grid)
@@ -838,8 +879,7 @@ class TestEpilogues:
         assert same_bits(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits)), exact)
         assert same_bits(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits, scale=scale)),
                          exact.astype(np.float64) * scale)
-        assert same_bits(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits, fold)),
-                         fold.codes((full - exact) >> 1).astype(np.uint8))
+        check_folded_gemm(xe, we, m_bits, fold, fold.codes((full - exact) >> 1))
 
     @pytest.mark.parametrize("which", ["native", "numpy"])
     def test_grid_must_have_every_row(self, which):
@@ -867,6 +907,23 @@ class TestEpilogues:
                                    np.zeros(4, dtype=np.uint8))
         with pytest.raises(core.ConfigError, match="not both"):
             gemm.prepare_weight(we, 1, fold, scale=0.5)
+
+    def test_thresholds_write_packed_pixels(self):
+        # a fold writes the next layer's packed image, which needs its layout and a grid
+        xe = gemm.encode_codes(np.ones((2, 5), dtype=np.int64), 1)
+        we = gemm.encode_codes(np.ones((4, 5), dtype=np.int64), 1)
+        fold = gemm.CodeThresholds(2, np.zeros((3, 4), dtype=np.int64),
+                                   np.zeros(4, dtype=np.uint8))
+        with pytest.raises(core.ConfigError, match="go together"):
+            gemm.prepare_weight(we, 1, fold)
+        with pytest.raises(core.ConfigError, match="go together"):
+            gemm.prepare_weight(we, 1, pixels=(16, 0))
+        with pytest.raises(core.ConfigError, match="go together"):
+            gemm.prepare_weight(we, 1, scale=0.5, pixels=(16, 0))
+        weight = gemm.prepare_weight(we, 1, fold, pixels=(16, 0))
+        with pytest.raises(core.ShapeError, match="needs a grid"):
+            gemm.encoded_gemm(xe, weight)
+        assert isinstance(gemm.encoded_gemm(xe, weight, (2, 1, 1)), gemm.PixelImage)
 
 
 class TestDecodeCodes:
@@ -1144,8 +1201,7 @@ def test_portable_gemm_matches_numpy(portable_pack, case):
     plain = gemm.prepare_weight(we, m_bits)
     rows = xc @ wc.T
     np.testing.assert_array_equal(gemm.encoded_gemm(xe, plain), rows)
-    np.testing.assert_array_equal(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits, fold)),
-                                  fold.codes((full - rows) >> 1))
+    check_folded_gemm(xe, we, m_bits, fold, fold.codes((full - rows) >> 1))
     assert same_bits(gemm.encoded_gemm(xe, gemm.prepare_weight(we, m_bits, scale=-0.37)),
                      rows.astype(np.float64) * -0.37)
 
@@ -1169,8 +1225,10 @@ def test_portable_quantize_matches_numpy(portable_pack, bits, shape, data):
 # Run in a child built with -fsanitize=address,undefined: each kernel on
 # padding 0..3, stride 1..3, up to 70 channels, bits 1, 2 and 8, and row
 # GEMMs through bb_conv in partial tiles, at N on both sides of the 32- and
-# 64-bit lanes, with all four epilogues, the packed-pixel one also on a grid
-# of two 3 x 3 images, against the numpy kernels; the quantizer on NCHW and
+# 64-bit lanes, with every epilogue: the packed-pixel one as a dense fold
+# writes it, unpadded 1 x 1 pixels, up to 512 outputs (16 uint32 a plane, as
+# in a 512 -> 512 layer), and padded on a grid of two 3 x 3 images, against
+# the numpy kernels; the quantizer on NCHW and
 # contiguous input, also on the values that index the ends of its table
 # (+-1.0 reads entry B, the last) at bits 1..8, and on NCHW input of 1..8
 # channels (the vpermb path with AVX-512 VBMI) and planes that are not whole
@@ -1225,7 +1283,7 @@ for padding in range(4):
             check(np.array_equal(got.words, expect.words), "gather", b.shape, bits, kh, kw,
                   stride, padding)
 for p, q, n in [(1, 1, 1), (7, 15, 27), (18, 17, 31), (9, 33, 32), (18, 33, 33), (8, 16, 64),
-                (18, 17, 65), (17, 33, 130), (8, 16, 784)]:
+                (18, 17, 65), (17, 33, 130), (8, 16, 784), (18, 65, 130), (9, 512, 512)]:
     for m_bits, k_bits in [(1, 1), (2, 2), (8, 3), (3, 8)]:
         xe = gemm.encode_codes(2 * rng.integers(0, 1 << m_bits, (p, n)) - (1 << m_bits) + 1,
                                m_bits)
@@ -1234,14 +1292,14 @@ for p, q, n in [(1, 1, 1), (7, 15, 27), (18, 17, 31), (9, 33, 32), (18, 33, 33),
         full = n * ((1 << m_bits) - 1) * ((1 << k_bits) - 1)
         s_max = np.sort(rng.integers(-1, full + 1, (255, q)), axis=0)
         fold = gemm.CodeThresholds(8, s_max, rng.choice([0, 255], q).astype(np.uint8))
-        pixels = (16 if q <= 16 else 32 if q <= 32 else 64 * -(-q // 64), 1)
+        lane = 16 if q <= 16 else 32 if q <= 32 else 64 * -(-q // 64)
         for weight, grid in [(gemm.prepare_weight(we, m_bits), None),
-                             (gemm.prepare_weight(we, m_bits, fold), None),
+                             (gemm.prepare_weight(we, m_bits, fold, pixels=(lane, 0)), (p, 1, 1)),
                              (gemm.prepare_weight(we, m_bits, scale=0.37), None),
-                             (gemm.prepare_weight(we, m_bits, fold, pixels=pixels),
+                             (gemm.prepare_weight(we, m_bits, fold, pixels=(lane, 1)),
                               (2, 3, 3) if p == 18 else (p, 1, 1))]:
             got, expect = both(gemm.encoded_gemm, xe, weight, grid)
-            if grid is not None:
+            if weight.fold is not None:
                 got, expect = got.pixels, expect.pixels
             check(got.dtype == expect.dtype and np.array_equal(got, expect), "gemm", p, q, n,
                   m_bits, k_bits, weight.fold is not None, weight.scale, grid)
@@ -1262,7 +1320,8 @@ for c, q, kh, kw, stride, padding, m_bits, k_bits in [
                                rng.choice([0, 7], q).astype(np.uint8))
     grid = (2, *gemm.patch_grid((2, c, 7, 6), kh, kw, stride, padding))
     patches = gemm.gather_codes(b, m_bits, kh, kw, stride, padding)
-    for epilogue in [(None, None, None), (None, 0.37, None), (fold, None, None),
+    for epilogue in [(None, None, None), (None, 0.37, None),
+                     (fold, None, (gemm.conv_lane(q, 1, 1, 3, 2), 0)),
                      (fold, None, (gemm.conv_lane(q, 3, 3, 3, 2), 1)), (fold, None, (128, 2))]:
         direct = gemm.prepare_weight(w, m_bits, *epilogue[:2], (c, kh, kw, stride), epilogue[2])
         got = gemm.direct_conv(gemm.pack_pixels(b, m_bits, direct.lane, padding), direct)
